@@ -9,7 +9,6 @@ stability errors), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
@@ -67,7 +66,7 @@ def _psi_from_config(obj):
         raise ConfigError(f"kernel config must be an object, got {obj!r}")
     try:
         return psi_spec_from_json(obj)
-    except (KeyError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad kernel config: {exc}")
 
 
@@ -77,21 +76,6 @@ def _psi_json(spec):
     if getattr(spec, "kind", None) == "power_law":
         return {"kind": "power_law", "gamma": spec.gamma}
     return {"kind": getattr(spec, "kind", "unknown")}
-
-
-@contextlib.contextmanager
-def _thread_limit(n):
-    """Cap BLAS/FFT thread pools when threadpoolctl is available."""
-    if n is None:
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        yield
-        return
-    with threadpool_limits(limits=n):
-        yield
 
 
 def _dump_json(obj, path):
@@ -355,25 +339,26 @@ def cmd_functional(args):
 # solver runs
 
 
+SOLVE_KEYS = ("psi", "grid", "initial")
+SOLVER_CONFIG_KEYS = ("dt", "steps", "scheme", "l_list", "k_list", "cadence", "gamma1")
+
+
 def _solver_config_from_json(cfg, psi):
-    allowed = {
-        "dt", "steps", "scheme", "method", "drift_scheme",
-        "l_list", "k_list", "cadence", "gamma1",
-    }
-    kwargs = {}
-    for key in allowed:
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    for key in ("l_list", "k_list"):
-        if key in kwargs:
-            kwargs[key] = tuple(float(x) for x in kwargs[key])
-    if "dt" in kwargs and kwargs["dt"] != "auto":
-        kwargs["dt"] = float(kwargs["dt"])
-    if "steps" in kwargs:
-        kwargs["steps"] = int(kwargs["steps"])
-    if "cadence" in kwargs:
-        kwargs["cadence"] = int(kwargs["cadence"])
-    return SolverConfig(spec=psi, **kwargs)
+    unknown = sorted(set(cfg) - set(SOLVE_KEYS + SOLVER_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown solve config keys {unknown}")
+    kwargs = {key: cfg[key] for key in SOLVER_CONFIG_KEYS if key in cfg}
+    try:
+        for key in ("l_list", "k_list"):
+            if key in kwargs:
+                kwargs[key] = tuple(float(x) for x in kwargs[key])
+        if "dt" in kwargs and kwargs["dt"] != "auto":
+            kwargs["dt"] = float(kwargs["dt"])
+        if kwargs.get("gamma1") is not None:
+            kwargs["gamma1"] = float(kwargs["gamma1"])
+        return SolverConfig(spec=psi, **kwargs)
+    except (TypeError, ValueError) as exc:  # ValidationError is a ValueError
+        raise ConfigError(f"bad solve config: {exc}")
 
 
 def _diagnostics_rows(series, config):
@@ -399,21 +384,27 @@ def _diagnostics_rows(series, config):
 
 def cmd_solve(args):
     cfg = _load_config(args.config)
+    if not isinstance(cfg, dict):
+        raise ConfigError("solve config must be a JSON object")
     psi = _psi_from_config(cfg.get("psi", {"kind": "coulomb"}))
+    config = _solver_config_from_json(cfg, psi)
     grid_cfg = cfg.get("grid")
     if not isinstance(grid_cfg, dict):
         raise ConfigError("'grid' object with dim/half_width/nodes_per_axis required")
-    n = args.resolution or int(grid_cfg.get("nodes_per_axis", 16))
     try:
+        n = args.resolution or int(grid_cfg.get("nodes_per_axis", 16))
         grid = build_grid(
             int(grid_cfg.get("dim", 3)), float(grid_cfg.get("half_width", 6.0)), n
         )
-    except (ValidationError, ResourceError) as exc:
+    except (TypeError, ValueError, ResourceError) as exc:
         raise ConfigError(f"bad grid: {exc}")
 
     init_cfg = cfg.get("initial")
     if isinstance(init_cfg, dict) and init_cfg.get("kind") == "custom_file":
-        f0 = DiscreteDistribution.load(init_cfg["params"]["path"])
+        try:
+            f0 = DiscreteDistribution.load(init_cfg["params"]["path"])
+        except (KeyError, TypeError, ValueError, OSError) as exc:
+            raise ConfigError(f"bad initial state file: {exc}")
         if not f0.grid.same_layout(grid):
             raise ConfigError("custom initial state does not match the grid config")
     elif isinstance(init_cfg, dict):
@@ -424,7 +415,6 @@ def cmd_solve(args):
     else:
         raise ConfigError("'initial' distribution spec required")
 
-    config = _solver_config_from_json(cfg, psi)
     try:
         series = run(f0, config)
     except ValidationError as exc:
@@ -490,7 +480,6 @@ def build_parser():
         prog="landau",
         description="Collision-operator functionals, inequality suites, and solver runs.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fun = sub.add_parser("functional", help="functional summary of a stored distribution")
@@ -517,8 +506,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _thread_limit(args.threads):
-            return args.func(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_ERROR

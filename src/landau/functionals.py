@@ -12,11 +12,11 @@ with xi = grad(log f), and equivalently
     D_psi(f) = 1/4 sum_{i,j} iint f f psi/|v-w|^2 |q_ij(v,w)|^2 dv dw,
     q_ij(v,w) = (v_i-w_i)(xi_j(v)-xi_j(w)) - (v_j-w_j)(xi_i(v)-xi_i(w)).
 
-The projected form expands into kernel convolutions (the same a_ij
-difference tables the collision coefficients use), which evaluates the
-identical pair quadrature in O(M log M); the cross-product form is a direct
-double sum. In both, the source cell w = v is skipped and nodes below the
-positivity floor contribute nothing.
+The projected form expands into a_ij-kernel convolutions (the engine the
+collision coefficients use), which evaluates the identical pair quadrature
+in O(M log M); the cross-product form is a direct double sum. In both, the
+source cell w = v is skipped and nodes below the positivity floor
+contribute nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .grid import EPS_FLOOR, grad_log, gradient_sqrt, integrate
+from .kernels import a_contract, a_convolve
 
 # Fixed chunk row-count: reductions are per-chunk np.sum in a fixed order,
 # so repeated runs are bit-identical.
@@ -137,31 +138,22 @@ def _dissipation_projected_conv(f, spec):
     """Projected-form pair quadrature via kernel convolutions.
 
     Expanding the projected quadratic in the log-gradient differences turns
-    the double sum into sums of a_ij-kernel convolutions against the masked
-    fields F = f, G_i = f xi_i, H_ij = f xi_i xi_j (kernel tables already
-    exclude the w = v cell), matching the direct pair sum to roundoff.
-    """
-    from .kernels import _cached_tables, _convolve_fft
+    the double sum into a_ij-kernel convolutions against the masked fields
+    F = f, G_i = f xi_i, H_ij = f xi_i xi_j (the w = v cell is excluded):
 
+        D = h^N [ sum_ij <H_ij, a_ij*F> - sum_i <G_i, (sum_j a_ij*G_j)_i> ],
+
+    matching the direct pair sum to roundoff.
+    """
     grid = f.grid
     xi, mask = grad_log(f)
-    shape = (grid.n,) * grid.dim
-    F = np.where(mask, f.values, 0.0).reshape(shape)
-    a_tabs, _, _ = _cached_tables(grid, spec)
-    G = [np.where(mask, f.values * xi[:, i], 0.0).reshape(shape)
-         for i in range(grid.dim)]
-    H = [[np.where(mask, f.values * xi[:, i] * xi[:, j], 0.0).reshape(shape)
-          for j in range(grid.dim)] for i in range(grid.dim)]
-    total = 0.0
-    for i in range(grid.dim):
-        for j in range(i, grid.dim):
-            mult = 1.0 if i == j else 2.0
-            conv_f = _convolve_fft(a_tabs[(i, j)], F)
-            conv_g = _convolve_fft(a_tabs[(i, j)], G[j])
-            total += mult * (
-                float(np.sum(H[i][j] * conv_f)) - float(np.sum(G[i] * conv_g))
-            )
-    return f.grid.cell_volume**2 * total
+    F = np.where(mask, f.values, 0.0)
+    G = np.where(mask[:, None], f.values[:, None] * xi, 0.0)
+    H = G[:, :, None] * xi[:, None, :]
+    aF = a_convolve(grid, spec, F.reshape(grid.shape))
+    aG = a_contract(grid, spec, G.T.reshape((grid.dim,) + grid.shape))
+    total = float(np.sum(H * aF)) - float(np.sum(G * aG))
+    return grid.cell_volume * total
 
 
 def entropy_dissipation(f, spec, form="projected"):

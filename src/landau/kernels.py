@@ -1,16 +1,25 @@
-"""Collision-kernel laws, the perpendicular projection, and the nonlocal
-coefficient fields a*f, b*f, c*f.
+"""Collision-kernel laws, the perpendicular projection, and the kernel
+convolution engine behind the coefficient field a*f.
 
 For an isotropic kernel psi(|z|) the coefficient functions of the pair
 difference z = v - w are
 
     a_ij(z) = psi(r) (delta_ij - z_i z_j / r^2),         r = |z|,
-    b_i(z)  = -(N-1) psi(r) z_i / r^2,
     c(z)    = -(N-1) [ (N-2) psi(r)/r^2 + psi'(r)/r ],
 
-and the fields are the convolutions (a_ij*f)(v), etc.  In the Coulomb case
-(psi(r) = 1/r, N = 3) c collapses to a point mass at the origin and
-(c*f)(v) = -8*pi*f(v) pointwise.
+and the fields are the node quadratures (a_ij*g)(v) = h^N sum_{w != v}
+a_ij(v - w) g(w), etc.  In the Coulomb case (psi(r) = 1/r, N = 3) c collapses
+to a point mass at the origin and (c*f)(v) = -8*pi*f(v) pointwise.
+
+Convolution engine.  Each a_ij is tabulated on the (2n-1)^N grid of node
+differences z = v - w, with a zero at z = 0 that drops the source cell
+w = v.  Table and field are zero-padded to next_fast_len(3n-2) points per
+axis, enough for their (3n-2)^N full linear convolution, so the product of
+their rfftn spectra wraps nothing around.  The full convolution at v + (n-1)
+is sum_w table[v - w + (n-1)] g(w), the table entry of z = (v - w) h, so the
+slice [n-1 : 2n-1] per axis is exactly the node quadrature.  Only the rfftn
+spectra of the tables a_ij, i <= j, are kept, for one (grid layout, kernel)
+at a time: a call on another layout replaces them.
 """
 
 from __future__ import annotations
@@ -19,10 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from .errors import ValidationError
-from .grid import DiscreteDistribution
 
 _SANDWICH_RADII = np.logspace(-3.0, 3.0, 1000)
 
@@ -210,84 +218,134 @@ def projection(z):
 
 @dataclass
 class CollisionCoefficients:
-    """Convolved coefficient fields sampled at the grid nodes.
-
-    A has shape (size, N, N) and is symmetric positive semidefinite at every
-    node; B has shape (size, N); Cc has shape (size,).
-    """
+    """Diffusion matrix A = a*f at the grid nodes, shape (size, N, N),
+    symmetric positive semidefinite at every node."""
 
     A: np.ndarray
-    B: np.ndarray
-    Cc: np.ndarray
-    method: str
 
     def max_diffusion_eigenvalue(self):
         return float(np.max(np.linalg.eigvalsh(self.A)))
 
 
-def _difference_tables(grid, spec):
-    """Per-component kernel tables on the (2n-1)^N difference grid.
-
-    Entry d corresponds to z = (d - (n-1)) * h componentwise; the z = 0
-    center is zeroed (the source cell w = v is excluded from the quadrature).
-    Returns (a_tables[(i,j)], b_tables[i], c_table or None).
-    """
+def _difference_grid(grid, spec):
+    """z components, |z|^2 (1 at z = 0) and psi(|z|) (0 at z = 0) on the
+    (2n-1)^N difference grid; entry d is z = (d - (n-1)) * h componentwise."""
     n, h, dim = grid.n, grid.h, grid.dim
     axis = (np.arange(2 * n - 1) - (n - 1)) * h
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     rsq = sum(m**2 for m in mesh)
-    center = (n - 1,) * dim
-    rsq_safe = rsq.copy()
-    rsq_safe[center] = 1.0
-    r = np.sqrt(rsq_safe)
-    psi = np.asarray(spec.psi(r), dtype=float)
-    psi[center] = 0.0
+    rsq[(n - 1,) * dim] = 1.0
+    psi = np.asarray(spec.psi(np.sqrt(rsq)), dtype=float)
+    psi[(n - 1,) * dim] = 0.0
+    return mesh, rsq, psi
 
-    a_tabs = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            tab = -psi * mesh[i] * mesh[j] / rsq_safe
+
+def _a_tables(grid, spec):
+    """a_ij tables for i <= j, zero at z = 0 (the source cell w = v)."""
+    mesh, rsq, psi = _difference_grid(grid, spec)
+    center = (grid.n - 1,) * grid.dim
+    tabs = {}
+    for i in range(grid.dim):
+        for j in range(i, grid.dim):
+            tab = -psi * mesh[i] * mesh[j] / rsq
             if i == j:
                 tab = tab + psi
             tab[center] = 0.0
-            a_tabs[(i, j)] = tab
-
-    b_tabs = []
-    for i in range(dim):
-        tab = -(dim - 1) * psi * mesh[i] / rsq_safe
-        tab[center] = 0.0
-        b_tabs.append(tab)
-
-    if spec.is_coulomb:
-        c_tab = None
-    else:
-        psip = np.asarray(spec.psi_prime(r), dtype=float)
-        c_tab = -(dim - 1) * ((dim - 2) * psi / rsq_safe + psip / r)
-        c_tab[center] = 0.0
-    return a_tabs, b_tabs, c_tab
+            tabs[(i, j)] = tab
+    return tabs
 
 
-_TABLE_CACHE = {}
+def _c_table(grid, spec):
+    """c table, zero at z = 0; it misses the Coulomb point mass."""
+    mesh, rsq, psi = _difference_grid(grid, spec)
+    dim = grid.dim
+    r = np.sqrt(rsq)
+    psip = np.asarray(spec.psi_prime(r), dtype=float)
+    tab = -(dim - 1) * ((dim - 2) * psi / rsq + psip / r)
+    tab[(grid.n - 1,) * dim] = 0.0
+    return tab
 
 
-def _cached_tables(grid, spec):
+def _padded_shape(grid):
+    return (scipy.fft.next_fast_len(3 * grid.n - 2, True),) * grid.dim
+
+
+def _quadrature(grid, spectrum, shape):
+    """h^N times the valid slice of the inverse transform, flattened."""
+    full = scipy.fft.irfftn(spectrum, shape)
+    valid = full[(slice(grid.n - 1, 2 * grid.n - 1),) * grid.dim]
+    return grid.cell_volume * valid.ravel()
+
+
+def _build_spectra(grid, spec):
+    shape = _padded_shape(grid)
+    spectra = {}
+    for (i, j), tab in _a_tables(grid, spec).items():
+        spectra[(i, j)] = spectra[(j, i)] = scipy.fft.rfftn(tab, shape)
+    return shape, spectra
+
+
+# (dim, half_width, n, spec) -> (padded shape, a_ij spectra); one layout only
+_SPECTRA = {}
+
+
+def _table_spectra(grid, spec):
+    key = (grid.dim, grid.half_width, grid.n, spec)
     try:
-        key = (grid.dim, grid.half_width, grid.n, spec)
-        hit = _TABLE_CACHE.get(key)
-        if hit is None:
-            hit = _difference_tables(grid, spec)
-            if len(_TABLE_CACHE) > 8:
-                _TABLE_CACHE.clear()
-            _TABLE_CACHE[key] = hit
-        return hit
+        hit = _SPECTRA.get(key)
     except TypeError:  # unhashable spec (callable payload)
-        return _difference_tables(grid, spec)
+        return _build_spectra(grid, spec)
+    if hit is None:
+        hit = _build_spectra(grid, spec)
+        _SPECTRA.clear()
+        _SPECTRA[key] = hit
+    return hit
 
 
-def _convolve_fft(table, fvals):
-    # valid-mode linear convolution against the (2n-1)^N table equals the
-    # exact quadrature sum over source nodes.
-    return fftconvolve(table, fvals, mode="valid")
+def _symmetric(grid, component):
+    """(size, N, N) tensor from component(i, j), evaluated for i <= j."""
+    out = np.empty((grid.size, grid.dim, grid.dim))
+    for i in range(grid.dim):
+        for j in range(i, grid.dim):
+            out[:, i, j] = out[:, j, i] = component(i, j)
+    return out
+
+
+def a_convolve(grid, spec, g):
+    """The tensor field a*g for a scalar field g of shape grid.shape.
+
+    Returns (size, N, N), symmetric: one forward transform of g and one
+    inverse per component i <= j.
+    """
+    shape, spectra = _table_spectra(grid, spec)
+    g_hat = scipy.fft.rfftn(g, shape)
+    return _symmetric(grid, lambda i, j: _quadrature(grid, spectra[(i, j)] * g_hat, shape))
+
+
+def a_contract(grid, spec, g):
+    """The vector field sum_j a_ij*g_j for g of shape (N,) + grid.shape.
+
+    Returns (size, N): one forward transform per component of g, the sum
+    over j taken on the spectra, and one inverse per component i.
+    """
+    shape, spectra = _table_spectra(grid, spec)
+    g_hat = [scipy.fft.rfftn(comp, shape) for comp in g]
+    out = np.empty((grid.size, grid.dim))
+    for i in range(grid.dim):
+        acc = sum(spectra[(i, j)] * g_hat[j] for j in range(grid.dim))
+        out[:, i] = _quadrature(grid, acc, shape)
+    return out
+
+
+def c_convolve(grid, spec, g):
+    """c*g for a scalar field g, flattened; uncached (a reference path).
+
+    The tabulated c is zero at z = 0, so for the Coulomb kernel, whose c is
+    a point mass there, this is 0 and the caller uses -8*pi*g instead.
+    """
+    shape = _padded_shape(grid)
+    c_hat = scipy.fft.rfftn(_c_table(grid, spec), shape)
+    return _quadrature(grid, c_hat * scipy.fft.rfftn(g, shape), shape)
 
 
 def _convolve_direct(table, fvals):
@@ -303,32 +361,18 @@ def _convolve_direct(table, fvals):
 
 
 def collision_coefficients(f, spec, method="fft"):
-    """Assemble (a*f, b*f, c*f) at every node by quadrature.
+    """Assemble A = a*f at every node by quadrature.
 
-    `method="direct"` is the exact-summation reference path (O(M^2), for
-    small grids and testing); `method="fft"` evaluates the same zero-padded
-    linear convolution with FFTs and agrees with it to roundoff.
+    `method="fft"` runs the convolution engine; `method="direct"` is the
+    exact-summation reference (O(M^2), for small grids and testing), which
+    the engine matches to roundoff.
     """
     if method not in ("direct", "fft"):
         raise ValidationError(f"unknown method {method!r}")
-    grid = f.grid
-    fvals = f.reshaped()
-    conv = _convolve_direct if method == "direct" else _convolve_fft
-    a_tabs, b_tabs, c_tab = _cached_tables(grid, spec)
-    hN = grid.cell_volume
-
-    dim = grid.dim
-    A = np.empty((grid.size, dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            comp = hN * conv(a_tabs[(i, j)], fvals).ravel()
-            A[:, i, j] = comp
-            A[:, j, i] = comp
-    B = np.empty((grid.size, dim))
-    for i in range(dim):
-        B[:, i] = hN * conv(b_tabs[i], fvals).ravel()
-    if spec.is_coulomb:
-        Cc = -8.0 * math.pi * f.values.copy()
-    else:
-        Cc = hN * conv(c_tab, fvals).ravel()
-    return CollisionCoefficients(A=A, B=B, Cc=Cc, method=method)
+    grid, fg = f.grid, f.reshaped()
+    if method == "fft":
+        return CollisionCoefficients(A=a_convolve(grid, spec, fg))
+    tabs = _a_tables(grid, spec)
+    return CollisionCoefficients(A=_symmetric(
+        grid, lambda i, j: grid.cell_volume * _convolve_direct(tabs[(i, j)], fg).ravel()
+    ))

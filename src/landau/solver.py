@@ -6,14 +6,15 @@ The collision operator is assembled as
     Q(f) = div_v ( A grad f - B f ),    A = a*f,  B = b*f,
 
 with face-centered fluxes: arithmetic-mean coefficients at faces, centered
-normal derivative, and the drift term either centered or upwinded by the
-sign of B at the face.  Fluxes through the domain boundary are zero, so the
-per-step total of f telescopes and mass is conserved exactly.
+normal derivative, and centered drift.  Fluxes through the domain boundary
+are zero, so the per-step total of f telescopes and mass is conserved
+exactly.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,35 +22,9 @@ import numpy as np
 from .errors import ValidationError
 from .functionals import entropy_dissipation, moments, weighted_fisher, weighted_lp
 from .grid import EPS_FLOOR, _gradient_nd
-from .kernels import collision_coefficients
+from .kernels import a_contract, c_convolve, collision_coefficients
 
 CFL_SAFETY = 0.4
-CLIP_BUDGET = 1e-10
-
-
-def _drift_field(f, spec, method="fft"):
-    """Drift coefficients in the antisymmetric convolution form.
-
-    Uses the identity b_i*f = sum_j a_ij * (d_j f) (the kernel divergence
-    transferred onto f), evaluated with the discrete gradient of f.  With
-    this choice the flux sum_j (a_ij*f) d_j f - B_i f vanishes identically
-    when grad f is parallel to v f (discrete near-Maxwellian states), which
-    keeps the discrete equilibrium residual at the quadrature level.
-    """
-    from .kernels import _cached_tables, _convolve_direct, _convolve_fft
-
-    grid = f.grid
-    conv = _convolve_direct if method == "direct" else _convolve_fft
-    a_tabs, _, _ = _cached_tables(grid, spec)
-    gradf = _gradient_nd(f.reshaped(), grid.h)
-    dim = grid.dim
-    B = np.zeros((grid.size, dim))
-    hN = grid.cell_volume
-    for i in range(dim):
-        for j in range(dim):
-            tab = a_tabs[(i, j)] if i <= j else a_tabs[(j, i)]
-            B[:, i] += hN * conv(tab, gradf[j]).ravel()
-    return B
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +252,7 @@ def _limit_fluxes(grid, fluxes, fg, dt):
     return fluxes
 
 
-def _face_fluxes(
-    f, spec, method="fft", drift_scheme="centered", coeffs=None,
-    drift_field="antisym", conservative=True, dt=None,
-):
+def _face_fluxes(f, spec, coeffs=None, conservative=True, dt=None):
     """Face fluxes of the flux-form scheme.
 
     Returns (fluxes, diffusive) where `fluxes` are the final per-axis face
@@ -289,21 +261,17 @@ def _face_fluxes(
     energy-balance diagnostics can split the diffusive and drift content of
     the exact discrete rate.
     """
-    if drift_scheme not in ("centered", "upwind"):
-        raise ValidationError(f"unknown drift scheme {drift_scheme!r}")
     grid = f.grid
     if coeffs is None:
-        coeffs = collision_coefficients(f, spec, method=method)
+        coeffs = collision_coefficients(f, spec)
     dim, h = grid.dim, grid.h
     fg = f.reshaped()
     gradf = _gradient_nd(fg, h)
     Ag = coeffs.A.reshape(grid.shape + (dim, dim))
-    if drift_field == "antisym":
-        Bg = _drift_field(f, spec, method=method).reshape(grid.shape + (dim,))
-    elif drift_field == "table":
-        Bg = coeffs.B.reshape(grid.shape + (dim,))
-    else:
-        raise ValidationError(f"unknown drift field {drift_field!r}")
+    # Drift B_i = sum_j a_ij*(d_j f), the identity b*f = a*grad f with the
+    # discrete gradient: the flux then vanishes when grad f is parallel to
+    # v f, which keeps the equilibrium residual at the quadrature level.
+    Bg = a_contract(grid, spec, gradf).reshape(grid.shape + (dim,))
     fluxes = []
     diffusive = []
     for d in range(dim):
@@ -316,15 +284,7 @@ def _face_fluxes(
                 df_face = _face_mean(gradf[j], d)
             flux += a_face * df_face
         diffusive.append(flux.copy())
-        b_face = _face_mean(Bg[..., d], d)
-        if drift_scheme == "centered":
-            f_face = _face_mean(fg, d)
-        else:
-            lo = [slice(None)] * dim
-            hi = [slice(None)] * dim
-            lo[d], hi[d] = slice(0, -1), slice(1, None)
-            f_face = np.where(b_face > 0, fg[tuple(lo)], fg[tuple(hi)])
-        flux -= b_face * f_face
+        flux -= _face_mean(Bg[..., d], d) * _face_mean(fg, d)
         fluxes.append(flux)
     if dt is not None:
         fluxes = _limit_fluxes(grid, fluxes, fg, dt)
@@ -333,27 +293,21 @@ def _face_fluxes(
     return fluxes, diffusive
 
 
-def assemble_operator(
-    f, spec, method="fft", drift_scheme="centered", coeffs=None,
-    drift_field="antisym", conservative=True, dt=None,
-):
+def assemble_operator(f, spec, coeffs=None, conservative=True, dt=None):
     """Flux-form right-hand side Q(f) sampled at nodes (flat array).
 
     flux_i = sum_j A_ij d_j f - B_i f with face-centered discretization:
     arithmetic-mean coefficients at faces, compact normal derivative, and
-    the drift term centered or upwinded by the face sign of B.  Boundary
-    fluxes are zero, so the output sums to roundoff (exact mass).  When a
-    step size dt is given, face fluxes are capped by the donor-cell
-    positivity bound for that dt.  With `conservative`, fluxes are then
-    projected so the discrete momentum and energy rates vanish exactly.
+    centered drift.  Boundary fluxes are zero, so the output sums to
+    roundoff (exact mass).  When a step size dt is given, face fluxes are
+    capped by the donor-cell positivity bound for that dt.  With
+    `conservative`, fluxes are then projected so the discrete momentum and
+    energy rates vanish exactly.
     """
     grid = f.grid
     dim, h = grid.dim, grid.h
     fg = f.reshaped()
-    fluxes, _ = _face_fluxes(
-        f, spec, method=method, drift_scheme=drift_scheme, coeffs=coeffs,
-        drift_field=drift_field, conservative=conservative, dt=dt,
-    )
+    fluxes, _ = _face_fluxes(f, spec, coeffs=coeffs, conservative=conservative, dt=dt)
     out = np.zeros(grid.shape)
     for d in range(dim):
         # node k gains F_(k+1/2) - F_(k-1/2); boundary faces carry no flux
@@ -365,14 +319,22 @@ def assemble_operator(
     return out.ravel()
 
 
-def assemble_operator_nonparabolic(f, spec, method="fft"):
-    """Non-conservative form Q(f) = sum_ij A_ij d2_ij f - Cc f (reference)."""
+def assemble_operator_nonparabolic(f, spec):
+    """Non-conservative form Q(f) = sum_ij A_ij d2_ij f - (c*f) f (reference).
+
+    c*f is -8*pi*f for the Coulomb kernel and one c-table convolution
+    otherwise.
+    """
     grid = f.grid
-    coeffs = collision_coefficients(f, spec, method=method)
+    coeffs = collision_coefficients(f, spec)
     dim, h = grid.dim, grid.h
     fg = f.reshaped()
     gradf = _gradient_nd(fg, h)
-    out = -coeffs.Cc * f.values
+    if spec.is_coulomb:
+        cc = -8.0 * math.pi * f.values
+    else:
+        cc = c_convolve(grid, spec, fg)
+    out = -cc * f.values
     Ag = coeffs.A.reshape(grid.shape + (dim, dim))
     for i in range(dim):
         second = _gradient_nd(gradf[i], h)
@@ -381,16 +343,15 @@ def assemble_operator_nonparabolic(f, spec, method="fft"):
     return out
 
 
-def _advance(f, spec, dt, method, drift_scheme, scheme, coeffs=None):
+def _advance(f, spec, dt, scheme, coeffs=None):
     """One explicit step; returns (new distribution, clipped mass fraction)."""
-    grid = f.grid
     if scheme == "euler":
-        rhs = assemble_operator(f, spec, method, drift_scheme, coeffs=coeffs, dt=dt)
+        rhs = assemble_operator(f, spec, coeffs=coeffs, dt=dt)
         new = f.values + dt * rhs
     elif scheme == "heun":
-        k1 = assemble_operator(f, spec, method, drift_scheme, coeffs=coeffs, dt=dt)
+        k1 = assemble_operator(f, spec, coeffs=coeffs, dt=dt)
         mid = f.with_values(np.maximum(f.values + dt * k1, 0.0))
-        k2 = assemble_operator(mid, spec, method, drift_scheme, dt=dt)
+        k2 = assemble_operator(mid, spec, dt=dt)
         new = f.values + 0.5 * dt * (k1 + k2)
     else:
         raise ValidationError(f"unknown scheme {scheme!r}")
@@ -400,16 +361,20 @@ def _advance(f, spec, dt, method, drift_scheme, scheme, coeffs=None):
     return f.with_values(np.maximum(new, 0.0)), frac
 
 
-def step(f, spec, dt, method="fft", drift_scheme="centered", scheme="euler"):
+def step(f, spec, dt, scheme="euler"):
     """Advance one explicit step of size dt, validating the stability bound."""
-    coeffs = collision_coefficients(f, spec, method=method)
+    coeffs = collision_coefficients(f, spec)
     bound = stability_dt(coeffs, f.grid.h)
     if dt > bound * (1.0 + 1e-9):
         raise ValidationError(
             f"dt = {dt} exceeds the parabolic stability bound {bound}"
         )
-    new, _ = _advance(f, spec, dt, method, drift_scheme, scheme, coeffs=coeffs)
+    new, _ = _advance(f, spec, dt, scheme, coeffs=coeffs)
     return new
+
+
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass
@@ -417,14 +382,26 @@ class SolverConfig:
     spec: object
     dt: object = "auto"  # "auto" or a float
     steps: int = 100
-    scheme: str = "euler"
-    method: str = "fft"
-    drift_scheme: str = "centered"
+    scheme: str = "euler"  # "euler" or "heun"
     l_list: tuple = (1.0, 2.0)
     k_list: tuple = (1.0,)
     cadence: int = 0  # 0 -> steps // 20
     gamma1: float = None  # defaults to the kernel exponent
     keep_snapshots: bool = False  # retain (t, state) at the cadence steps
+
+    def __post_init__(self):
+        dt = self.dt
+        if dt != "auto" and not (
+            isinstance(dt, numbers.Real) and not isinstance(dt, bool)
+            and math.isfinite(dt) and dt > 0
+        ):
+            raise ValidationError(f"dt must be 'auto' or a finite number > 0, got {dt!r}")
+        if not _is_int(self.steps) or self.steps < 1:
+            raise ValidationError(f"steps must be an integer >= 1, got {self.steps!r}")
+        if not _is_int(self.cadence) or self.cadence < 0:
+            raise ValidationError(f"cadence must be an integer >= 0, got {self.cadence!r}")
+        if self.scheme not in ("euler", "heun"):
+            raise ValidationError(f"scheme must be 'euler' or 'heun', got {self.scheme!r}")
 
     def resolved_cadence(self):
         return self.cadence if self.cadence > 0 else max(1, self.steps // 20)
@@ -502,17 +479,14 @@ def run(f0, config):
     snapshots = [(t, f)] if config.keep_snapshots else []
 
     for istep in range(1, config.steps + 1):
-        coeffs = collision_coefficients(f, config.spec, method=config.method)
+        coeffs = collision_coefficients(f, config.spec)
         bound = stability_dt(coeffs, f.grid.h)
         dt = bound if config.dt == "auto" else float(config.dt)
         if dt > bound * (1.0 + 1e-9):
             raise ValidationError(
                 f"dt = {dt} exceeds the parabolic stability bound {bound}"
             )
-        f, clipped = _advance(
-            f, config.spec, dt, config.method, config.drift_scheme,
-            config.scheme, coeffs=coeffs,
-        )
+        f, clipped = _advance(f, config.spec, dt, config.scheme, coeffs=coeffs)
         t += dt
         rec = make_record(istep, clipped)
         if istep % cadence == 0 or istep == config.steps:
@@ -584,7 +558,7 @@ def weak_form_rhs(f, spec, phi, with_scale=False):
     return (total, gross) if with_scale else total
 
 
-def lp_energy_balance(f, spec, k, method="fft"):
+def lp_energy_balance(f, spec, k):
     """Terms of the L^(k+1) energy identity.
 
     dissipation = k int f^(k-1) sum_ij (a_ij*f) d_i f d_j f
@@ -600,7 +574,7 @@ def lp_energy_balance(f, spec, k, method="fft"):
     if k <= 0:
         raise ValidationError(f"k must be > 0, got {k}")
     grid = f.grid
-    fluxes, diffusive = _face_fluxes(f, spec, method=method)
+    fluxes, diffusive = _face_fluxes(f, spec)
     fg = f.reshaped()
     fk = np.where(fg > EPS_FLOOR, fg, 0.0) ** k if k != 1.0 else fg
     cv = grid.cell_volume

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import landau
+from landau.cli import build_parser
 from landau.families import DistributionSpec, generate_distribution
 from landau.grid import DiscreteDistribution, build_grid
 
@@ -177,6 +180,24 @@ class TestSolve:
         assert res.returncode == 1
         assert "stability" in res.stderr
 
+    @pytest.mark.parametrize("override", [
+        {"dt": 0}, {"dt": "abc"}, {"dt": -0.001}, {"dt": "nan"},
+        {"steps": "x"}, {"steps": -3}, {"cadence": -1}, {"scheme": "rk4"},
+        {"drift_scheme": "upwind"}, {"method": "direct"},
+        {"psi": {"kind": "power_law", "gamma": "x"}},
+        {"grid": {"dim": 3, "half_width": 5.0, "nodes_per_axis": "x"}},
+        {"initial": {"kind": "custom_file", "params": {"path": "no_such_state.json"}}},
+    ])
+    def test_bad_config_is_usage_error(self, tmp_path, override):
+        _, raw = self.write_config(tmp_path, nodes=8)
+        raw.update(override)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw))
+        res = run_cli("solve", "--config", str(p), "--out-dir", str(tmp_path / "r"))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "r").exists()
+
     def test_missing_initial_is_usage_error(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({
@@ -193,3 +214,22 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self):
         assert run_cli("frobnicate").returncode == 2
+
+    def test_no_threads_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["--threads", "2", "verify", "--config", "c", "--out-dir", "o"]
+            )
+
+    def test_version_single_source(self):
+        # pyproject reads the version from the package, so the installed
+        # metadata and the version in reports cannot disagree
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        root = pathlib.Path(__file__).resolve().parents[1]
+        meta = tomllib.loads((root / "pyproject.toml").read_text())
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "landau.__version__"
+        }
+        assert landau.__version__ == "1.0.0"

@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from landau.errors import ValidationError
-from landau.grid import DiscreteDistribution, build_grid
+from landau.grid import DiscreteDistribution, _gradient_nd, build_grid
 from landau.kernels import (
     BracketedPsi,
     CoulombPsi,
     PowerLawPsi,
+    _a_tables,
+    _c_table,
+    _convolve_direct,
+    a_contract,
+    c_convolve,
     collision_coefficients,
     projection,
     psi_eval,
@@ -95,14 +101,53 @@ class TestCollisionCoefficients:
         cd = collision_coefficients(f, spec, method="direct")
         scale = np.max(np.abs(cd.A))
         assert np.max(np.abs(cf.A - cd.A)) / scale < 1e-12
-        assert np.max(np.abs(cf.B - cd.B)) / np.max(np.abs(cd.B)) < 1e-12
-        np.testing.assert_allclose(cf.Cc, cd.Cc, rtol=1e-12, atol=1e-18)
+        # the solver's drift sum_j a_ij*(d_j f) against the direct sum
+        gradf = _gradient_nd(f.reshaped(), g.h)
+        tabs = _a_tables(g, spec)
+        drift = a_contract(g, spec, gradf)
+        for i in range(3):
+            oracle = sum(
+                _convolve_direct(tabs[min(i, j), max(i, j)], gradf[j]) for j in range(3)
+            ).ravel() * g.cell_volume
+            assert np.max(np.abs(drift[:, i] - oracle)) / np.max(np.abs(oracle)) < 1e-12
+        # c*f of a non-Coulomb kernel, which the nonparabolic reference form uses
+        soft = PowerLawPsi(-2.5)
+        oracle = g.cell_volume * _convolve_direct(_c_table(g, soft), f.reshaped()).ravel()
+        np.testing.assert_allclose(
+            c_convolve(g, soft, f.reshaped()), oracle,
+            rtol=0, atol=1e-12 * np.max(np.abs(oracle)),
+        )
 
-    def test_coulomb_cc_is_pointwise(self):
-        g = build_grid(3, 3.0, 8)
-        f = maxwellian(g)
-        coeffs = collision_coefficients(f, CoulombPsi())
-        np.testing.assert_allclose(coeffs.Cc, -8.0 * math.pi * f.values, rtol=1e-14)
+    def test_table_spectra_cache_one_layout(self, monkeypatch):
+        calls = []
+        rfftn = scipy.fft.rfftn
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return rfftn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfftn", counted)
+        rng = np.random.default_rng(2)
+        # half-widths no other test uses, so the first call is cold
+        fa = DiscreteDistribution(build_grid(3, 2.375, 5), rng.random(125))
+        fb = DiscreteDistribution(build_grid(3, 2.625, 5), rng.random(125))
+
+        def transforms(f, spec=CoulombPsi()):
+            calls.clear()
+            collision_coefficients(f, spec)
+            return len(calls)
+
+        assert transforms(fa) == 7  # six a_ij tables and the field
+        assert transforms(fa) == 1  # only the field
+        assert transforms(fb) == 7
+        assert transforms(fa) == 7  # fb's layout evicted fa's
+
+        class Unhashable(PowerLawPsi):
+            __hash__ = None
+
+        spec = Unhashable(-2.5)
+        assert transforms(fa, spec) == 7
+        assert transforms(fa, spec) == 7  # never cached
 
     def test_diffusion_matrix_symmetric_psd(self):
         rng = np.random.default_rng(3)

@@ -116,6 +116,23 @@ class TestConsistency:
             )
         assert errs[1] < 0.5 * errs[0]
 
+    def test_nonparabolic_coulomb_cc_is_pointwise(self):
+        # for the Coulomb kernel c*f = -8 pi f, so Q - sum_ij A_ij d2_ij f = 8 pi f^2
+        grid = build_grid(3, 3.0, 8)
+        f = maxwellian(grid)
+        A = collision_coefficients(f, SPEC).A.reshape(grid.shape + (3, 3))
+        grad = np.gradient(f.reshaped(), grid.h, edge_order=2)
+        diffusion = np.zeros(grid.shape)
+        for i in range(3):
+            second = np.gradient(grad[i], grid.h, edge_order=2)
+            for j in range(3):
+                diffusion += A[..., i, j] * second[j]
+        rest = assemble_operator_nonparabolic(f, SPEC) - diffusion.ravel()
+        np.testing.assert_allclose(
+            rest, 8.0 * math.pi * f.values**2,
+            rtol=1e-12, atol=1e-13 * float(np.max(np.abs(diffusion))),
+        )
+
     def test_limited_step_preserves_positivity(self):
         grid = build_grid(3, 5.0, 12)
         # truncated state with exactly-empty cells outside a ball
@@ -219,6 +236,17 @@ def series():
     cfg = SolverConfig(spec=SPEC, steps=40, l_list=(0.0, 1.0, 2.0),
                        keep_snapshots=True)
     return run(f0, cfg)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": 0.0}, {"dt": -1e-3}, {"dt": math.nan}, {"dt": "abc"}, {"dt": True},
+        {"steps": 0}, {"steps": 2.5}, {"steps": "x"},
+        {"cadence": -1}, {"cadence": 1.5}, {"scheme": "rk4"},
+    ])
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            SolverConfig(spec=SPEC, **kwargs)
 
 
 class TestRun:

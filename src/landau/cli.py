@@ -234,13 +234,24 @@ def _write_suite_reports(rows, out_dir):
 
 def cmd_verify(args):
     cfg = _load_config(args.config)
+    if not isinstance(cfg, dict):
+        raise ConfigError("verify config must be a JSON object")
     psi = _psi_from_config(cfg.get("psi", {"kind": "coulomb"}))
     grid_cfg = cfg.get("grid", {})
-    dim = int(grid_cfg.get("dim", 3))
-    half_width = float(grid_cfg.get("half_width", 6.0))
-    resolutions = [args.resolution] if args.resolution else cfg.get("resolutions", [16])
-    if not isinstance(resolutions, list) or not resolutions:
-        raise ConfigError("'resolutions' must be a nonempty list")
+    resolutions = cfg.get("resolutions", [16])
+    if args.resolution is not None:
+        resolutions = [args.resolution]
+    if not isinstance(grid_cfg, dict) or not isinstance(resolutions, list) or not resolutions:
+        raise ConfigError("'grid' must be an object and 'resolutions' a nonempty list")
+    dim, half_width = grid_cfg.get("dim", 3), grid_cfg.get("half_width", 6.0)
+    if not all(type(x) is int for x in [dim, *resolutions]):
+        raise ConfigError(f"dim and resolutions must be integers: {dim!r}, {resolutions!r}")
+    if type(half_width) not in (int, float) or not math.isfinite(half_width):
+        raise ConfigError(f"half_width must be a finite number, got {half_width!r}")
+    try:  # every grid is built before any suite runs, so bad values exit 2
+        grids = {n: build_grid(dim, half_width, n) for n in resolutions}
+    except (ValidationError, ResourceError) as exc:
+        raise ConfigError(f"bad grid: {exc}")
     entries = _suite_entries(cfg)
     fam_specs = _family_specs(cfg)
 
@@ -258,8 +269,7 @@ def cmd_verify(args):
             try:
                 f = None
                 if fam_spec is not None:
-                    grid = build_grid(dim, half_width, int(n))
-                    f = generate_distribution(fam_spec, grid)
+                    f = generate_distribution(fam_spec, grids[n])
                 reports = suite_fn(f, psi, entry)
             except (ValidationError, DegeneracyError, NumericError) as exc:
                 failures.append(f"{entry['name']}[{fam_label}@{res_label}]: {exc}")

@@ -192,28 +192,6 @@ def entropy_dissipation(f, spec, form="projected"):
 
 
 @dataclass
-class LogGradientData:
-    """Node-wise log-gradient field with the antisymmetric pair accessor."""
-
-    grid: object
-    nabla_log_f: np.ndarray
-    mask: np.ndarray
-
-    def q(self, i, j, k, m):
-        """q_ij at the node pair (k, m) of flat indices."""
-        if not (self.mask[k] and self.mask[m]):
-            raise ValidationError("q is undefined at nodes below the floor")
-        z = self.grid.coords[k] - self.grid.coords[m]
-        dxi = self.nabla_log_f[k] - self.nabla_log_f[m]
-        return float(z[i] * dxi[j] - z[j] * dxi[i])
-
-
-def log_gradient_data(f):
-    xi, mask = grad_log(f)
-    return LogGradientData(grid=f.grid, nabla_log_f=xi, mask=mask)
-
-
-@dataclass
 class GammaDeterminant:
     lam: float
     i: int
@@ -340,12 +318,6 @@ def _reconstruct_component(v, xiv, i, j, lam, m0, m1, m2, s0, s1, s2, gamma):
         - z3 * (m0 * m2[i, i] - m1[i] * m1[i])
     )
     return num / (-gamma)
-
-
-def default_lambda(f):
-    """Largest Gaussian rate covered by the determinant floor, capped at 1e-3."""
-    hbar = moments(f).abs_entropy
-    return min(lambda0(hbar), 1e-3)
 
 
 def reconstruct_log_gradient_field(f, lam=None):

@@ -29,6 +29,7 @@ from .functionals import (
     weighted_lp,
 )
 from .grid import gradient_sqrt, integrate
+from .kernels import psi_convolve
 
 HOLDS_TOL = 1e-9
 
@@ -217,6 +218,9 @@ def check_young(f, spec, R, r):
     assembled from the proof chain (splitting at |v-w| = 1, Young's
     convolution inequality, and ||f||_1 <= ||f||_{L^1_2}):
     C = max(5 K1 + K2, K2 || |x|^(gamma2+2) 1_{<=1} ||_r).
+
+    The node double sum on the left, diagonal w = v excluded, is the
+    psi-table convolution h^N sum_v f(v) (psi * f 1_{|.| <= R})(v).
     """
     if getattr(spec, "is_coulomb", False) or spec.kind == "power_law":
         gamma2 = spec.gamma
@@ -234,26 +238,10 @@ def check_young(f, spec, R, r):
         raise ValidationError(f"R must be > 0, got {R}")
     rprime = math.inf if r == 1.0 else r / (r - 1.0)
 
-    # direct double sum, w restricted to the ball, diagonal excluded
-    coords, fv = f.grid.coords, f.values
-    ball = np.flatnonzero((f.grid.sq_norm <= R * R) & (fv > 0))
-    live = np.flatnonzero(fv > 0)
-    h2n = f.grid.cell_volume**2
-    lhs = 0.0
-    for start in range(0, live.size, 128):
-        rows = live[start : start + 128]
-        z = coords[rows, None, :] - coords[None, ball, :]
-        rsq = np.sum(z**2, axis=-1)
-        diag = rsq == 0.0
-        rsq[diag] = 1.0
-        ff = fv[rows, None] * fv[None, ball]
-        ff[diag] = 0.0
-        psi = np.asarray(spec.psi(np.sqrt(rsq)), dtype=float)
-        lhs += h2n * float(np.sum(ff * psi))
-
+    fball = f.with_values(np.where(f.grid.sq_norm <= R * R, f.values, 0.0))
+    lhs = integrate(f, psi_convolve(f.grid, spec, fball.reshaped()))
     norm1 = integrate(f)
     norm12 = weighted_lp(f, 1.0, 2.0)
-    fball = f.with_values(np.where(f.grid.sq_norm <= R * R, f.values, 0.0))
     normrp = weighted_lp(fball, rprime, 0.0)
     cpsi = _unit_ball_power_norm(gamma2 + 2.0, r, dim)
     constant = max(5.0 * k1 + k2, k2 * cpsi)

@@ -13,13 +13,14 @@ to a point mass at the origin and (c*f)(v) = -8*pi*f(v) pointwise.
 
 Convolution engine.  Each a_ij is tabulated on the (2n-1)^N grid of node
 differences z = v - w, with a zero at z = 0 that drops the source cell
-w = v.  Table and field are zero-padded to next_fast_len(3n-2) points per
-axis, enough for their (3n-2)^N full linear convolution, so the product of
-their rfftn spectra wraps nothing around.  The full convolution at v + (n-1)
-is sum_w table[v - w + (n-1)] g(w), the table entry of z = (v - w) h, so the
-slice [n-1 : 2n-1] per axis is exactly the node quadrature.  Only the rfftn
-spectra of the tables a_ij, i <= j, are kept, for one (grid layout, kernel)
-at a time: a call on another layout replaces them.
+w = v.  Their full linear convolution at v + (n-1) is sum_w table[v - w +
+(n-1)] g(w), the table entry of z = (v - w) h, so the slice [n-1 : 2n-1]
+per axis is the node quadrature.  Both are zero-padded to P =
+next_fast_len(2n-1) per axis; the product of their rfftn spectra is the
+period-P circular convolution, which adds linear index m +- P onto m.  The
+linear indices span 0..3n-3, and for kept m in [n-1, 2n-2], m + P > 3n-3
+and m - P < 0, so the kept slice is alias-free.  Only the rfftn spectra of
+the a_ij, i <= j, are kept, for one (grid layout, kernel) at a time.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def _c_table(grid, spec):
 
 
 def _padded_shape(grid):
-    return (scipy.fft.next_fast_len(3 * grid.n - 2, True),) * grid.dim
+    return (scipy.fft.next_fast_len(2 * grid.n - 1, True),) * grid.dim
 
 
 def _quadrature(grid, spectrum, shape):
@@ -337,15 +338,24 @@ def a_contract(grid, spec, g):
     return out
 
 
+def _table_convolve(grid, table, g):
+    """Quadrature of a scalar difference table against g, flattened; uncached."""
+    shape = _padded_shape(grid)
+    return _quadrature(grid, scipy.fft.rfftn(table, shape) * scipy.fft.rfftn(g, shape), shape)
+
+
+def psi_convolve(grid, spec, g):
+    """psi*g for a scalar field g, flattened; the source cell w = v is dropped."""
+    return _table_convolve(grid, _difference_grid(grid, spec)[2], g)
+
+
 def c_convolve(grid, spec, g):
     """c*g for a scalar field g, flattened; uncached (a reference path).
 
     The tabulated c is zero at z = 0, so for the Coulomb kernel, whose c is
     a point mass there, this is 0 and the caller uses -8*pi*g instead.
     """
-    shape = _padded_shape(grid)
-    c_hat = scipy.fft.rfftn(_c_table(grid, spec), shape)
-    return _quadrature(grid, c_hat * scipy.fft.rfftn(g, shape), shape)
+    return _table_convolve(grid, _c_table(grid, spec), g)
 
 
 def _convolve_direct(table, fvals):

@@ -362,7 +362,8 @@ def _advance(f, spec, dt, scheme, coeffs=None):
 
 
 def step(f, spec, dt, scheme="euler"):
-    """Advance one explicit step of size dt, validating the stability bound."""
+    """Advance one explicit step of size dt, validating dt and the stability bound."""
+    _check_dt(dt)
     coeffs = collision_coefficients(f, spec)
     bound = stability_dt(coeffs, f.grid.h)
     if dt > bound * (1.0 + 1e-9):
@@ -375,6 +376,12 @@ def step(f, spec, dt, scheme="euler"):
 
 def _is_int(x):
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_dt(dt):
+    if not (isinstance(dt, numbers.Real) and not isinstance(dt, bool)
+            and math.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be 'auto' or a finite number > 0, got {dt!r}")
 
 
 @dataclass
@@ -390,12 +397,8 @@ class SolverConfig:
     keep_snapshots: bool = False  # retain (t, state) at the cadence steps
 
     def __post_init__(self):
-        dt = self.dt
-        if dt != "auto" and not (
-            isinstance(dt, numbers.Real) and not isinstance(dt, bool)
-            and math.isfinite(dt) and dt > 0
-        ):
-            raise ValidationError(f"dt must be 'auto' or a finite number > 0, got {dt!r}")
+        if self.dt != "auto":
+            _check_dt(self.dt)
         if not _is_int(self.steps) or self.steps < 1:
             raise ValidationError(f"steps must be an integer >= 1, got {self.steps!r}")
         if not _is_int(self.cadence) or self.cadence < 0:

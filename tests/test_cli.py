@@ -118,6 +118,37 @@ class TestVerify:
         res = run_cli("verify", "--config", cfg, "--out-dir", str(tmp_path / "r"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("override", [
+        {"grid": {"half_width": "x"}}, {"grid": {"half_width": -1.0}},
+        {"grid": {"half_width": float("inf")}}, {"grid": {"dim": "3"}},
+        {"grid": {"dim": 1}}, {"grid": 5}, {"resolutions": ["a"]},
+        {"resolutions": [0]}, {"resolutions": [12, 3]}, {"resolutions": [12.5]},
+        {"resolutions": [True]}, {"resolutions": 12},
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, override):
+        cfg = {"grid": {"dim": 3, "half_width": 6.0}, "resolutions": [12], "suites": ["sobolev"]}
+        cfg.update(override)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        res = run_cli("verify", "--config", str(p), "--out-dir", str(tmp_path / "r"))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "r").exists()
+
+    def test_non_object_config_is_usage_error(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text("[]")
+        res = run_cli("verify", "--config", str(p), "--out-dir", str(tmp_path / "r"))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_zero_resolution_override_is_usage_error(self, tmp_path):
+        cfg = self.write_config(tmp_path, ["sobolev"])
+        res = run_cli("verify", "--config", cfg, "--out-dir", str(tmp_path / "r"),
+                      "--resolution", "0")
+        assert res.returncode == 2, res.stderr
+        assert not (tmp_path / "r").exists()
+
 
 class TestSolve:
     def write_config(self, tmp_path, steps=10, nodes=16, dt="auto", name="solve.json"):

@@ -21,7 +21,7 @@ from landau.inequalities import (
     moment_condition,
     radial_deviation,
 )
-from landau.kernels import CoulombPsi, PowerLawPsi
+from landau.kernels import BracketedPsi, CoulombPsi, PowerLawPsi
 
 
 def radial_family(grid, kind="maxwellian"):
@@ -104,7 +104,53 @@ class TestSobolev:
         assert math.isfinite(rep.lhs)
 
 
+def young_direct(f, spec, R):
+    """Direct double sum h^2N sum_v sum_{w in ball, w != v} f(v) f(w) psi(|v - w|)."""
+    coords, fv = f.grid.coords, f.values
+    ball = np.flatnonzero((f.grid.sq_norm <= R * R) & (fv > 0))
+    live = np.flatnonzero(fv > 0)
+    h2n = f.grid.cell_volume**2
+    lhs = 0.0
+    for start in range(0, live.size, 128):
+        rows = live[start : start + 128]
+        z = coords[rows, None, :] - coords[None, ball, :]
+        rsq = np.sum(z**2, axis=-1)
+        diag = rsq == 0.0
+        rsq[diag] = 1.0
+        ff = fv[rows, None] * fv[None, ball]
+        ff[diag] = 0.0
+        psi = np.asarray(spec.psi(np.sqrt(rsq)), dtype=float)
+        lhs += h2n * float(np.sum(ff * psi))
+    return lhs
+
+
+def soft_bracketed():
+    # K3 min(1, 1/r) <= r^-0.7/2 + r/2 <= r + r^-0.7
+    return BracketedPsi(
+        K1=1.0, K2=1.0, K3=0.5, delta=1.0, gamma1=-3.0, gamma2=-2.7,
+        psi_fn=lambda r: 0.5 * r**-0.7 + 0.5 * r,
+    )
+
+
 class TestYoung:
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize(
+        "make_spec", [CoulombPsi, lambda: PowerLawPsi(-2.7), soft_bracketed],
+        ids=["coulomb", "power_law", "bracketed"],
+    )
+    def test_lhs_matches_direct_pair_sum(self, n, make_spec):
+        grid = build_grid(3, 2.0, n)
+        rng = np.random.default_rng(n)
+        values = rng.random(grid.size) * (rng.random(grid.size) > 0.3)
+        R = 1.2
+        inside = grid.sq_norm <= R * R
+        assert np.any(values[inside] == 0) and np.any(values[~inside] == 0)
+        f = DiscreteDistribution(grid, values)
+        spec = make_spec()
+        lhs = check_young(f, spec, R=R, r=1.2).lhs
+        oracle = young_direct(f, spec, R)
+        assert abs(lhs - oracle) <= 1e-12 * oracle
+
     def test_holds_for_very_soft_power_law(self):
         grid = build_grid(3, 5.0, 12)
         f = radial_family(grid)

@@ -92,9 +92,11 @@ class TestProjection:
 
 
 class TestCollisionCoefficients:
-    def test_fft_matches_direct(self):
+    # n = 5 and n = 8 pad to exactly 2n - 1 (9, 15), where an off-by-one alias would show
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_fft_matches_direct(self, n):
         rng = np.random.default_rng(11)
-        g = build_grid(3, 2.0, 6)
+        g = build_grid(3, 2.0, n)
         f = DiscreteDistribution(g, rng.random(g.size))
         spec = CoulombPsi()
         cf = collision_coefficients(f, spec, method="fft")
@@ -123,7 +125,7 @@ class TestCollisionCoefficients:
         rfftn = scipy.fft.rfftn
 
         def counted(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(args[1])  # the padded transform shape
             return rfftn(*args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, "rfftn", counted)
@@ -138,6 +140,7 @@ class TestCollisionCoefficients:
             return len(calls)
 
         assert transforms(fa) == 7  # six a_ij tables and the field
+        assert set(calls) == {(9, 9, 9)}  # next_fast_len(2n - 1) at n = 5
         assert transforms(fa) == 1  # only the field
         assert transforms(fb) == 7
         assert transforms(fa) == 7  # fb's layout evicted fa's

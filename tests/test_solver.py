@@ -248,6 +248,12 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SolverConfig(spec=SPEC, **kwargs)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, "abc", True])
+    def test_step_rejects_bad_dt(self, dt):
+        f = maxwellian(build_grid(3, 4.0, 8))
+        with pytest.raises(ValidationError, match="finite number > 0"):
+            step(f, SPEC, dt)
+
 
 class TestRun:
 

@@ -30,7 +30,7 @@ from .inequalities import (
     check_young,
     moment_condition,
 )
-from .kernels import CoulombPsi, PowerLawPsi, psi_spec_from_json
+from .kernels import psi_spec_from_json
 from .solver import SolverConfig, lp_energy_balance, run
 
 USAGE_ERROR = 2
@@ -44,21 +44,16 @@ class ConfigError(Exception):
 def _parse_psi(text):
     """Kernel from a CLI token: 'coulomb', 'power_law:<gamma>', or a JSON file."""
     if text == "coulomb":
-        return CoulombPsi()
-    if text.startswith("power_law:"):
-        try:
-            return PowerLawPsi(float(text.split(":", 1)[1]))
-        except (ValueError, ValidationError) as exc:
-            raise ConfigError(f"bad power-law kernel {text!r}: {exc}")
-    if os.path.exists(text):
-        with open(text) as fh:
-            try:
-                return psi_spec_from_json(json.load(fh))
-            except (json.JSONDecodeError, KeyError, ValidationError) as exc:
-                raise ConfigError(f"bad kernel file {text!r}: {exc}")
-    raise ConfigError(
-        f"kernel must be 'coulomb', 'power_law:<gamma>', or a JSON file path, got {text!r}"
-    )
+        obj = {"kind": "coulomb"}
+    elif text.startswith("power_law:"):
+        obj = {"kind": "power_law", "gamma": text.split(":", 1)[1]}
+    elif os.path.exists(text):
+        obj = _load_config(text)
+    else:
+        raise ConfigError(
+            f"kernel must be 'coulomb', 'power_law:<gamma>', or a JSON file path, got {text!r}"
+        )
+    return _psi_from_config(obj)
 
 
 def _psi_from_config(obj):
@@ -68,14 +63,6 @@ def _psi_from_config(obj):
         return psi_spec_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad kernel config: {exc}")
-
-
-def _psi_json(spec):
-    if getattr(spec, "is_coulomb", False):
-        return {"kind": "coulomb"}
-    if getattr(spec, "kind", None) == "power_law":
-        return {"kind": "power_law", "gamma": spec.gamma}
-    return {"kind": getattr(spec, "kind", "unknown")}
 
 
 def _dump_json(obj, path):
@@ -94,6 +81,35 @@ def _load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
 
 
+def _load_state(path):
+    """A stored distribution; an unreadable or malformed file is a usage error."""
+    try:
+        return DiscreteDistribution.load(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
+    except (KeyError, TypeError, ValueError, NumericError) as exc:
+        raise ConfigError(f"{path} is not a distribution file: {exc}")
+
+
+def _build_grids(grid_cfg, resolutions):
+    """One grid per resolution from a {"dim", "half_width"} object.
+
+    dim and every resolution must be integers and half_width a finite
+    number; nothing is coerced, so 8.7 nodes or "4" is a usage error.
+    """
+    if not isinstance(grid_cfg, dict):
+        raise ConfigError(f"'grid' must be an object, got {grid_cfg!r}")
+    dim, half_width = grid_cfg.get("dim", 3), grid_cfg.get("half_width", 6.0)
+    if not all(type(x) is int for x in [dim, *resolutions]):
+        raise ConfigError(f"dim and resolutions must be integers: {dim!r}, {resolutions!r}")
+    if type(half_width) not in (int, float) or not math.isfinite(half_width):
+        raise ConfigError(f"half_width must be a finite number, got {half_width!r}")
+    try:
+        return [build_grid(dim, half_width, n) for n in resolutions]
+    except (ValidationError, ResourceError) as exc:
+        raise ConfigError(f"bad grid: {exc}")
+
+
 DEFAULT_FAMILIES = [
     {"kind": "maxwellian", "params": {"temperature": 1.0}, "normalize": True},
     {"kind": "radial_shell", "params": {"radius": 2.0, "width": 0.5}, "normalize": True},
@@ -107,7 +123,7 @@ def _family_specs(cfg):
         raise ConfigError("'families' must be a nonempty list")
     try:
         return [DistributionSpec.from_json_dict(item) for item in raw]
-    except (KeyError, TypeError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad family entry: {exc}")
 
 
@@ -140,14 +156,10 @@ def _suite_edd_radial(f, psi, entry):
 
 
 def _suite_sobolev(f, psi, entry):
-    gamma1 = entry.get("gamma1", getattr(psi, "gamma", -3.0))
+    gamma1 = entry.get("gamma1", psi.gamma1)
     variant = entry.get("variant")
     if variant is None:
-        variant = (
-            "coulomb_explicit"
-            if f.grid.dim == 3 and getattr(psi, "is_coulomb", False)
-            else "general"
-        )
+        variant = "coulomb_explicit" if f.grid.dim == 3 and psi.is_coulomb else "general"
     return [check_sobolev(f, gamma1, variant=variant, q=entry.get("q"))]
 
 
@@ -237,39 +249,39 @@ def cmd_verify(args):
     if not isinstance(cfg, dict):
         raise ConfigError("verify config must be a JSON object")
     psi = _psi_from_config(cfg.get("psi", {"kind": "coulomb"}))
-    grid_cfg = cfg.get("grid", {})
     resolutions = cfg.get("resolutions", [16])
     if args.resolution is not None:
         resolutions = [args.resolution]
-    if not isinstance(grid_cfg, dict) or not isinstance(resolutions, list) or not resolutions:
-        raise ConfigError("'grid' must be an object and 'resolutions' a nonempty list")
-    dim, half_width = grid_cfg.get("dim", 3), grid_cfg.get("half_width", 6.0)
-    if not all(type(x) is int for x in [dim, *resolutions]):
-        raise ConfigError(f"dim and resolutions must be integers: {dim!r}, {resolutions!r}")
-    if type(half_width) not in (int, float) or not math.isfinite(half_width):
-        raise ConfigError(f"half_width must be a finite number, got {half_width!r}")
-    try:  # every grid is built before any suite runs, so bad values exit 2
-        grids = {n: build_grid(dim, half_width, n) for n in resolutions}
-    except (ValidationError, ResourceError) as exc:
-        raise ConfigError(f"bad grid: {exc}")
+    if not isinstance(resolutions, list) or not resolutions:
+        raise ConfigError("'resolutions' must be a nonempty list")
+    # every grid and state is built once, before any suite runs, so bad
+    # values exit 2 and each (family, n) state is shared by all suites
+    grids = _build_grids(cfg.get("grid", {}), resolutions)
     entries = _suite_entries(cfg)
     fam_specs = _family_specs(cfg)
+    states = []
+    for n, grid in zip(resolutions, grids):
+        for fam_spec in fam_specs:
+            try:
+                f = generate_distribution(fam_spec, grid)
+            except (ValidationError, DegeneracyError, NumericError) as exc:
+                f = exc  # an error row in every suite
+            except (KeyError, TypeError, ValueError, OSError) as exc:
+                raise ConfigError(f"bad family {fam_spec.kind!r}: {exc}")
+            states.append((fam_spec.kind, n, f))
 
     rows = []
     failures = []
     for entry in entries:
         suite_fn = SUITES[entry["name"]]
         if entry["name"] in _FAMILY_FREE_SUITES:
-            cases = [(None, None)]
+            cases = [("-", "-", None)]
         else:
-            cases = [(spec, n) for n in resolutions for spec in fam_specs]
-        for fam_spec, n in cases:
-            fam_label = fam_spec.kind if fam_spec else "-"
-            res_label = n if n else "-"
+            cases = states
+        for fam_label, res_label, f in cases:
             try:
-                f = None
-                if fam_spec is not None:
-                    f = generate_distribution(fam_spec, grids[n])
+                if isinstance(f, Exception):
+                    raise f
                 reports = suite_fn(f, psi, entry)
             except (ValidationError, DegeneracyError, NumericError) as exc:
                 failures.append(f"{entry['name']}[{fam_label}@{res_label}]: {exc}")
@@ -313,18 +325,13 @@ def cmd_verify(args):
 
 
 def cmd_functional(args):
-    try:
-        f = DiscreteDistribution.load(args.input)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.input}: {exc}")
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"{args.input} is not a distribution file: {exc}")
+    f = _load_state(args.input)
     psi = _parse_psi(args.psi)
-    gamma1 = getattr(psi, "gamma", -3.0)
+    gamma1 = psi.gamma1
     summary = moments(f, l_list=(1.0, 2.0))
     report = {
         "input": args.input,
-        "psi": _psi_json(psi),
+        "psi": psi.to_json_dict(),
         "grid": {
             "dim": f.grid.dim,
             "half_width": f.grid.half_width,
@@ -401,29 +408,25 @@ def cmd_solve(args):
     grid_cfg = cfg.get("grid")
     if not isinstance(grid_cfg, dict):
         raise ConfigError("'grid' object with dim/half_width/nodes_per_axis required")
-    try:
-        n = args.resolution or int(grid_cfg.get("nodes_per_axis", 16))
-        grid = build_grid(
-            int(grid_cfg.get("dim", 3)), float(grid_cfg.get("half_width", 6.0)), n
-        )
-    except (TypeError, ValueError, ResourceError) as exc:
-        raise ConfigError(f"bad grid: {exc}")
+    n = grid_cfg.get("nodes_per_axis", 16) if args.resolution is None else args.resolution
+    [grid] = _build_grids(grid_cfg, [n])
 
     init_cfg = cfg.get("initial")
-    if isinstance(init_cfg, dict) and init_cfg.get("kind") == "custom_file":
+    if not isinstance(init_cfg, dict):
+        raise ConfigError("'initial' distribution spec required")
+    if init_cfg.get("kind") == "custom_file":
         try:
-            f0 = DiscreteDistribution.load(init_cfg["params"]["path"])
-        except (KeyError, TypeError, ValueError, OSError) as exc:
+            path = init_cfg["params"]["path"]
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad initial state file: {exc}")
+        f0 = _load_state(path)
         if not f0.grid.same_layout(grid):
             raise ConfigError("custom initial state does not match the grid config")
-    elif isinstance(init_cfg, dict):
+    else:
         try:
             f0 = generate_distribution(DistributionSpec.from_json_dict(init_cfg), grid)
-        except (KeyError, ValidationError) as exc:
+        except (KeyError, TypeError, ValueError, OSError) as exc:
             raise ConfigError(f"bad initial condition: {exc}")
-    else:
-        raise ConfigError("'initial' distribution spec required")
 
     try:
         series = run(f0, config)

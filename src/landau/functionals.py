@@ -35,20 +35,6 @@ from .kernels import a_contract, a_convolve
 _PAIR_CHUNK = 128
 
 
-def _psi_on_rsq(spec, rsq):
-    """Vectorized psi(sqrt(rsq)) with fast paths for common exponents."""
-    gamma = getattr(spec, "gamma", None)
-    if gamma is not None:
-        p = gamma + 2.0
-        if p == -1.0:
-            return 1.0 / np.sqrt(rsq)
-        if p == 0.0:
-            return np.ones_like(rsq)
-        if p == 2.0:
-            return rsq.copy()
-        return rsq ** (0.5 * p)
-    return np.asarray(spec.psi(np.sqrt(rsq)), dtype=float)
-
 # Explicit three-dimensional constants of the Gaussian-moment determinant
 # floor: for lam <= lambda0(Hbar), Gamma >= gamma_floor(Hbar) whenever
 # the absolute entropy of the (normalized) input is at most Hbar.
@@ -180,7 +166,7 @@ def entropy_dissipation(f, spec, form="projected"):
         rsq[tri] = 1.0
         ff = fv[start:stop, None] * fv[None, cols]
         ff[tri] = 0.0
-        psi = _psi_on_rsq(spec, rsq)
+        psi = spec.psi(np.sqrt(rsq))
         dxi = xi[start:stop, None, :] - xi[None, cols, :]
         qsum = np.zeros_like(rsq)
         for i in range(dim):

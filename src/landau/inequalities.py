@@ -104,7 +104,7 @@ def check_edd_theorem(f, spec, mode="radial_explicit"):
         raise ValidationError(f"unknown mode {mode!r}")
     dissipation = entropy_dissipation(f, spec, form="projected")
     if mode == "ratio":
-        g1 = getattr(spec, "gamma", getattr(spec, "gamma1", -3.0))
+        g1 = spec.gamma1
         lhs = weighted_fisher(f, g1)
         rhs = 1.0 + dissipation
         rep = _report(
@@ -113,7 +113,7 @@ def check_edd_theorem(f, spec, mode="radial_explicit"):
         )
         rep.holds = bool(math.isfinite(lhs / rhs))
         return rep
-    if f.grid.dim != 3 or not getattr(spec, "is_coulomb", False):
+    if f.grid.dim != 3 or not spec.is_coulomb:
         raise ValidationError(
             "the explicit bound requires dimension 3 and the Coulomb kernel"
         )
@@ -222,12 +222,7 @@ def check_young(f, spec, R, r):
     The node double sum on the left, diagonal w = v excluded, is the
     psi-table convolution h^N sum_v f(v) (psi * f 1_{|.| <= R})(v).
     """
-    if getattr(spec, "is_coulomb", False) or spec.kind == "power_law":
-        gamma2 = spec.gamma
-        k1 = k2 = 1.0
-    else:
-        gamma2 = spec.gamma2
-        k1, k2 = spec.K1, spec.K2
+    gamma2, k1, k2 = spec.gamma2, spec.K1, spec.K2
     if not (-4.0 < gamma2 < -2.0):
         raise ValidationError(f"gamma2 must lie in (-4, -2), got {gamma2}")
     dim = f.grid.dim

@@ -1,15 +1,14 @@
 """Collision-kernel laws, the perpendicular projection, and the kernel
 convolution engine behind the coefficient field a*f.
 
-For an isotropic kernel psi(|z|) the coefficient functions of the pair
-difference z = v - w are
+A kernel law is the one place that evaluates psi and knows its power-law
+envelope (gamma1, gamma2, K1, K2).  For an isotropic kernel psi(|z|) the
+coefficient function of the pair difference z = v - w is
 
     a_ij(z) = psi(r) (delta_ij - z_i z_j / r^2),         r = |z|,
-    c(z)    = -(N-1) [ (N-2) psi(r)/r^2 + psi'(r)/r ],
 
-and the fields are the node quadratures (a_ij*g)(v) = h^N sum_{w != v}
-a_ij(v - w) g(w), etc.  In the Coulomb case (psi(r) = 1/r, N = 3) c collapses
-to a point mass at the origin and (c*f)(v) = -8*pi*f(v) pointwise.
+and the field is the node quadrature (a_ij*g)(v) = h^N sum_{w != v}
+a_ij(v - w) g(w).
 
 Convolution engine.  Each a_ij is tabulated on the (2n-1)^N grid of node
 differences z = v - w, with a zero at z = 0 that drops the source cell
@@ -43,12 +42,12 @@ class PowerLawPsi:
     gamma: float
 
     @property
-    def kind(self):
-        return "power_law"
-
-    @property
     def is_coulomb(self):
         return False
+
+    # a pure power law is its own envelope
+    gamma1 = gamma2 = property(lambda self: self.gamma)
+    K1 = K2 = property(lambda self: 1.0)
 
     def psi(self, r):
         p = self.gamma + 2.0
@@ -63,31 +62,19 @@ class PowerLawPsi:
             out = np.where(r > 0, out, 0.0)
         return out if out.ndim else float(out)
 
-    def psi_prime(self, r):
-        p = self.gamma + 2.0
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = p * np.where(r > 0, r, 1.0) ** (p - 1.0)
-        out = np.where(r > 0, out, 0.0)
-        return out if out.ndim else float(out)
-
     def to_json_dict(self):
         return {"kind": "power_law", "gamma": self.gamma}
 
 
 @dataclass(frozen=True)
 class CoulombPsi(PowerLawPsi):
-    """psi(r) = 1/r in dimension 3; (c*f) = -8*pi*f."""
+    """psi(r) = 1/r in dimension 3."""
 
     gamma: float = -3.0
 
     def __post_init__(self):
         if self.gamma != -3.0:
             raise ValidationError("Coulomb kernel has gamma = -3")
-
-    @property
-    def kind(self):
-        return "coulomb"
 
     @property
     def is_coulomb(self):
@@ -113,7 +100,6 @@ class BracketedPsi:
     gamma1: float
     gamma2: float
     psi_fn: object
-    psi_prime_fn: object = None
     label: str = "bracketed"
 
     def __post_init__(self):
@@ -145,10 +131,6 @@ class BracketedPsi:
             )
 
     @property
-    def kind(self):
-        return "bracketed"
-
-    @property
     def is_coulomb(self):
         return False
 
@@ -159,20 +141,6 @@ class BracketedPsi:
             return float(self.psi_fn(r))
         r = np.asarray(r, dtype=float)
         return np.asarray([self.psi(x) for x in r.ravel()]).reshape(r.shape)
-
-    def psi_prime(self, r):
-        if self.psi_prime_fn is not None:
-            if np.ndim(r) == 0:
-                return float(self.psi_prime_fn(r))
-            r = np.asarray(r, dtype=float)
-            return np.asarray(
-                [self.psi_prime_fn(x) for x in r.ravel()]
-            ).reshape(r.shape)
-        # central difference with relative step
-        r = np.asarray(r, dtype=float)
-        dr = 1e-6 * np.maximum(r, 1e-6)
-        out = (self.psi(r + dr) - self.psi(np.maximum(r - dr, 1e-300))) / (2 * dr)
-        return out if out.ndim else float(out)
 
     def to_json_dict(self):
         return {
@@ -256,17 +224,6 @@ def _a_tables(grid, spec):
     return tabs
 
 
-def _c_table(grid, spec):
-    """c table, zero at z = 0; it misses the Coulomb point mass."""
-    mesh, rsq, psi = _difference_grid(grid, spec)
-    dim = grid.dim
-    r = np.sqrt(rsq)
-    psip = np.asarray(spec.psi_prime(r), dtype=float)
-    tab = -(dim - 1) * ((dim - 2) * psi / rsq + psip / r)
-    tab[(grid.n - 1,) * dim] = 0.0
-    return tab
-
-
 def _padded_shape(grid):
     return (scipy.fft.next_fast_len(2 * grid.n - 1, True),) * grid.dim
 
@@ -338,24 +295,12 @@ def a_contract(grid, spec, g):
     return out
 
 
-def _table_convolve(grid, table, g):
-    """Quadrature of a scalar difference table against g, flattened; uncached."""
-    shape = _padded_shape(grid)
-    return _quadrature(grid, scipy.fft.rfftn(table, shape) * scipy.fft.rfftn(g, shape), shape)
-
-
 def psi_convolve(grid, spec, g):
-    """psi*g for a scalar field g, flattened; the source cell w = v is dropped."""
-    return _table_convolve(grid, _difference_grid(grid, spec)[2], g)
-
-
-def c_convolve(grid, spec, g):
-    """c*g for a scalar field g, flattened; uncached (a reference path).
-
-    The tabulated c is zero at z = 0, so for the Coulomb kernel, whose c is
-    a point mass there, this is 0 and the caller uses -8*pi*g instead.
-    """
-    return _table_convolve(grid, _c_table(grid, spec), g)
+    """psi*g for a scalar field g, flattened and uncached; the source cell
+    w = v is dropped."""
+    shape = _padded_shape(grid)
+    table = _difference_grid(grid, spec)[2]
+    return _quadrature(grid, scipy.fft.rfftn(table, shape) * scipy.fft.rfftn(g, shape), shape)
 
 
 def _convolve_direct(table, fvals):

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .functionals import entropy_dissipation, moments, weighted_fisher, weighted_lp
 from .grid import EPS_FLOOR, _gradient_nd
-from .kernels import a_contract, c_convolve, collision_coefficients
+from .kernels import a_contract, collision_coefficients
 
 CFL_SAFETY = 0.4
 
@@ -320,21 +320,17 @@ def assemble_operator(f, spec, coeffs=None, conservative=True, dt=None):
 
 
 def assemble_operator_nonparabolic(f, spec):
-    """Non-conservative form Q(f) = sum_ij A_ij d2_ij f - (c*f) f (reference).
-
-    c*f is -8*pi*f for the Coulomb kernel and one c-table convolution
-    otherwise.
+    """Coulomb non-conservative form Q(f) = sum_ij A_ij d2_ij f + 8*pi*f^2
+    (a reference; c*f = -8*pi*f pointwise holds for the Coulomb kernel only).
     """
+    if not spec.is_coulomb:
+        raise ValidationError("the non-parabolic form needs the Coulomb kernel")
     grid = f.grid
     coeffs = collision_coefficients(f, spec)
     dim, h = grid.dim, grid.h
     fg = f.reshaped()
     gradf = _gradient_nd(fg, h)
-    if spec.is_coulomb:
-        cc = -8.0 * math.pi * f.values
-    else:
-        cc = c_convolve(grid, spec, fg)
-    out = -cc * f.values
+    out = 8.0 * math.pi * f.values * f.values
     Ag = coeffs.A.reshape(grid.shape + (dim, dim))
     for i in range(dim):
         second = _gradient_nd(gradf[i], h)
@@ -412,7 +408,7 @@ class SolverConfig:
     def resolved_gamma1(self):
         if self.gamma1 is not None:
             return self.gamma1
-        return getattr(self.spec, "gamma", getattr(self.spec, "gamma1", -3.0))
+        return self.spec.gamma1
 
 
 @dataclass

@@ -1,4 +1,9 @@
-"""End-to-end CLI checks: exit codes, report files, determinism, restart."""
+"""End-to-end CLI checks: exit codes, report files, determinism, restart.
+
+Usage errors run in-process through `landau.cli.main`; the real entry
+point `python -m landau` is spawned for reports, reruns, restart, the
+stability exit code and one argparse error.
+"""
 
 import csv
 import json
@@ -10,7 +15,7 @@ import numpy as np
 import pytest
 
 import landau
-from landau.cli import build_parser
+from landau.cli import build_parser, main
 from landau.families import DistributionSpec, generate_distribution
 from landau.grid import DiscreteDistribution, build_grid
 
@@ -20,6 +25,17 @@ def run_cli(*argv):
         [sys.executable, "-m", "landau", *argv],
         capture_output=True, text=True,
     )
+
+
+def assert_usage_error(capsys, *argv, out=None):
+    """main(argv) returns 2 with a one-line message and writes nothing to out;
+    any exception escaping main fails the test."""
+    rc = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    if out is not None:
+        assert not pathlib.Path(out).exists()
 
 
 @pytest.fixture(scope="module")
@@ -45,16 +61,36 @@ class TestFunctional:
         assert rep["dissipation"] >= 0.0
         assert set(rep["moments"]) == {"1.0", "2.0"}
 
-    def test_missing_input_is_usage_error(self, tmp_path):
-        res = run_cli("functional", "--input", str(tmp_path / "nope.json"),
-                      "--psi", "coulomb", "--out", str(tmp_path / "o.json"))
-        assert res.returncode == 2
+    def test_missing_input_is_usage_error(self, tmp_path, capsys):
+        assert_usage_error(capsys, "functional", "--input", tmp_path / "nope.json",
+                           "--psi", "coulomb", "--out", tmp_path / "o.json",
+                           out=tmp_path / "o.json")
 
-    def test_bad_psi_is_usage_error(self, stored_maxwellian, tmp_path):
-        res = run_cli("functional", "--input", stored_maxwellian,
-                      "--psi", "power_law:not_a_number",
-                      "--out", str(tmp_path / "o.json"))
-        assert res.returncode == 2
+    def test_bad_psi_is_usage_error(self, stored_maxwellian, tmp_path, capsys):
+        assert_usage_error(capsys, "functional", "--input", stored_maxwellian,
+                           "--psi", "power_law:not_a_number",
+                           "--out", tmp_path / "o.json", out=tmp_path / "o.json")
+
+    @pytest.mark.parametrize("kernel", [[1], {"kind": "power_law", "gamma": "x"}])
+    def test_bad_kernel_file_is_usage_error(self, stored_maxwellian, tmp_path, capsys,
+                                            kernel):
+        k = tmp_path / "k.json"
+        k.write_text(json.dumps(kernel))
+        assert_usage_error(capsys, "functional", "--input", stored_maxwellian,
+                           "--psi", k, "--out", tmp_path / "o.json",
+                           out=tmp_path / "o.json")
+
+    @pytest.mark.parametrize("state", [
+        [1],
+        {"dim": "3", "half_width": 5.0, "nodes_per_axis": 4, "values": [1.0] * 64},
+        {"dim": 3, "half_width": 5.0, "nodes_per_axis": 4, "values": "abc"},
+        {"dim": 3, "half_width": 5.0, "nodes_per_axis": 4, "values": [1.0] * 63},
+    ])
+    def test_malformed_input_is_usage_error(self, tmp_path, capsys, state):
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(state))
+        assert_usage_error(capsys, "functional", "--input", p, "--psi", "coulomb",
+                           "--out", tmp_path / "o.json", out=tmp_path / "o.json")
 
 
 class TestVerify:
@@ -108,46 +144,70 @@ class TestVerify:
         rows = json.loads((out / "report.json").read_text())
         assert {r["resolution"] for r in rows} == {10}
 
-    def test_empty_suites_is_usage_error(self, tmp_path):
+    def test_empty_suites_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, [])
-        res = run_cli("verify", "--config", cfg, "--out-dir", str(tmp_path / "r"))
-        assert res.returncode == 2
+        assert_usage_error(capsys, "verify", "--config", cfg, "--out-dir", tmp_path / "r",
+                           out=tmp_path / "r")
 
-    def test_unknown_suite_is_usage_error(self, tmp_path):
+    def test_unknown_suite_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, [{"name": "no_such_suite"}])
-        res = run_cli("verify", "--config", cfg, "--out-dir", str(tmp_path / "r"))
-        assert res.returncode == 2
+        assert_usage_error(capsys, "verify", "--config", cfg, "--out-dir", tmp_path / "r",
+                           out=tmp_path / "r")
 
     @pytest.mark.parametrize("override", [
         {"grid": {"half_width": "x"}}, {"grid": {"half_width": -1.0}},
         {"grid": {"half_width": float("inf")}}, {"grid": {"dim": "3"}},
         {"grid": {"dim": 1}}, {"grid": 5}, {"resolutions": ["a"]},
         {"resolutions": [0]}, {"resolutions": [12, 3]}, {"resolutions": [12.5]},
-        {"resolutions": [True]}, {"resolutions": 12},
+        {"resolutions": [True]}, {"resolutions": 12}, {"families": ["ab"]},
     ])
-    def test_bad_config_value_is_usage_error(self, tmp_path, override):
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, override):
         cfg = {"grid": {"dim": 3, "half_width": 6.0}, "resolutions": [12], "suites": ["sobolev"]}
         cfg.update(override)
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(cfg))
-        res = run_cli("verify", "--config", str(p), "--out-dir", str(tmp_path / "r"))
-        assert res.returncode == 2, res.stderr
-        assert "Traceback" not in res.stderr
-        assert not (tmp_path / "r").exists()
+        assert_usage_error(capsys, "verify", "--config", p, "--out-dir", tmp_path / "r",
+                           out=tmp_path / "r")
 
-    def test_non_object_config_is_usage_error(self, tmp_path):
+    def test_non_object_config_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("[]")
-        res = run_cli("verify", "--config", str(p), "--out-dir", str(tmp_path / "r"))
-        assert res.returncode == 2, res.stderr
-        assert "Traceback" not in res.stderr
+        assert_usage_error(capsys, "verify", "--config", p, "--out-dir", tmp_path / "r",
+                           out=tmp_path / "r")
 
-    def test_zero_resolution_override_is_usage_error(self, tmp_path):
+    def test_zero_resolution_override_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, ["sobolev"])
-        res = run_cli("verify", "--config", cfg, "--out-dir", str(tmp_path / "r"),
-                      "--resolution", "0")
-        assert res.returncode == 2, res.stderr
-        assert not (tmp_path / "r").exists()
+        assert_usage_error(capsys, "verify", "--config", cfg, "--out-dir", tmp_path / "r",
+                           "--resolution", "0", out=tmp_path / "r")
+
+    @pytest.mark.parametrize("family", [
+        {"kind": "custom_file", "params": {"path": "no_such_state.json"}},
+        {"kind": "maxwellian", "params": {"temperature": "x"}},
+    ])
+    def test_bad_family_is_usage_error(self, tmp_path, capsys, family):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"grid": {"dim": 3, "half_width": 6.0}, "resolutions": [8],
+                                 "suites": ["sobolev"], "families": [family]}))
+        assert_usage_error(capsys, "verify", "--config", p, "--out-dir", tmp_path / "r",
+                           out=tmp_path / "r")
+
+    def test_family_error_rows_in_every_suite(self, tmp_path, capsys):
+        # a family that fails validation while it is built keeps one error
+        # row per suite, next to the rows of the families that built
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "grid": {"dim": 3, "half_width": 6.0}, "resolutions": [8],
+            "suites": ["sobolev", "interpolation"],
+            "families": [{"kind": "maxwellian"},
+                         {"kind": "maxwellian", "params": {"temperature": -1.0}}],
+        }))
+        out = tmp_path / "r"
+        assert main(["verify", "--config", str(p), "--out-dir", str(out)]) == 1
+        rows = json.loads((out / "report.json").read_text())
+        errors = [r for r in rows if "error" in r]
+        assert [r["suite"] for r in errors] == ["sobolev", "interpolation"]
+        assert all("temperature" in r["error"] for r in errors)
+        assert len(rows) == 4
 
 
 class TestSolve:
@@ -218,25 +278,35 @@ class TestSolve:
         {"psi": {"kind": "power_law", "gamma": "x"}},
         {"grid": {"dim": 3, "half_width": 5.0, "nodes_per_axis": "x"}},
         {"initial": {"kind": "custom_file", "params": {"path": "no_such_state.json"}}},
+        {"grid": {"dim": 3, "half_width": 5.0, "nodes_per_axis": 8.7}},
+        {"grid": {"dim": 3.0, "half_width": "4", "nodes_per_axis": 8}},
+        {"initial": {"kind": "maxwellian", "params": {"temperature": "x"}}},
+        {"initial": {"kind": "radial_heavy_tail", "params": {"exponent": "4"}}},
+        {"initial": {"kind": "mixture", "params": {"components": [
+            {"kind": "maxwellian"},
+            {"kind": "custom_file", "params": {"path": "no_such_state.json"}}]}}},
     ])
-    def test_bad_config_is_usage_error(self, tmp_path, override):
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, override):
         _, raw = self.write_config(tmp_path, nodes=8)
         raw.update(override)
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(raw))
-        res = run_cli("solve", "--config", str(p), "--out-dir", str(tmp_path / "r"))
-        assert res.returncode == 2, res.stderr
-        assert "Traceback" not in res.stderr
-        assert not (tmp_path / "r").exists()
+        assert_usage_error(capsys, "solve", "--config", p, "--out-dir", tmp_path / "r",
+                           out=tmp_path / "r")
 
-    def test_missing_initial_is_usage_error(self, tmp_path):
+    def test_missing_initial_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({
             "psi": {"kind": "coulomb"},
             "grid": {"dim": 3, "half_width": 5.0, "nodes_per_axis": 8},
         }))
-        res = run_cli("solve", "--config", str(p), "--out-dir", str(tmp_path / "r"))
-        assert res.returncode == 2
+        assert_usage_error(capsys, "solve", "--config", p, "--out-dir", tmp_path / "r",
+                           out=tmp_path / "r")
+
+    def test_zero_resolution_override_is_usage_error(self, tmp_path, capsys):
+        cfg, _ = self.write_config(tmp_path, nodes=8)
+        assert_usage_error(capsys, "solve", "--config", cfg, "--out-dir", tmp_path / "r",
+                           "--resolution", "0", out=tmp_path / "r")
 
 
 class TestTopLevel:
@@ -244,7 +314,9 @@ class TestTopLevel:
         assert run_cli().returncode == 2
 
     def test_unknown_command_is_usage_error(self):
-        assert run_cli("frobnicate").returncode == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
 
     def test_no_threads_flag(self):
         with pytest.raises(SystemExit):

@@ -13,10 +13,8 @@ from landau.kernels import (
     CoulombPsi,
     PowerLawPsi,
     _a_tables,
-    _c_table,
     _convolve_direct,
     a_contract,
-    c_convolve,
     collision_coefficients,
     projection,
     psi_eval,
@@ -42,8 +40,17 @@ class TestPsiLaws:
         psi = PowerLawPsi(-2.5)
         r = 1.7
         assert psi.psi(r) == pytest.approx(r ** (-0.5))
-        # d/dr r^(gamma+2)
-        assert psi.psi_prime(r) == pytest.approx(-0.5 * r ** (-1.5))
+
+    @pytest.mark.parametrize("psi, envelope", [
+        (PowerLawPsi(-2.5), (-2.5, -2.5, 1.0, 1.0)),
+        (CoulombPsi(), (-3.0, -3.0, 1.0, 1.0)),
+        (BracketedPsi(K1=2.0, K2=3.0, K3=0.5, delta=1.0, gamma1=-3.0, gamma2=-2.7,
+                      psi_fn=lambda r: min(1.0, r ** -0.7)),
+         (-3.0, -2.7, 2.0, 3.0)),
+    ])
+    def test_envelope_exponents(self, psi, envelope):
+        # every law carries (gamma1, gamma2, K1, K2); a pure power law is its own envelope
+        assert (psi.gamma1, psi.gamma2, psi.K1, psi.K2) == envelope
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
@@ -112,13 +119,6 @@ class TestCollisionCoefficients:
                 _convolve_direct(tabs[min(i, j), max(i, j)], gradf[j]) for j in range(3)
             ).ravel() * g.cell_volume
             assert np.max(np.abs(drift[:, i] - oracle)) / np.max(np.abs(oracle)) < 1e-12
-        # c*f of a non-Coulomb kernel, which the nonparabolic reference form uses
-        soft = PowerLawPsi(-2.5)
-        oracle = g.cell_volume * _convolve_direct(_c_table(g, soft), f.reshaped()).ravel()
-        np.testing.assert_allclose(
-            c_convolve(g, soft, f.reshaped()), oracle,
-            rtol=0, atol=1e-12 * np.max(np.abs(oracle)),
-        )
 
     def test_table_spectra_cache_one_layout(self, monkeypatch):
         calls = []

@@ -9,7 +9,7 @@ from landau.errors import ValidationError
 from landau.families import DistributionSpec, generate_distribution
 from landau.functionals import entropy_dissipation, moments
 from landau.grid import DiscreteDistribution, build_grid
-from landau.kernels import CoulombPsi, collision_coefficients
+from landau.kernels import CoulombPsi, PowerLawPsi, collision_coefficients
 from landau.solver import (
     SolverConfig,
     TestFunction,
@@ -132,6 +132,11 @@ class TestConsistency:
             rest, 8.0 * math.pi * f.values**2,
             rtol=1e-12, atol=1e-13 * float(np.max(np.abs(diffusion))),
         )
+
+    def test_nonparabolic_form_needs_coulomb(self):
+        f = maxwellian(build_grid(3, 3.0, 6))
+        with pytest.raises(ValidationError):
+            assemble_operator_nonparabolic(f, PowerLawPsi(-2.5))
 
     def test_limited_step_preserves_positivity(self):
         grid = build_grid(3, 5.0, 12)

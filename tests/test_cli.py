@@ -27,15 +27,14 @@ def run_cli(*argv):
     )
 
 
-def assert_usage_error(capsys, *argv, out=None):
+def assert_usage_error(capsys, *argv, out):
     """main(argv) returns 2 with a one-line message and writes nothing to out;
     any exception escaping main fails the test."""
     rc = main([str(a) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
-    if out is not None:
-        assert not pathlib.Path(out).exists()
+    assert not pathlib.Path(out).exists()
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +190,7 @@ class TestVerify:
         assert_usage_error(capsys, "verify", "--config", p, "--out-dir", tmp_path / "r",
                            out=tmp_path / "r")
 
-    def test_family_error_rows_in_every_suite(self, tmp_path, capsys):
+    def test_family_error_rows_in_every_suite(self, tmp_path):
         # a family that fails validation while it is built keeps one error
         # row per suite, next to the rows of the families that built
         p = tmp_path / "cfg.json"

@@ -82,12 +82,22 @@ def _load_config(path):
 
 
 def _load_state(path):
-    """A stored distribution; an unreadable or malformed file is a usage error."""
+    """A stored distribution, its grid read by the strict `_build_grids`;
+    an unreadable or malformed file is a usage error."""
     try:
-        return DiscreteDistribution.load(path)
+        with open(path) as fh:
+            obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
-    except (KeyError, TypeError, ValueError, NumericError) as exc:
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not a distribution file: {exc}")
+    keys = ("dim", "half_width", "nodes_per_axis", "values")
+    if not isinstance(obj, dict) or not all(k in obj for k in keys):
+        raise ConfigError(f"{path} is not a distribution file: needs keys {keys}")
+    [grid] = _build_grids(obj, [obj["nodes_per_axis"]])
+    try:
+        return DiscreteDistribution(grid, np.asarray(obj["values"], dtype=float))
+    except (TypeError, ValueError, NumericError) as exc:
         raise ConfigError(f"{path} is not a distribution file: {exc}")
 
 

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import DegeneracyError, NumericError, ResourceError, ValidationError
 
@@ -250,19 +249,54 @@ def raw_moments(f):
     return rho, u, temp
 
 
+def _multilinear(values, axes):
+    """Multilinear interpolation of `values`, shape (n,)*N, at the tensor
+    product of the per-axis fractional indices `axes` (N 1-D arrays); zero
+    at a point outside [0, n-1] on some axis.
+
+    Matches scipy.ndimage.map_coordinates(order=1, mode="constant", cval=0)
+    at the same points bit for bit: weights w0 = 1 - frac and w1 = 1 - w0,
+    each corner formed as ((f w_0) w_1) ... w_{N-1}, corners summed in C
+    order.
+    """
+    n, dim = values.shape[0], len(axes)
+    # the zero layer at index n serves the upper corner of a point at n - 1
+    terms = [np.pad(values, (0, 1))]
+    inside = []
+    for d, x in enumerate(axes):
+        ok = (x >= 0) & (x <= n - 1)
+        x = np.where(ok, x, 0.0)
+        lo = np.floor(x)
+        w0 = (1.0 - (x - lo)).reshape((-1,) + (1,) * (dim - 1 - d))
+        lo = lo.astype(np.intp)
+        # a gather commutes with the elementwise product, so weighting one
+        # axis at a time keeps each corner's product order; the list stays
+        # in C order of the corners
+        corners = []
+        for t in terms:
+            for c, w in ((0, w0), (1, 1.0 - w0)):
+                corners.append(t.take(lo + c, axis=d))
+                corners[-1] *= w
+        terms = corners
+        inside.append(ok)
+    out = np.zeros(terms[0].shape)
+    for t in terms:
+        out += t
+    for d, ok in enumerate(inside):
+        out[(slice(None),) * d + (~ok,)] = 0.0
+    return out
+
+
 def _resample(f, transform):
-    """Sample a f(b v + c) back onto the grid by multilinear interpolation."""
+    """Sample a f(b v + c) back onto the grid by multilinear interpolation
+    (`_multilinear`, which matches scipy.ndimage.map_coordinates with
+    order=1, mode="constant", cval=0 bit for bit)."""
     grid = f.grid
     a, b = transform.amplitude, transform.dilation
-    c = np.asarray(transform.shift)
-    # node v maps to source point b v + c; convert to fractional index.
-    pts = b * grid.coords + c[None, :]
-    idx = (pts + grid.half_width) / grid.h - 0.5
-    vals = map_coordinates(
-        f.reshaped(), idx.T.reshape(grid.dim, *grid.shape), order=1,
-        mode="constant", cval=0.0,
-    )
-    out = a * vals.ravel()
+    # node v maps to source point b v + c, one axis at a time; convert to
+    # fractional indices.
+    axes = [(b * grid.axis + c + grid.half_width) / grid.h - 0.5 for c in transform.shift]
+    out = a * _multilinear(f.reshaped(), axes).ravel()
     np.maximum(out, 0.0, out=out)
     return f.with_values(out)
 

@@ -14,12 +14,25 @@ Convolution engine.  Each a_ij is tabulated on the (2n-1)^N grid of node
 differences z = v - w, with a zero at z = 0 that drops the source cell
 w = v.  Their full linear convolution at v + (n-1) is sum_w table[v - w +
 (n-1)] g(w), the table entry of z = (v - w) h, so the slice [n-1 : 2n-1]
-per axis is the node quadrature.  Both are zero-padded to P =
-next_fast_len(2n-1) per axis; the product of their rfftn spectra is the
-period-P circular convolution, which adds linear index m +- P onto m.  The
-linear indices span 0..3n-3, and for kept m in [n-1, 2n-2], m + P > 3n-3
-and m - P < 0, so the kept slice is alias-free.  Only the rfftn spectra of
-the a_ij, i <= j, are kept, for one (grid layout, kernel) at a time.
+per axis is the node quadrature.  Both are zero-padded to P = the
+smallest 5-smooth length >= 2n-1 per axis; the product of their real
+spectra is the period-P circular convolution, which adds linear index
+m +- P onto m.  The linear indices span 0..3n-3, and for kept m in
+[n-1, 2n-2], m + P > 3n-3 and m - P < 0, so the kept slice is alias-free.
+Only the spectra of the a_ij, i <= j, are kept, for one (grid layout,
+kernel) at a time.
+
+Every transform is a sequence of NumPy 1-D passes that skips the lines
+holding only padding.  `_forward` runs a real pass along the last axis of
+the data, then complex passes along axes 0, 1, ..., N-2, each over the slab
+whose lines still hold data.  `_quadrature` runs unscaled inverse complex
+passes along axes 0, ..., N-2 in place, keeping only the valid slice
+[n-1, 2n-1) after each, then the unscaled inverse real pass on the last
+axis, then the factor 1/P^N.  This is the pass order, axis order and
+scaling of pocketfft's n-D real transforms (as in scipy.fft.rfftn and
+irfftn), each line goes through the same 1-D plan, and a line is
+transformed the same way whether or not its neighbours are, so the
+results are bit-identical to the full n-D transforms.
 """
 
 from __future__ import annotations
@@ -28,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import ValidationError
 
@@ -40,6 +52,12 @@ class PowerLawPsi:
     """psi(r) = r^(gamma+2)."""
 
     gamma: float
+
+    def __post_init__(self):
+        # the Landau range, from Coulomb (-3) to the hardest potential (1);
+        # NaN fails both comparisons
+        if not -3.0 <= self.gamma <= 1.0:
+            raise ValidationError(f"power-law gamma must lie in [-3, 1], got {self.gamma}")
 
     @property
     def is_coulomb(self):
@@ -224,22 +242,55 @@ def _a_tables(grid, spec):
     return tabs
 
 
+def _fast_len(m):
+    """The smallest 2^a 3^b 5^c >= m >= 1."""
+    k = m
+    while True:
+        r = k
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return k
+        k += 1
+
+
 def _padded_shape(grid):
-    return (scipy.fft.next_fast_len(2 * grid.n - 1, True),) * grid.dim
+    return (_fast_len(2 * grid.n - 1),) * grid.dim
+
+
+def _forward(g, shape):
+    """Real spectrum of g zero-padded to `shape`, shape[:-1] + (P//2+1,)."""
+    out = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    data = tuple(slice(m) for m in g.shape[:-1])
+    np.fft.rfft(g, shape[-1], axis=-1, out=out[data])
+    for ax in range(g.ndim - 1):
+        part = out[(slice(None),) * (ax + 1) + data[ax + 1:]]
+        np.fft.fft(part, axis=ax, out=part)
+    return out
 
 
 def _quadrature(grid, spectrum, shape):
-    """h^N times the valid slice of the inverse transform, flattened."""
-    full = scipy.fft.irfftn(spectrum, shape)
-    valid = full[(slice(grid.n - 1, 2 * grid.n - 1),) * grid.dim]
-    return grid.cell_volume * valid.ravel()
+    """h^N times the valid slice of the inverse transform, flattened.
+
+    The complex passes run in place, so `spectrum` must be a temporary the
+    caller no longer needs: writing into it saves a fresh full-size buffer,
+    and the page faults of one, per call.
+    """
+    valid = slice(grid.n - 1, 2 * grid.n - 1)
+    x = spectrum
+    for ax in range(grid.dim - 1):
+        np.fft.ifft(x, axis=ax, norm="forward", out=x)
+        x = x[(slice(None),) * ax + (valid,)]
+    x = np.fft.irfft(x, shape[-1], axis=-1, norm="forward")[..., valid]
+    return grid.cell_volume * (x * (1.0 / math.prod(shape))).ravel()
 
 
 def _build_spectra(grid, spec):
     shape = _padded_shape(grid)
     spectra = {}
     for (i, j), tab in _a_tables(grid, spec).items():
-        spectra[(i, j)] = spectra[(j, i)] = scipy.fft.rfftn(tab, shape)
+        spectra[(i, j)] = spectra[(j, i)] = _forward(tab, shape)
     return shape, spectra
 
 
@@ -276,7 +327,7 @@ def a_convolve(grid, spec, g):
     inverse per component i <= j.
     """
     shape, spectra = _table_spectra(grid, spec)
-    g_hat = scipy.fft.rfftn(g, shape)
+    g_hat = _forward(g, shape)
     return _symmetric(grid, lambda i, j: _quadrature(grid, spectra[(i, j)] * g_hat, shape))
 
 
@@ -287,7 +338,7 @@ def a_contract(grid, spec, g):
     over j taken on the spectra, and one inverse per component i.
     """
     shape, spectra = _table_spectra(grid, spec)
-    g_hat = [scipy.fft.rfftn(comp, shape) for comp in g]
+    g_hat = [_forward(comp, shape) for comp in g]
     out = np.empty((grid.size, grid.dim))
     for i in range(grid.dim):
         acc = sum(spectra[(i, j)] * g_hat[j] for j in range(grid.dim))
@@ -300,7 +351,7 @@ def psi_convolve(grid, spec, g):
     w = v is dropped."""
     shape = _padded_shape(grid)
     table = _difference_grid(grid, spec)[2]
-    return _quadrature(grid, scipy.fft.rfftn(table, shape) * scipy.fft.rfftn(g, shape), shape)
+    return _quadrature(grid, _forward(table, shape) * _forward(g, shape), shape)
 
 
 def _convolve_direct(table, fvals):

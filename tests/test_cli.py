@@ -66,9 +66,11 @@ class TestFunctional:
                            out=tmp_path / "o.json")
 
     def test_bad_psi_is_usage_error(self, stored_maxwellian, tmp_path, capsys):
-        assert_usage_error(capsys, "functional", "--input", stored_maxwellian,
-                           "--psi", "power_law:not_a_number",
-                           "--out", tmp_path / "o.json", out=tmp_path / "o.json")
+        # non-numeric, non-finite, and outside the Landau range [-3, 1]
+        for gamma in ["not_a_number", "nan", "inf", "-1e308", "-3.5", "1.5"]:
+            assert_usage_error(capsys, "functional", "--input", stored_maxwellian,
+                               "--psi", f"power_law:{gamma}",
+                               "--out", tmp_path / "o.json", out=tmp_path / "o.json")
 
     @pytest.mark.parametrize("kernel", [[1], {"kind": "power_law", "gamma": "x"}])
     def test_bad_kernel_file_is_usage_error(self, stored_maxwellian, tmp_path, capsys,
@@ -84,6 +86,9 @@ class TestFunctional:
         {"dim": "3", "half_width": 5.0, "nodes_per_axis": 4, "values": [1.0] * 64},
         {"dim": 3, "half_width": 5.0, "nodes_per_axis": 4, "values": "abc"},
         {"dim": 3, "half_width": 5.0, "nodes_per_axis": 4, "values": [1.0] * 63},
+        # grid sizes are read strictly, never truncated
+        {"dim": 3, "half_width": 5.0, "nodes_per_axis": 4.9, "values": [1.0] * 64},
+        {"dim": 3.0, "half_width": 5.0, "nodes_per_axis": 4, "values": [1.0] * 64},
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, state):
         p = tmp_path / "state.json"
@@ -322,6 +327,13 @@ class TestTopLevel:
             build_parser().parse_args(
                 ["--threads", "2", "verify", "--config", "c", "--out-dir", "o"]
             )
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, landau.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
     def test_version_single_source(self):
         # pyproject reads the version from the package, so the installed

@@ -1,15 +1,23 @@
 """Exact discrete identities of the convolution engine and the flux-form
-operator, checked on random positive states of small grids."""
+operator, checked on random positive states of small grids, and the
+bit-identity of the NumPy transforms and interpolation against their SciPy
+references."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import scipy.fft
+from hypothesis import example, given, settings, strategies as st
+from scipy.ndimage import map_coordinates
 
 from landau.functionals import entropy_dissipation
-from landau.grid import DiscreteDistribution, build_grid
+from landau.grid import DiscreteDistribution, _multilinear, build_grid
 from landau.kernels import (
     CoulombPsi,
     _a_tables,
     _convolve_direct,
+    _fast_len,
+    _forward,
+    _padded_shape,
+    _quadrature,
     a_contract,
     a_convolve,
 )
@@ -42,6 +50,8 @@ def test_engine_matches_direct_sum(state):
     direct = {ij: grid.cell_volume * _convolve_direct(tab, f.reshaped()).ravel()
               for ij, tab in tabs.items()}
     tensor = a_convolve(grid, SPEC, f.reshaped())
+    # the in-place inverse passes leave the cached table spectra intact
+    assert np.array_equal(a_convolve(grid, SPEC, f.reshaped()), tensor)
     for (i, j), ref in direct.items():
         assert max_rel(tensor[:, i, j], ref) < 1e-12
         assert np.array_equal(tensor[:, i, j], tensor[:, j, i])
@@ -77,3 +87,69 @@ def test_projected_dissipation_equals_pair_difference(state):
     projected = entropy_dissipation(f, SPEC, form="projected")
     pairdiff = entropy_dissipation(f, SPEC, form="pairdiff")
     assert abs(projected - pairdiff) <= 1e-10 * abs(pairdiff)
+
+
+# dim, n, seed; n = 5 and n = 8 pad to exactly P = 2n - 1 (9, 15)
+layouts = st.tuples(st.integers(2, 3), st.integers(4, 12), st.integers(0, 2**32 - 1))
+exact = settings(derandomize=True, deadline=None, max_examples=20)
+
+
+@exact
+@given(layouts)
+@example((2, 5, 0))
+@example((3, 5, 1))
+@example((2, 8, 2))
+@example((3, 8, 3))
+def test_forward_is_rfftn(layout):
+    dim, n, seed = layout
+    shape = _padded_shape(build_grid(dim, 3.0, n))
+    rng = np.random.default_rng(seed)
+    for m in (n, 2 * n - 1):  # a field and a difference table
+        g = rng.standard_normal((m,) * dim)
+        assert np.array_equal(_forward(g, shape), scipy.fft.rfftn(g, shape))
+
+
+@exact
+@given(layouts)
+@example((2, 5, 0))
+@example((3, 5, 1))
+@example((2, 8, 2))
+@example((3, 8, 3))
+def test_quadrature_is_valid_slice_of_irfftn(layout):
+    dim, n, seed = layout
+    grid = build_grid(dim, 3.0, n)
+    shape = _padded_shape(grid)
+    rng = np.random.default_rng(seed)
+    spectrum = scipy.fft.rfftn(rng.standard_normal((2 * n - 1,) * dim), shape)
+    full = scipy.fft.irfftn(spectrum, shape)
+    ref = grid.cell_volume * full[(slice(n - 1, 2 * n - 1),) * dim].ravel()
+    # _quadrature overwrites the spectrum, so the reference comes first
+    assert np.array_equal(_quadrature(grid, spectrum, shape), ref)
+
+
+@exact
+@given(layouts)
+@example((2, 5, 0))
+@example((3, 8, 1))
+def test_multilinear_is_map_coordinates(layout):
+    dim, n, seed = layout
+    rng = np.random.default_rng(seed)
+    values = rng.random((n,) * dim)
+    axes = []
+    for _ in range(dim):
+        x = rng.uniform(-1.5, n + 0.5, 16)
+        # integer, edge and outside coordinates, and fractions in [0, 1/3)
+        # with bits below 2^-53, where 1 - (1 - t) != t tells the weight
+        # forms apart
+        pick = rng.integers(0, 6, x.size)
+        axes.append(np.select([pick == 0, pick == 1, pick == 2, pick == 3],
+                              [np.round(x), 0.0, n - 1.0, rng.random(x.size) / 3],
+                              default=x))
+    points = np.stack(np.meshgrid(*axes, indexing="ij"))
+    ref = map_coordinates(values, points, order=1, mode="constant", cval=0.0)
+    assert np.array_equal(_multilinear(values, axes), ref)
+
+
+def test_fast_len_is_next_fast_len():
+    for m in range(1, 4097):
+        assert _fast_len(m) == scipy.fft.next_fast_len(m, True), m

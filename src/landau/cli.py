@@ -21,7 +21,7 @@ from . import __version__
 from .errors import DegeneracyError, NumericError, ResourceError, ValidationError
 from .families import DistributionSpec, generate_distribution
 from .functionals import entropy_dissipation, moments, weighted_fisher, weighted_lp
-from .grid import DiscreteDistribution, build_grid
+from .grid import DiscreteDistribution, build_grid, check_layout_types
 from .inequalities import (
     check_edd_theorem,
     check_gamma_lower_bound,
@@ -82,39 +82,23 @@ def _load_config(path):
 
 
 def _load_state(path):
-    """A stored distribution, its grid read by the strict `_build_grids`;
-    an unreadable or malformed file is a usage error."""
+    """A stored distribution; an unreadable or malformed file is a usage error."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        return DiscreteDistribution.load(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"{path} is not a distribution file: {exc}")
-    keys = ("dim", "half_width", "nodes_per_axis", "values")
-    if not isinstance(obj, dict) or not all(k in obj for k in keys):
-        raise ConfigError(f"{path} is not a distribution file: needs keys {keys}")
-    [grid] = _build_grids(obj, [obj["nodes_per_axis"]])
-    try:
-        return DiscreteDistribution(grid, np.asarray(obj["values"], dtype=float))
-    except (TypeError, ValueError, NumericError) as exc:
+    except (TypeError, ValueError, NumericError, ResourceError) as exc:
         raise ConfigError(f"{path} is not a distribution file: {exc}")
 
 
 def _build_grids(grid_cfg, resolutions):
-    """One grid per resolution from a {"dim", "half_width"} object.
-
-    dim and every resolution must be integers and half_width a finite
-    number; nothing is coerced, so 8.7 nodes or "4" is a usage error.
-    """
+    """One grid per resolution from a {"dim", "half_width"} object, read
+    strictly by `check_layout_types`."""
     if not isinstance(grid_cfg, dict):
         raise ConfigError(f"'grid' must be an object, got {grid_cfg!r}")
     dim, half_width = grid_cfg.get("dim", 3), grid_cfg.get("half_width", 6.0)
-    if not all(type(x) is int for x in [dim, *resolutions]):
-        raise ConfigError(f"dim and resolutions must be integers: {dim!r}, {resolutions!r}")
-    if type(half_width) not in (int, float) or not math.isfinite(half_width):
-        raise ConfigError(f"half_width must be a finite number, got {half_width!r}")
     try:
+        check_layout_types(dim, half_width, resolutions)
         return [build_grid(dim, half_width, n) for n in resolutions]
     except (ValidationError, ResourceError) as exc:
         raise ConfigError(f"bad grid: {exc}")

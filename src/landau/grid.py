@@ -9,6 +9,7 @@ extended by zero outside the box.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,19 @@ def build_grid(dim, half_width, nodes_per_axis, max_nodes=DEFAULT_MAX_NODES):
     return VelocityGrid(dim, half_width, nodes_per_axis, max_nodes=max_nodes)
 
 
+def check_layout_types(dim, half_width, resolutions):
+    """Raise ValidationError unless dim and every resolution are integers
+    and half_width is a finite number, as read from JSON; nothing is
+    coerced, so 8.7 nodes, a dim of 3.0 or a half_width of "4" is rejected.
+    """
+    if not all(type(x) is int for x in [dim, *resolutions]):
+        raise ValidationError(
+            f"dim and nodes per axis must be integers: {dim!r}, {resolutions!r}"
+        )
+    if type(half_width) not in (int, float) or not math.isfinite(half_width):
+        raise ValidationError(f"half_width must be a finite number, got {half_width!r}")
+
+
 class DiscreteDistribution:
     """Nonnegative density sampled at the cell centers of a grid.
 
@@ -126,7 +140,14 @@ class DiscreteDistribution:
 
     @staticmethod
     def from_json_dict(obj):
-        grid = build_grid(obj["dim"], obj["half_width"], obj["nodes_per_axis"])
+        """Read a stored distribution; its grid sizes are checked by
+        `check_layout_types`, never truncated."""
+        keys = ("dim", "half_width", "nodes_per_axis", "values")
+        if not isinstance(obj, dict) or not all(k in obj for k in keys):
+            raise ValidationError(f"a distribution is an object with keys {keys}")
+        dim, half_width, n = obj["dim"], obj["half_width"], obj["nodes_per_axis"]
+        check_layout_types(dim, half_width, [n])
+        grid = build_grid(dim, half_width, n)
         return DiscreteDistribution(grid, np.asarray(obj["values"], dtype=float))
 
     @staticmethod

@@ -213,6 +213,24 @@ class TestVerify:
         assert all("temperature" in r["error"] for r in errors)
         assert len(rows) == 4
 
+    def test_custom_file_family_is_read_strictly(self, stored_maxwellian, tmp_path):
+        # a stored 12^3 state claiming 12.9 nodes is not truncated to 12:
+        # the family fails to build and gives an error row, not a report
+        state = json.loads(pathlib.Path(stored_maxwellian).read_text())
+        state["nodes_per_axis"] = 12.9
+        bad = tmp_path / "state.json"
+        bad.write_text(json.dumps(state))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "grid": {"dim": 3, "half_width": 5.0}, "resolutions": [12],
+            "suites": ["gamma_floor"],
+            "families": [{"kind": "custom_file", "params": {"path": str(bad)}}],
+        }))
+        out = tmp_path / "r"
+        assert main(["verify", "--config", str(p), "--out-dir", str(out)]) == 1
+        [row] = json.loads((out / "report.json").read_text())
+        assert "must be integers" in row["error"]
+
 
 class TestSolve:
     def write_config(self, tmp_path, steps=10, nodes=16, dt="auto", name="solve.json"):

@@ -75,6 +75,26 @@ class TestDiscreteDistribution:
         with pytest.raises(ValidationError):
             DiscreteDistribution.load(path)
 
+    @pytest.mark.parametrize("change", [
+        {"nodes_per_axis": 4.9},
+        {"nodes_per_axis": "4"},
+        {"dim": 2.0},
+        {"half_width": "1"},
+        {"half_width": math.inf},
+    ])
+    def test_load_is_strict(self, tmp_path, change):
+        # grid sizes are never truncated or parsed from strings
+        obj = {"dim": 2, "half_width": 1.0, "nodes_per_axis": 4, "values": [0.0] * 16}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**obj, **change}))
+        with pytest.raises(ValidationError):
+            DiscreteDistribution.load(path)
+
+    def test_load_needs_an_object_with_every_key(self):
+        for obj in [[1.0] * 16, {"dim": 2, "half_width": 1.0, "values": [0.0] * 16}]:
+            with pytest.raises(ValidationError):
+                DiscreteDistribution.from_json_dict(obj)
+
 
 class TestIntegrate:
     def test_gaussian_mass_close_to_one(self):

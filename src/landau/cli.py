@@ -31,7 +31,7 @@ from .inequalities import (
     moment_condition,
 )
 from .kernels import psi_spec_from_json
-from .solver import SolverConfig, lp_energy_balance, run
+from .solver import SolverConfig, run
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1

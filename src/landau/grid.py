@@ -135,8 +135,10 @@ class DiscreteDistribution:
         }
 
     def save(self, path):
+        # json.dumps encodes in one shot, with the C encoder; json.dump
+        # never uses it
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
+            fh.write(json.dumps(self.to_json_dict()))
 
     @staticmethod
     def from_json_dict(obj):

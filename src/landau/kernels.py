@@ -19,8 +19,14 @@ smallest 5-smooth length >= 2n-1 per axis; the product of their real
 spectra is the period-P circular convolution, which adds linear index
 m +- P onto m.  The linear indices span 0..3n-3, and for kept m in
 [n-1, 2n-2], m + P > 3n-3 and m - P < 0, so the kept slice is alias-free.
-Only the spectra of the a_ij, i <= j, are kept, for one (grid layout,
-kernel) at a time.
+
+The engine keeps one entry per (grid layout, kernel), and at most one
+entry at a time: a new layout drops the old entry before it builds
+anything.  The entry owns the spectra of the a_ij, i <= j, and of psi,
+each made on first use (the a_ij tables one at a time), and reused complex
+work buffers: one per field component, one for products and one for the
+summands of `a_contract`.  Each call overwrites the buffers it reads, and
+every result is a fresh array.
 
 Every transform is a sequence of NumPy 1-D passes that skips the lines
 holding only padding.  `_forward` runs a real pass along the last axis of
@@ -227,19 +233,23 @@ def _difference_grid(grid, spec):
     return mesh, rsq, psi
 
 
-def _a_tables(grid, spec):
-    """a_ij tables for i <= j, zero at z = 0 (the source cell w = v)."""
+def _a_table_items(grid, spec):
+    """((i, j), a_ij table) for i <= j, made one at a time; each table is
+    zero at z = 0 (the source cell w = v)."""
     mesh, rsq, psi = _difference_grid(grid, spec)
     center = (grid.n - 1,) * grid.dim
-    tabs = {}
     for i in range(grid.dim):
         for j in range(i, grid.dim):
             tab = -psi * mesh[i] * mesh[j] / rsq
             if i == j:
-                tab = tab + psi
+                tab += psi
             tab[center] = 0.0
-            tabs[(i, j)] = tab
-    return tabs
+            yield (i, j), tab
+
+
+def _a_tables(grid, spec):
+    """All a_ij tables for i <= j, keyed (i, j), for the direct oracle."""
+    return dict(_a_table_items(grid, spec))
 
 
 def _fast_len(m):
@@ -259,10 +269,18 @@ def _padded_shape(grid):
     return (_fast_len(2 * grid.n - 1),) * grid.dim
 
 
-def _forward(g, shape):
-    """Real spectrum of g zero-padded to `shape`, shape[:-1] + (P//2+1,)."""
-    out = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+def _forward(g, shape, out=None):
+    """Real spectrum of g zero-padded to `shape`, shape[:-1] + (P//2+1,).
+
+    Written into `out` when given, whatever it held: only the padding the
+    passes read is zeroed again, since the passes overwrite the rest.
+    """
     data = tuple(slice(m) for m in g.shape[:-1])
+    if out is None:
+        out = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    else:
+        for ax in range(g.ndim - 1):
+            out[(slice(None),) * ax + (slice(g.shape[ax], None),) + data[ax + 1:]] = 0
     np.fft.rfft(g, shape[-1], axis=-1, out=out[data])
     for ax in range(g.ndim - 1):
         part = out[(slice(None),) * (ax + 1) + data[ax + 1:]]
@@ -270,12 +288,13 @@ def _forward(g, shape):
     return out
 
 
-def _quadrature(grid, spectrum, shape):
-    """h^N times the valid slice of the inverse transform, flattened.
+def _quadrature(grid, spectrum, shape, out=None):
+    """h^N times the valid slice of the inverse transform, written into the
+    flat `out` (a strided column of the caller's result will do) or a fresh
+    array, and returned.
 
-    The complex passes run in place, so `spectrum` must be a temporary the
-    caller no longer needs: writing into it saves a fresh full-size buffer,
-    and the page faults of one, per call.
+    The complex passes run in place, so `spectrum` must be a work buffer
+    the caller no longer needs.
     """
     valid = slice(grid.n - 1, 2 * grid.n - 1)
     x = spectrum
@@ -283,40 +302,70 @@ def _quadrature(grid, spectrum, shape):
         np.fft.ifft(x, axis=ax, norm="forward", out=x)
         x = x[(slice(None),) * ax + (valid,)]
     x = np.fft.irfft(x, shape[-1], axis=-1, norm="forward")[..., valid]
-    return grid.cell_volume * (x * (1.0 / math.prod(shape))).ravel()
+    if out is None:
+        out = np.empty(grid.size)
+    block = out.reshape(grid.shape)  # a view: out is 1-D with one stride
+    np.multiply(x, 1.0 / math.prod(shape), out=block)
+    block *= grid.cell_volume
+    return out
 
 
-def _build_spectra(grid, spec):
-    shape = _padded_shape(grid)
-    spectra = {}
-    for (i, j), tab in _a_tables(grid, spec).items():
-        spectra[(i, j)] = spectra[(j, i)] = _forward(tab, shape)
-    return shape, spectra
+class _Layout:
+    """What the engine keeps for one (grid layout, kernel).
+
+    The a_ij spectra (i <= j, keyed both ways) and the psi spectrum are made
+    on first use.  The complex work buffers, one per field component, one
+    for products and one for the summands of `a_contract`, are reused by
+    every call; each call overwrites what it reads.
+    """
+
+    def __init__(self, grid, spec):
+        self.grid, self.spec = grid, spec
+        self.shape = _padded_shape(grid)
+        half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+        self.field_hat = [np.empty(half, dtype=complex) for _ in range(grid.dim)]
+        self.product = np.empty(half, dtype=complex)
+        self.term = np.empty(half, dtype=complex)
+        self._a = self._psi = None
+
+    def a_spectra(self):
+        if self._a is None:
+            spectra = {}
+            for (i, j), tab in _a_table_items(self.grid, self.spec):
+                spectra[(i, j)] = spectra[(j, i)] = _forward(tab, self.shape)
+            self._a = spectra
+        return self._a
+
+    def psi_spectrum(self):
+        if self._psi is None:
+            self._psi = _forward(_difference_grid(self.grid, self.spec)[2], self.shape)
+        return self._psi
 
 
-# (dim, half_width, n, spec) -> (padded shape, a_ij spectra); one layout only
-_SPECTRA = {}
+# (dim, half_width, n, spec) -> _Layout; one layout only
+_LAYOUT = {}
 
 
-def _table_spectra(grid, spec):
+def _layout(grid, spec):
     key = (grid.dim, grid.half_width, grid.n, spec)
     try:
-        hit = _SPECTRA.get(key)
-    except TypeError:  # unhashable spec (callable payload)
-        return _build_spectra(grid, spec)
+        hit = _LAYOUT.get(key)
+    except TypeError:  # unhashable spec (callable payload): never kept
+        return _Layout(grid, spec)
     if hit is None:
-        hit = _build_spectra(grid, spec)
-        _SPECTRA.clear()
-        _SPECTRA[key] = hit
+        _LAYOUT.clear()  # drop the old layout before the new one fills
+        hit = _LAYOUT[key] = _Layout(grid, spec)
     return hit
 
 
-def _symmetric(grid, component):
-    """(size, N, N) tensor from component(i, j), evaluated for i <= j."""
+def _symmetric(grid, fill):
+    """(size, N, N) tensor whose column (i, j), i <= j, fill(i, j, column)
+    writes; column (j, i) is a copy."""
     out = np.empty((grid.size, grid.dim, grid.dim))
     for i in range(grid.dim):
         for j in range(i, grid.dim):
-            out[:, i, j] = out[:, j, i] = component(i, j)
+            fill(i, j, out[:, i, j])
+            out[:, j, i] = out[:, i, j]
     return out
 
 
@@ -326,9 +375,15 @@ def a_convolve(grid, spec, g):
     Returns (size, N, N), symmetric: one forward transform of g and one
     inverse per component i <= j.
     """
-    shape, spectra = _table_spectra(grid, spec)
-    g_hat = _forward(g, shape)
-    return _symmetric(grid, lambda i, j: _quadrature(grid, spectra[(i, j)] * g_hat, shape))
+    lay = _layout(grid, spec)
+    spectra = lay.a_spectra()
+    g_hat = _forward(g, lay.shape, out=lay.field_hat[0])
+
+    def fill(i, j, column):
+        np.multiply(spectra[(i, j)], g_hat, out=lay.product)
+        _quadrature(grid, lay.product, lay.shape, out=column)
+
+    return _symmetric(grid, fill)
 
 
 def a_contract(grid, spec, g):
@@ -337,21 +392,26 @@ def a_contract(grid, spec, g):
     Returns (size, N): one forward transform per component of g, the sum
     over j taken on the spectra, and one inverse per component i.
     """
-    shape, spectra = _table_spectra(grid, spec)
-    g_hat = [_forward(comp, shape) for comp in g]
+    lay = _layout(grid, spec)
+    spectra = lay.a_spectra()
+    g_hat = [_forward(comp, lay.shape, out=buf) for comp, buf in zip(g, lay.field_hat)]
     out = np.empty((grid.size, grid.dim))
+    acc = lay.product
     for i in range(grid.dim):
-        acc = sum(spectra[(i, j)] * g_hat[j] for j in range(grid.dim))
-        out[:, i] = _quadrature(grid, acc, shape)
+        acc.fill(0)  # the sum starts from 0, which sets the signs of zeros
+        for j in range(grid.dim):
+            acc += np.multiply(spectra[(i, j)], g_hat[j], out=lay.term)
+        _quadrature(grid, acc, lay.shape, out=out[:, i])
     return out
 
 
 def psi_convolve(grid, spec, g):
-    """psi*g for a scalar field g, flattened and uncached; the source cell
-    w = v is dropped."""
-    shape = _padded_shape(grid)
-    table = _difference_grid(grid, spec)[2]
-    return _quadrature(grid, _forward(table, shape) * _forward(g, shape), shape)
+    """psi*g for a scalar field g, flattened; the source cell w = v is
+    dropped."""
+    lay = _layout(grid, spec)
+    psi_hat = lay.psi_spectrum()
+    g_hat = _forward(g, lay.shape, out=lay.field_hat[0])
+    return _quadrature(grid, np.multiply(psi_hat, g_hat, out=lay.product), lay.shape)
 
 
 def _convolve_direct(table, fvals):
@@ -379,6 +439,8 @@ def collision_coefficients(f, spec, method="fft"):
     if method == "fft":
         return CollisionCoefficients(A=a_convolve(grid, spec, fg))
     tabs = _a_tables(grid, spec)
-    return CollisionCoefficients(A=_symmetric(
-        grid, lambda i, j: grid.cell_volume * _convolve_direct(tabs[(i, j)], fg).ravel()
-    ))
+
+    def fill(i, j, column):
+        column[:] = grid.cell_volume * _convolve_direct(tabs[(i, j)], fg).ravel()
+
+    return CollisionCoefficients(A=_symmetric(grid, fill))

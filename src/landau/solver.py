@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .functionals import entropy_dissipation, moments, weighted_fisher, weighted_lp
 from .grid import EPS_FLOOR, _gradient_nd
-from .kernels import a_contract, collision_coefficients
+from .kernels import CollisionCoefficients, a_contract, collision_coefficients
 
 CFL_SAFETY = 0.4
 
@@ -252,12 +252,21 @@ def _limit_fluxes(grid, fluxes, fg, dt):
     return fluxes
 
 
-def _face_fluxes(f, spec, coeffs=None, conservative=True, dt=None):
-    """Face fluxes of the flux-form scheme.
+@dataclass
+class _Fields:
+    """The coefficient field A = a*f of one state and its unlimited face
+    fluxes, with their diffusive part."""
 
-    Returns (fluxes, diffusive) where `fluxes` are the final per-axis face
-    fluxes (after the optional positivity limiter and conservative
-    projection) and `diffusive` is the pure sum_j A_dj d_j f part, kept so
+    coeffs: CollisionCoefficients
+    fluxes: list
+    diffusive: list
+
+
+def _face_fluxes(f, spec, coeffs=None):
+    """Face fluxes of the flux-form scheme, before the positivity limiter
+    and the conservative projection.
+
+    `diffusive` is the pure sum_j A_dj d_j f part of `fluxes`, kept so
     energy-balance diagnostics can split the diffusive and drift content of
     the exact discrete rate.
     """
@@ -286,14 +295,10 @@ def _face_fluxes(f, spec, coeffs=None, conservative=True, dt=None):
         diffusive.append(flux.copy())
         flux -= _face_mean(Bg[..., d], d) * _face_mean(fg, d)
         fluxes.append(flux)
-    if dt is not None:
-        fluxes = _limit_fluxes(grid, fluxes, fg, dt)
-    if conservative:
-        fluxes = _project_conservative(grid, fluxes, fg)
-    return fluxes, diffusive
+    return _Fields(coeffs, fluxes, diffusive)
 
 
-def assemble_operator(f, spec, coeffs=None, conservative=True, dt=None):
+def assemble_operator(f, spec, coeffs=None, conservative=True, dt=None, fluxes=None):
     """Flux-form right-hand side Q(f) sampled at nodes (flat array).
 
     flux_i = sum_j A_ij d_j f - B_i f with face-centered discretization:
@@ -302,12 +307,19 @@ def assemble_operator(f, spec, coeffs=None, conservative=True, dt=None):
     roundoff (exact mass).  When a step size dt is given, face fluxes are
     capped by the donor-cell positivity bound for that dt.  With
     `conservative`, fluxes are then projected so the discrete momentum and
-    energy rates vanish exactly.
+    energy rates vanish exactly.  `fluxes` are the state's unlimited face
+    fluxes when they are already made.
     """
     grid = f.grid
     dim, h = grid.dim, grid.h
     fg = f.reshaped()
-    fluxes, _ = _face_fluxes(f, spec, coeffs=coeffs, conservative=conservative, dt=dt)
+    if fluxes is None:
+        fluxes = _face_fluxes(f, spec, coeffs=coeffs).fluxes
+    fluxes = list(fluxes)  # the limiter and the projection replace entries
+    if dt is not None:
+        fluxes = _limit_fluxes(grid, fluxes, fg, dt)
+    if conservative:
+        fluxes = _project_conservative(grid, fluxes, fg)
     out = np.zeros(grid.shape)
     for d in range(dim):
         # node k gains F_(k+1/2) - F_(k-1/2); boundary faces carry no flux
@@ -339,13 +351,14 @@ def assemble_operator_nonparabolic(f, spec):
     return out
 
 
-def _advance(f, spec, dt, scheme, coeffs=None):
-    """One explicit step; returns (new distribution, clipped mass fraction)."""
+def _advance(f, spec, dt, scheme, fields):
+    """One explicit step from f, whose `_face_fluxes` are `fields`; returns
+    (new distribution, clipped mass fraction)."""
     if scheme == "euler":
-        rhs = assemble_operator(f, spec, coeffs=coeffs, dt=dt)
+        rhs = assemble_operator(f, spec, dt=dt, fluxes=fields.fluxes)
         new = f.values + dt * rhs
     elif scheme == "heun":
-        k1 = assemble_operator(f, spec, coeffs=coeffs, dt=dt)
+        k1 = assemble_operator(f, spec, dt=dt, fluxes=fields.fluxes)
         mid = f.with_values(np.maximum(f.values + dt * k1, 0.0))
         k2 = assemble_operator(mid, spec, dt=dt)
         new = f.values + 0.5 * dt * (k1 + k2)
@@ -366,7 +379,7 @@ def step(f, spec, dt, scheme="euler"):
         raise ValidationError(
             f"dt = {dt} exceeds the parabolic stability bound {bound}"
         )
-    new, _ = _advance(f, spec, dt, scheme, coeffs=coeffs)
+    new, _ = _advance(f, spec, dt, scheme, _face_fluxes(f, spec, coeffs))
     return new
 
 
@@ -437,15 +450,16 @@ class TimeSeries:
     snapshots: list = field(default_factory=list)  # (t, state) at cadence
 
 
-def _heavy_diagnostics(f, config, rec):
-    rec.dissipation = entropy_dissipation(f, config.spec, form="projected")
+def _heavy_diagnostics(f, config, rec, fields):
+    rec.dissipation = entropy_dissipation(f, config.spec, form="projected",
+                                          coeffs=fields.coeffs)
     ms = moments(f, config.l_list)
     rec.moments_l = dict(ms.moments)
     g1 = config.resolved_gamma1()
     rec.fisher_w = weighted_fisher(f, g1)
     rec.l3w_norm = weighted_lp(f, 3.0, min(g1, -2.0))
     for k in config.k_list:
-        diss, drift, net = lp_energy_balance(f, config.spec, k)
+        diss, drift, net = lp_energy_balance(f, config.spec, k, fields)
         rec.lp_net[k] = net
 
 
@@ -455,8 +469,14 @@ def run(f0, config):
     Cheap conserved quantities and the entropy are recorded every step;
     pair-sum diagnostics (dissipation, weighted norms, L^p balance) at the
     configured cadence and at both endpoints.
+
+    Each state gets one coefficient field: A = a*f and the unlimited face
+    fluxes with their drift are made once, right after the state, and
+    serve the step from it, its entropy dissipation and its L^p balance
+    for every k.
     """
     f = f0
+    fields = _face_fluxes(f, config.spec)
     t = 0.0
     cadence = config.resolved_cadence()
     records = []
@@ -472,24 +492,24 @@ def run(f0, config):
         )
 
     rec = make_record(0, 0.0)
-    _heavy_diagnostics(f, config, rec)
+    _heavy_diagnostics(f, config, rec, fields)
     prev_heavy = (t, rec.dissipation, rec.l3w_norm)
     records.append(rec)
     snapshots = [(t, f)] if config.keep_snapshots else []
 
     for istep in range(1, config.steps + 1):
-        coeffs = collision_coefficients(f, config.spec)
-        bound = stability_dt(coeffs, f.grid.h)
+        bound = stability_dt(fields.coeffs, f.grid.h)
         dt = bound if config.dt == "auto" else float(config.dt)
         if dt > bound * (1.0 + 1e-9):
             raise ValidationError(
                 f"dt = {dt} exceeds the parabolic stability bound {bound}"
             )
-        f, clipped = _advance(f, config.spec, dt, config.scheme, coeffs=coeffs)
+        f, clipped = _advance(f, config.spec, dt, config.scheme, fields)
+        fields = _face_fluxes(f, config.spec)
         t += dt
         rec = make_record(istep, clipped)
         if istep % cadence == 0 or istep == config.steps:
-            _heavy_diagnostics(f, config, rec)
+            _heavy_diagnostics(f, config, rec, fields)
             t0, d0, l0 = prev_heavy
             d_int += 0.5 * (d0 + rec.dissipation) * (t - t0)
             l3_int += 0.5 * (l0 + rec.l3w_norm) * (t - t0)
@@ -557,7 +577,7 @@ def weak_form_rhs(f, spec, phi, with_scale=False):
     return (total, gross) if with_scale else total
 
 
-def lp_energy_balance(f, spec, k):
+def lp_energy_balance(f, spec, k, fields=None):
     """Terms of the L^(k+1) energy identity.
 
     dissipation = k int f^(k-1) sum_ij (a_ij*f) d_i f d_j f
@@ -569,12 +589,16 @@ def lp_energy_balance(f, spec, k):
     scheme's own face fluxes via summation by parts), so `net` is the
     rate the discrete dynamics actually impose on int f^(k+1)/(k+1); the
     conservative-projection correction is accounted in the drift term.
+    `fields` are the `_face_fluxes` of f when they are already made.
     """
     if k <= 0:
         raise ValidationError(f"k must be > 0, got {k}")
     grid = f.grid
-    fluxes, diffusive = _face_fluxes(f, spec)
+    if fields is None:
+        fields = _face_fluxes(f, spec)
     fg = f.reshaped()
+    fluxes = _project_conservative(grid, list(fields.fluxes), fg)
+    diffusive = fields.diffusive
     fk = np.where(fg > EPS_FLOOR, fg, 0.0) ** k if k != 1.0 else fg
     cv = grid.cell_volume
     diss = 0.0

@@ -125,9 +125,9 @@ class TestCollisionCoefficients:
         calls = []
         forward = landau.kernels._forward
 
-        def counted(g, shape):
+        def counted(g, shape, out=None):
             calls.append(shape)  # the padded transform shape
-            return forward(g, shape)
+            return forward(g, shape, out=out)
 
         monkeypatch.setattr(landau.kernels, "_forward", counted)
         rng = np.random.default_rng(2)

@@ -20,6 +20,7 @@ from landau.kernels import (
     _quadrature,
     a_contract,
     a_convolve,
+    psi_convolve,
 )
 from landau.solver import assemble_operator
 
@@ -106,7 +107,11 @@ def test_forward_is_rfftn(layout):
     rng = np.random.default_rng(seed)
     for m in (n, 2 * n - 1):  # a field and a difference table
         g = rng.standard_normal((m,) * dim)
-        assert np.array_equal(_forward(g, shape), scipy.fft.rfftn(g, shape))
+        ref = scipy.fft.rfftn(g, shape)
+        assert np.array_equal(_forward(g, shape), ref)
+        # a reused buffer: whatever it held is overwritten or zeroed
+        dirty = np.full(ref.shape, np.nan, dtype=complex)
+        assert np.array_equal(_forward(g, shape, out=dirty), ref)
 
 
 @exact
@@ -125,6 +130,29 @@ def test_quadrature_is_valid_slice_of_irfftn(layout):
     ref = grid.cell_volume * full[(slice(n - 1, 2 * n - 1),) * dim].ravel()
     # _quadrature overwrites the spectrum, so the reference comes first
     assert np.array_equal(_quadrature(grid, spectrum, shape), ref)
+
+
+@exact
+@given(layouts)
+@example((2, 5, 0))
+@example((3, 5, 1))
+@example((2, 8, 2))
+@example((3, 8, 3))
+def test_engine_results_do_not_depend_on_earlier_calls(layout):
+    # the engine reuses its work buffers from call to call
+    dim, n, seed = layout
+    grid = build_grid(dim, 3.0, n)
+    rng = np.random.default_rng(seed)
+
+    def results(field):  # field[0] scalar, field[1:] a vector field
+        return (a_convolve(grid, SPEC, field[0]), a_contract(grid, SPEC, field[1:]),
+                psi_convolve(grid, SPEC, field[0]))
+
+    x, y = (rng.standard_normal((dim + 1,) + grid.shape) for _ in range(2))
+    first = results(x)
+    results(y)
+    for again, ref in zip(results(x), first):
+        assert np.array_equal(again, ref)
 
 
 @exact

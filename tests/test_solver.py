@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import landau.kernels
+
 from landau.errors import ValidationError
 from landau.families import DistributionSpec, generate_distribution
 from landau.functionals import entropy_dissipation, moments
-from landau.grid import DiscreteDistribution, build_grid
+from landau.grid import EPS_FLOOR, DiscreteDistribution, build_grid
 from landau.kernels import CoulombPsi, PowerLawPsi, collision_coefficients
 from landau.solver import (
     SolverConfig,
@@ -288,3 +290,58 @@ class TestRun:
     def test_dissipation_integral_positive(self, series):
         assert series.dissipation_integral > 0.0
         assert math.isfinite(series.l3w_integral)
+
+
+class TestStateFields:
+    """A run makes one coefficient field per state and hands it to the step
+    from the state and to the heavy diagnostics at it."""
+
+    @staticmethod
+    def relax(f0, k_list=(1.0, 2.0)):
+        cfg = SolverConfig(spec=SPEC, steps=4, cadence=2, k_list=k_list,
+                           keep_snapshots=True)
+        return run(f0, cfg)
+
+    @staticmethod
+    def assert_diagnostics_reproduced(series):
+        heavy = [r for r in series.records if not math.isnan(r.dissipation)]
+        assert [r.t for r in heavy] == [t for t, _ in series.snapshots]
+        for rec, (_, s) in zip(heavy, series.snapshots):
+            assert rec.dissipation == entropy_dissipation(s, SPEC)
+            for k in series.config.k_list:
+                assert rec.lp_net[k] == lp_energy_balance(s, SPEC, k)[2]
+
+    def test_diagnostics_equal_standalone_calls(self):
+        f0 = random_state(build_grid(3, 3.0, 8), np.random.default_rng(17))
+        series = self.relax(f0)
+        assert all(np.all(s.values > EPS_FLOOR) for _, s in series.snapshots)
+        self.assert_diagnostics_reproduced(series)
+
+    def test_floored_nodes_fall_back_to_a_star_F(self):
+        # D convolves the masked F, not f; at this scale F leaves out a
+        # share of the mass, so a*F is far from A = a*f
+        grid = build_grid(3, 3.0, 8)
+        f0 = DiscreteDistribution(
+            grid, EPS_FLOOR * np.random.default_rng(19).uniform(0.5, 1.5, grid.size))
+        series = self.relax(f0)
+        for _, s in series.snapshots:
+            assert 0 < np.count_nonzero(s.values <= EPS_FLOOR) < grid.size
+        self.assert_diagnostics_reproduced(series)
+
+    @pytest.mark.parametrize("k_list", [(1.0,), (1.0, 2.0)])
+    def test_transform_budget(self, monkeypatch, k_list):
+        calls = []
+        for name in ("_forward", "_quadrature"):
+            def counted(*args, _fn=getattr(landau.kernels, name), **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(landau.kernels, name, counted)
+        monkeypatch.setattr(landau.kernels, "_LAYOUT", {})  # the tables start cold
+        f0 = random_state(build_grid(3, 3.0, 8), np.random.default_rng(17))
+        series = self.relax(f0, k_list)
+        steps = series.records[-1].step
+        heavy = len(series.snapshots)
+        # per state A (1 + 6) and the drift (3 + 3); per heavy sample the
+        # a_contract of D; the six a_ij tables once
+        assert len(calls) == (steps + 1) * 13 + heavy * 6 + 6

@@ -19,7 +19,6 @@ from .grid import (
 )
 from .kernels import (
     BracketedPsi,
-    CollisionCoefficients,
     CoulombPsi,
     PowerLawPsi,
     collision_coefficients,

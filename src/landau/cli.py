@@ -360,13 +360,6 @@ def _solver_config_from_json(cfg, psi):
         raise ConfigError(f"unknown solve config keys {unknown}")
     kwargs = {key: cfg[key] for key in SOLVER_CONFIG_KEYS if key in cfg}
     try:
-        for key in ("l_list", "k_list"):
-            if key in kwargs:
-                kwargs[key] = tuple(float(x) for x in kwargs[key])
-        if "dt" in kwargs and kwargs["dt"] != "auto":
-            kwargs["dt"] = float(kwargs["dt"])
-        if kwargs.get("gamma1") is not None:
-            kwargs["gamma1"] = float(kwargs["gamma1"])
         return SolverConfig(spec=psi, **kwargs)
     except (TypeError, ValueError) as exc:  # ValidationError is a ValueError
         raise ConfigError(f"bad solve config: {exc}")
@@ -408,19 +401,10 @@ def cmd_solve(args):
     init_cfg = cfg.get("initial")
     if not isinstance(init_cfg, dict):
         raise ConfigError("'initial' distribution spec required")
-    if init_cfg.get("kind") == "custom_file":
-        try:
-            path = init_cfg["params"]["path"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"bad initial state file: {exc}")
-        f0 = _load_state(path)
-        if not f0.grid.same_layout(grid):
-            raise ConfigError("custom initial state does not match the grid config")
-    else:
-        try:
-            f0 = generate_distribution(DistributionSpec.from_json_dict(init_cfg), grid)
-        except (KeyError, TypeError, ValueError, OSError) as exc:
-            raise ConfigError(f"bad initial condition: {exc}")
+    try:
+        f0 = generate_distribution(DistributionSpec.from_json_dict(init_cfg), grid)
+    except (KeyError, TypeError, ValueError, OSError, NumericError, ResourceError) as exc:
+        raise ConfigError(f"bad initial condition: {exc}")
 
     try:
         series = run(f0, config)

@@ -139,7 +139,7 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
     G = np.where(mask[:, None], f.values[:, None] * xi, 0.0)
     H = G[:, :, None] * xi[:, None, :]
     if coeffs is not None and mask.all():
-        aF = coeffs.A
+        aF = coeffs
     else:
         aF = a_convolve(grid, spec, F.reshape(grid.shape))
     aG = a_contract(grid, spec, G.T.reshape((grid.dim,) + grid.shape))
@@ -150,8 +150,8 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
 def entropy_dissipation(f, spec, form="projected", coeffs=None):
     """Entropy-dissipation pair quadrature in either equivalent form.
 
-    `coeffs`, the collision coefficients A = a*f of f when already made,
-    can spare the projected form one convolution.
+    `coeffs`, the (size, N, N) coefficient field A = a*f of f when already
+    made, can spare the projected form one convolution.
     """
     if form not in ("projected", "pairdiff"):
         raise ValidationError(f"unknown form {form!r}")

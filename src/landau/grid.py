@@ -64,10 +64,6 @@ class VelocityGrid:
         self.sq_norm.flags.writeable = False
 
     @property
-    def nodes_per_axis(self):
-        return self.n
-
-    @property
     def cell_volume(self):
         return self.h ** self.dim
 

@@ -209,17 +209,6 @@ def projection(z):
     return np.eye(z.size) - np.outer(z, z) / rsq
 
 
-@dataclass
-class CollisionCoefficients:
-    """Diffusion matrix A = a*f at the grid nodes, shape (size, N, N),
-    symmetric positive semidefinite at every node."""
-
-    A: np.ndarray
-
-    def max_diffusion_eigenvalue(self):
-        return float(np.max(np.linalg.eigvalsh(self.A)))
-
-
 def _difference_grid(grid, spec):
     """z components, |z|^2 (1 at z = 0) and psi(|z|) (0 at z = 0) on the
     (2n-1)^N difference grid; entry d is z = (d - (n-1)) * h componentwise."""
@@ -272,15 +261,14 @@ def _padded_shape(grid):
 def _forward(g, shape, out=None):
     """Real spectrum of g zero-padded to `shape`, shape[:-1] + (P//2+1,).
 
-    Written into `out` when given, whatever it held: only the padding the
-    passes read is zeroed again, since the passes overwrite the rest.
+    Written into `out` when given, whatever it held, or a fresh array: only
+    the padding the passes read is zeroed, since the passes overwrite the rest.
     """
     data = tuple(slice(m) for m in g.shape[:-1])
     if out is None:
-        out = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
-    else:
-        for ax in range(g.ndim - 1):
-            out[(slice(None),) * ax + (slice(g.shape[ax], None),) + data[ax + 1:]] = 0
+        out = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    for ax in range(g.ndim - 1):
+        out[(slice(None),) * ax + (slice(g.shape[ax], None),) + data[ax + 1:]] = 0
     np.fft.rfft(g, shape[-1], axis=-1, out=out[data])
     for ax in range(g.ndim - 1):
         part = out[(slice(None),) * (ax + 1) + data[ax + 1:]]
@@ -427,7 +415,8 @@ def _convolve_direct(table, fvals):
 
 
 def collision_coefficients(f, spec, method="fft"):
-    """Assemble A = a*f at every node by quadrature.
+    """The diffusion matrix A = a*f at every node by quadrature: shape
+    (size, N, N), symmetric positive semidefinite at every node.
 
     `method="fft"` runs the convolution engine; `method="direct"` is the
     exact-summation reference (O(M^2), for small grids and testing), which
@@ -437,10 +426,10 @@ def collision_coefficients(f, spec, method="fft"):
         raise ValidationError(f"unknown method {method!r}")
     grid, fg = f.grid, f.reshaped()
     if method == "fft":
-        return CollisionCoefficients(A=a_convolve(grid, spec, fg))
+        return a_convolve(grid, spec, fg)
     tabs = _a_tables(grid, spec)
 
     def fill(i, j, column):
         column[:] = grid.cell_volume * _convolve_direct(tabs[(i, j)], fg).ravel()
 
-    return CollisionCoefficients(A=_symmetric(grid, fill))
+    return _symmetric(grid, fill)

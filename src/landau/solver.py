@@ -3,12 +3,12 @@ equation in flux form, the symmetrized weak form, and diagnostic identities.
 
 The collision operator is assembled as
 
-    Q(f) = div_v ( A grad f - B f ),    A = a*f,  B = b*f,
+    Q(f) = div_v ( A grad f - B f ),    A = a*f,  B_i = sum_j a_ij*(d_j f),
 
-with face-centered fluxes: arithmetic-mean coefficients at faces, centered
-normal derivative, and centered drift.  Fluxes through the domain boundary
-are zero, so the per-step total of f telescopes and mass is conserved
-exactly.
+with face-centered fluxes: arithmetic-mean coefficients at faces, the
+compact difference of f across a face as its normal derivative, and
+face-mean drift.  Fluxes through the domain boundary are zero, so the
+per-step total of f telescopes and mass is conserved exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .functionals import entropy_dissipation, moments, weighted_fisher, weighted_lp
 from .grid import EPS_FLOOR, _gradient_nd
-from .kernels import CollisionCoefficients, a_contract, collision_coefficients
+from .kernels import a_contract, collision_coefficients
 
 CFL_SAFETY = 0.4
 
@@ -155,27 +155,31 @@ class TestFunction:
 # operator assembly and stepping
 
 
+def _sides(arr, d):
+    """Views (lo, hi) of arr on either side of the faces normal to axis d:
+    the face between nodes k and k+1 has lo[k] and hi[k]."""
+    lead = (slice(None),) * d
+    return arr[lead + (slice(0, -1),)], arr[lead + (slice(1, None),)]
+
+
 def _face_mean(arr, axis):
-    lo = [slice(None)] * arr.ndim
-    hi = [slice(None)] * arr.ndim
-    lo[axis], hi[axis] = slice(0, -1), slice(1, None)
-    return 0.5 * (arr[tuple(lo)] + arr[tuple(hi)])
+    lo, hi = _sides(arr, axis)
+    return 0.5 * (lo + hi)
 
 
 def _face_diff(arr, axis, h):
-    lo = [slice(None)] * arr.ndim
-    hi = [slice(None)] * arr.ndim
-    lo[axis], hi[axis] = slice(0, -1), slice(1, None)
-    return (arr[tuple(hi)] - arr[tuple(lo)]) / h
+    lo, hi = _sides(arr, axis)
+    return (hi - lo) / h
 
 
 def stability_dt(coeffs, h):
-    """Explicit parabolic bound CFL_SAFETY * h^2 / max_v trace(A(v)).
+    """Explicit parabolic bound CFL_SAFETY * h^2 / max_v trace(A(v)) for the
+    (size, N, N) coefficient field A = `coeffs`.
 
     The trace bounds the axis-summed diffusion stiffness of the full-tensor
     stencil, which is what limits an explicit step in several dimensions.
     """
-    tr = float(np.max(np.trace(coeffs.A, axis1=1, axis2=2)))
+    tr = float(np.max(np.trace(coeffs, axis1=1, axis2=2)))
     if tr <= 0:
         return math.inf
     return CFL_SAFETY * h * h / tr
@@ -202,12 +206,7 @@ def _project_conservative(grid, fluxes, fg):
     an empty cell and cannot push those cells negative.
     """
     dim = grid.dim
-    weights = []
-    for d in range(dim):
-        lo = [slice(None)] * dim
-        hi = [slice(None)] * dim
-        lo[d], hi[d] = slice(0, -1), slice(1, None)
-        weights.append(np.minimum(fg[tuple(lo)], fg[tuple(hi)]))
+    weights = [np.minimum(*_sides(fg, d)) for d in range(dim)]
     vface = [np.broadcast_to(_face_coord(grid, d), weights[d].shape) for d in range(dim)]
     mat = np.zeros((dim + 1, dim + 1))
     rhs = np.zeros(dim + 1)
@@ -242,22 +241,18 @@ def _limit_fluxes(grid, fluxes, fg, dt):
     dim, h = grid.dim, grid.h
     cap = h / (2.0 * dim * dt)
     for d in range(dim):
-        lo = [slice(None)] * dim
-        hi = [slice(None)] * dim
-        lo[d], hi[d] = slice(0, -1), slice(1, None)
+        lo, hi = _sides(fg, d)
         # positive flux donates from the hi cell, negative from the lo cell
-        fluxes[d] = np.clip(
-            fluxes[d], -cap * fg[tuple(lo)], cap * fg[tuple(hi)]
-        )
+        fluxes[d] = np.clip(fluxes[d], -cap * lo, cap * hi)
     return fluxes
 
 
 @dataclass
 class _Fields:
-    """The coefficient field A = a*f of one state and its unlimited face
-    fluxes, with their diffusive part."""
+    """The coefficient field A = a*f of one state, shape (size, N, N), and
+    its unlimited face fluxes, with their diffusive part."""
 
-    coeffs: CollisionCoefficients
+    A: np.ndarray
     fluxes: list
     diffusive: list
 
@@ -276,7 +271,7 @@ def _face_fluxes(f, spec, coeffs=None):
     dim, h = grid.dim, grid.h
     fg = f.reshaped()
     gradf = _gradient_nd(fg, h)
-    Ag = coeffs.A.reshape(grid.shape + (dim, dim))
+    Ag = coeffs.reshape(grid.shape + (dim, dim))
     # Drift B_i = sum_j a_ij*(d_j f), the identity b*f = a*grad f with the
     # discrete gradient: the flux then vanishes when grad f is parallel to
     # v f, which keeps the equilibrium residual at the quadrature level.
@@ -323,11 +318,9 @@ def assemble_operator(f, spec, coeffs=None, conservative=True, dt=None, fluxes=N
     out = np.zeros(grid.shape)
     for d in range(dim):
         # node k gains F_(k+1/2) - F_(k-1/2); boundary faces carry no flux
-        lo = [slice(None)] * dim
-        hi = [slice(None)] * dim
-        lo[d], hi[d] = slice(0, -1), slice(1, None)
-        out[tuple(lo)] += fluxes[d] / h
-        out[tuple(hi)] -= fluxes[d] / h
+        lo, hi = _sides(out, d)
+        lo += fluxes[d] / h
+        hi -= fluxes[d] / h
     return out.ravel()
 
 
@@ -343,7 +336,7 @@ def assemble_operator_nonparabolic(f, spec):
     fg = f.reshaped()
     gradf = _gradient_nd(fg, h)
     out = 8.0 * math.pi * f.values * f.values
-    Ag = coeffs.A.reshape(grid.shape + (dim, dim))
+    Ag = coeffs.reshape(grid.shape + (dim, dim))
     for i in range(dim):
         second = _gradient_nd(gradf[i], h)
         for j in range(dim):
@@ -370,16 +363,24 @@ def _advance(f, spec, dt, scheme, fields):
     return f.with_values(np.maximum(new, 0.0)), frac
 
 
-def step(f, spec, dt, scheme="euler"):
-    """Advance one explicit step of size dt, validating dt and the stability bound."""
-    _check_dt(dt)
-    coeffs = collision_coefficients(f, spec)
-    bound = stability_dt(coeffs, f.grid.h)
+def _step_size(dt, A, h):
+    """The step from a state with coefficient field A: the stability bound
+    for dt = "auto", else dt, which must not exceed that bound."""
+    bound = stability_dt(A, h)
+    if dt == "auto":
+        return bound
     if dt > bound * (1.0 + 1e-9):
         raise ValidationError(
             f"dt = {dt} exceeds the parabolic stability bound {bound}"
         )
-    new, _ = _advance(f, spec, dt, scheme, _face_fluxes(f, spec, coeffs))
+    return float(dt)
+
+
+def step(f, spec, dt, scheme="euler"):
+    """Advance one explicit step of size dt, validating dt and the stability bound."""
+    _check_dt(dt)
+    fields = _face_fluxes(f, spec)
+    new, _ = _advance(f, spec, _step_size(dt, fields.A, f.grid.h), scheme, fields)
     return new
 
 
@@ -387,10 +388,24 @@ def _is_int(x):
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_real(x):
+    """x is a finite real number and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _check_dt(dt):
-    if not (isinstance(dt, numbers.Real) and not isinstance(dt, bool)
-            and math.isfinite(dt) and dt > 0):
+    if not (_is_real(dt) and dt > 0):
         raise ValidationError(f"dt must be 'auto' or a finite number > 0, got {dt!r}")
+
+
+def _real_tuple(name, values, positive=False):
+    """values, a list or tuple of finite real numbers (> 0 if `positive`)
+    that are not bools, as a tuple of floats."""
+    if not (isinstance(values, (list, tuple))
+            and all(_is_real(x) and (x > 0 or not positive) for x in values)):
+        bound = " > 0" if positive else ""
+        raise ValidationError(f"{name} must be a list of finite numbers{bound}, got {values!r}")
+    return tuple(float(x) for x in values)
 
 
 @dataclass
@@ -414,6 +429,12 @@ class SolverConfig:
             raise ValidationError(f"cadence must be an integer >= 0, got {self.cadence!r}")
         if self.scheme not in ("euler", "heun"):
             raise ValidationError(f"scheme must be 'euler' or 'heun', got {self.scheme!r}")
+        self.l_list = _real_tuple("l_list", self.l_list)
+        self.k_list = _real_tuple("k_list", self.k_list, positive=True)
+        if self.gamma1 is not None:
+            if not _is_real(self.gamma1):
+                raise ValidationError(f"gamma1 must be null or a finite number, got {self.gamma1!r}")
+            self.gamma1 = float(self.gamma1)
 
     def resolved_cadence(self):
         return self.cadence if self.cadence > 0 else max(1, self.steps // 20)
@@ -452,7 +473,7 @@ class TimeSeries:
 
 def _heavy_diagnostics(f, config, rec, fields):
     rec.dissipation = entropy_dissipation(f, config.spec, form="projected",
-                                          coeffs=fields.coeffs)
+                                          coeffs=fields.A)
     ms = moments(f, config.l_list)
     rec.moments_l = dict(ms.moments)
     g1 = config.resolved_gamma1()
@@ -498,12 +519,7 @@ def run(f0, config):
     snapshots = [(t, f)] if config.keep_snapshots else []
 
     for istep in range(1, config.steps + 1):
-        bound = stability_dt(fields.coeffs, f.grid.h)
-        dt = bound if config.dt == "auto" else float(config.dt)
-        if dt > bound * (1.0 + 1e-9):
-            raise ValidationError(
-                f"dt = {dt} exceeds the parabolic stability bound {bound}"
-            )
+        dt = _step_size(config.dt, fields.A, f.grid.h)
         f, clipped = _advance(f, config.spec, dt, config.scheme, fields)
         fields = _face_fluxes(f, config.spec)
         t += dt

@@ -7,6 +7,8 @@ stability exit code and one argparse error.
 
 import csv
 import json
+import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -20,10 +22,16 @@ from landau.families import DistributionSpec, generate_distribution
 from landau.grid import DiscreteDistribution, build_grid
 
 
+# child interpreters import the package from this checkout, as the tests do
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "landau", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
 
 
@@ -307,6 +315,8 @@ class TestSolve:
         {"initial": {"kind": "mixture", "params": {"components": [
             {"kind": "maxwellian"},
             {"kind": "custom_file", "params": {"path": "no_such_state.json"}}]}}},
+        {"l_list": "12"}, {"gamma1": math.nan}, {"k_list": [math.inf]}, {"k_list": [0]},
+        {"dt": True}, {"l_list": [math.nan]}, {"dt": "1e-4"},
     ])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, override):
         _, raw = self.write_config(tmp_path, nodes=8)
@@ -315,6 +325,47 @@ class TestSolve:
         p.write_text(json.dumps(raw))
         assert_usage_error(capsys, "solve", "--config", p, "--out-dir", tmp_path / "r",
                            out=tmp_path / "r")
+
+    def custom_initial(self, tmp_path, state, normalize=False):
+        """A solve config (8^3, L = 5) starting from the stored `state`."""
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        _, raw = self.write_config(tmp_path, steps=2, nodes=8)
+        raw["initial"] = {"kind": "custom_file", "params": {"path": str(path)},
+                          "normalize": normalize}
+        p = tmp_path / "custom.json"
+        p.write_text(json.dumps(raw))
+        return p
+
+    def test_custom_initial_layout_mismatch_is_usage_error(self, stored_maxwellian,
+                                                           tmp_path, capsys):
+        state = json.loads(pathlib.Path(stored_maxwellian).read_text())  # 12^3
+        p = self.custom_initial(tmp_path, state)
+        assert_usage_error(capsys, "solve", "--config", p, "--out-dir", tmp_path / "r",
+                           out=tmp_path / "r")
+
+    def test_custom_initial_non_finite_is_usage_error(self, tmp_path, capsys):
+        values = [1e-3] * 8**3
+        values[100] = math.nan
+        state = {"dim": 3, "half_width": 5.0, "nodes_per_axis": 8, "values": values}
+        p = self.custom_initial(tmp_path, state)
+        assert_usage_error(capsys, "solve", "--config", p, "--out-dir", tmp_path / "r",
+                           out=tmp_path / "r")
+
+    def test_custom_initial_normalized(self, tmp_path, capsys):
+        # a stored state of mass 2 starts the run at mass 1, as in verify
+        grid = build_grid(3, 5.0, 8)
+        f = generate_distribution(DistributionSpec(
+            "bimaxwellian", {"separation": 1.6, "temperature": 0.6}, normalize=True), grid)
+        state = f.with_values(2.0 * f.values).to_json_dict()
+        out = tmp_path / "r"
+        for normalize, mass in ((False, 2.0), (True, 1.0)):
+            p = self.custom_initial(tmp_path, state, normalize=normalize)
+            assert main(["solve", "--config", str(p), "--out-dir", str(out)]) == 0
+            with open(out / "diagnostics.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert float(rows[0]["mass"]) == pytest.approx(mass, rel=1e-12)
+        capsys.readouterr()
 
     def test_missing_initial_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -349,7 +400,8 @@ class TestTopLevel:
     def test_import_loads_no_scipy(self):
         code = ("import sys, landau.cli; "
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=CHILD_ENV)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
 

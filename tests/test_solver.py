@@ -78,6 +78,29 @@ class TestStability:
         assert vals[0] / vals[1] == pytest.approx(4.0, rel=0.3)
 
 
+class TestTimeOrder:
+    def test_heun_second_order_euler_first(self):
+        # self-convergence to T = 2 x the stability bound against a
+        # 64-substep Heun run: halving dt divides the L^1 error by about 4
+        # for Heun and by about 2 for Euler
+        grid = build_grid(3, 4.0, 10)
+        f0 = bimodal(grid)
+        T = 2.0 * stability_dt(collision_coefficients(f0, SPEC), grid.h)
+
+        def solve(scheme, substeps):
+            f = f0
+            for _ in range(substeps):
+                f = step(f, SPEC, T / substeps, scheme)
+            return f.values
+
+        ref = solve("heun", 64)
+        for scheme, lo, hi in (("heun", 3.0, math.inf), ("euler", 1.5, 2.5)):
+            errs = [grid.cell_volume * float(np.sum(np.abs(solve(scheme, m) - ref)))
+                    for m in (4, 8, 16)]
+            for coarse, fine in zip(errs, errs[1:]):
+                assert lo < coarse / fine < hi, (scheme, errs)
+
+
 class TestConservation:
     def test_mass_exact_per_step(self):
         grid = build_grid(3, 5.0, 12)
@@ -122,7 +145,7 @@ class TestConsistency:
         # for the Coulomb kernel c*f = -8 pi f, so Q - sum_ij A_ij d2_ij f = 8 pi f^2
         grid = build_grid(3, 3.0, 8)
         f = maxwellian(grid)
-        A = collision_coefficients(f, SPEC).A.reshape(grid.shape + (3, 3))
+        A = collision_coefficients(f, SPEC).reshape(grid.shape + (3, 3))
         grad = np.gradient(f.reshaped(), grid.h, edge_order=2)
         diffusion = np.zeros(grid.shape)
         for i in range(3):
@@ -250,10 +273,19 @@ class TestConfig:
         {"dt": 0.0}, {"dt": -1e-3}, {"dt": math.nan}, {"dt": "abc"}, {"dt": True},
         {"steps": 0}, {"steps": 2.5}, {"steps": "x"},
         {"cadence": -1}, {"cadence": 1.5}, {"scheme": "rk4"},
+        {"dt": "1e-4"}, {"l_list": "12"}, {"l_list": [math.nan]}, {"l_list": 2.0},
+        {"l_list": [True]}, {"k_list": [0]}, {"k_list": [-1.0]}, {"k_list": [math.inf]},
+        {"k_list": ["1"]}, {"gamma1": math.nan}, {"gamma1": "-3"}, {"gamma1": False},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             SolverConfig(spec=SPEC, **kwargs)
+
+    def test_lists_stored_as_floats(self):
+        cfg = SolverConfig(spec=SPEC, l_list=[1, 2.5], k_list=(2,), gamma1=-3)
+        assert cfg.l_list == (1.0, 2.5) and cfg.k_list == (2.0,)
+        assert all(type(x) is float for x in cfg.l_list + cfg.k_list)
+        assert type(cfg.gamma1) is float and cfg.resolved_gamma1() == -3.0
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, "abc", True])
     def test_step_rejects_bad_dt(self, dt):

@@ -9,6 +9,7 @@ stability errors), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -18,11 +19,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DegeneracyError, NumericError, ResourceError, ValidationError
+from .errors import (
+    DegeneracyError,
+    NumericError,
+    ResourceError,
+    ValidationError,
+    read_config,
+    read_tagged,
+)
 from .families import DistributionSpec, generate_distribution
 from .functionals import entropy_dissipation, moments, weighted_fisher, weighted_lp
-from .grid import DiscreteDistribution, build_grid, check_layout_types
+from .grid import DiscreteDistribution, build_grid
 from .inequalities import (
+    InequalityReport,
     check_edd_theorem,
     check_gamma_lower_bound,
     check_interpolation,
@@ -30,7 +39,7 @@ from .inequalities import (
     check_young,
     moment_condition,
 )
-from .kernels import psi_spec_from_json
+from .kernels import CoulombPsi, PowerLawPsi, psi_spec_from_json
 from .solver import SolverConfig, run
 
 USAGE_ERROR = 2
@@ -41,28 +50,28 @@ class ConfigError(Exception):
     """Malformed configuration or invocation (exit code 2)."""
 
 
+@contextlib.contextmanager
+def _reading(what):
+    """Turn a failure while reading `what` from input files into a usage
+    error (exit 2)."""
+    try:
+        yield
+    except (ValueError, ArithmeticError, ResourceError, OSError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from None
+
+
 def _parse_psi(text):
     """Kernel from a CLI token: 'coulomb', 'power_law:<gamma>', or a JSON file."""
-    if text == "coulomb":
-        obj = {"kind": "coulomb"}
-    elif text.startswith("power_law:"):
-        obj = {"kind": "power_law", "gamma": text.split(":", 1)[1]}
-    elif os.path.exists(text):
-        obj = _load_config(text)
-    else:
-        raise ConfigError(
-            f"kernel must be 'coulomb', 'power_law:<gamma>', or a JSON file path, got {text!r}"
-        )
-    return _psi_from_config(obj)
-
-
-def _psi_from_config(obj):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"kernel config must be an object, got {obj!r}")
-    try:
-        return psi_spec_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kernel config: {exc}")
+    with _reading("kernel"):
+        if text == "coulomb":
+            return CoulombPsi()
+        if text.startswith("power_law:"):
+            return PowerLawPsi(float(text.split(":", 1)[1]))
+        if os.path.exists(text):
+            return psi_spec_from_json(_load_config(text))
+    raise ConfigError(
+        f"kernel must be 'coulomb', 'power_law:<gamma>', or a JSON file path, got {text!r}"
+    )
 
 
 def _dump_json(obj, path):
@@ -72,143 +81,83 @@ def _dump_json(obj, path):
 
 
 def _load_config(path):
-    try:
+    with _reading(f"config {path}"):
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
 
 
-def _load_state(path):
-    """A stored distribution; an unreadable or malformed file is a usage error."""
-    try:
-        return DiscreteDistribution.load(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
-    except (TypeError, ValueError, NumericError, ResourceError) as exc:
-        raise ConfigError(f"{path} is not a distribution file: {exc}")
-
-
-def _build_grids(grid_cfg, resolutions):
-    """One grid per resolution from a {"dim", "half_width"} object, read
-    strictly by `check_layout_types`."""
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError(f"'grid' must be an object, got {grid_cfg!r}")
-    dim, half_width = grid_cfg.get("dim", 3), grid_cfg.get("half_width", 6.0)
-    try:
-        check_layout_types(dim, half_width, resolutions)
-        return [build_grid(dim, half_width, n) for n in resolutions]
-    except (ValidationError, ResourceError) as exc:
-        raise ConfigError(f"bad grid: {exc}")
-
-
-DEFAULT_FAMILIES = [
-    {"kind": "maxwellian", "params": {"temperature": 1.0}, "normalize": True},
-    {"kind": "radial_shell", "params": {"radius": 2.0, "width": 0.5}, "normalize": True},
-    {"kind": "radial_heavy_tail", "params": {"exponent": 4.0}, "normalize": True},
-]
-
-
-def _family_specs(cfg):
-    raw = cfg.get("families", DEFAULT_FAMILIES)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("'families' must be a nonempty list")
-    try:
-        return [DistributionSpec.from_json_dict(item) for item in raw]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad family entry: {exc}")
-
-
-def _suite_entries(cfg):
-    raw = cfg.get("suites")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("'suites' must be a nonempty list of suite names")
-    entries = []
-    for item in raw:
-        if isinstance(item, str):
-            entries.append({"name": item})
-        elif isinstance(item, dict) and "name" in item:
-            entries.append(dict(item))
-        else:
-            raise ConfigError(f"bad suite entry {item!r}")
-    for entry in entries:
-        if entry["name"] not in SUITES:
-            raise ConfigError(
-                f"unknown suite {entry['name']!r}; known: {sorted(SUITES)}"
-            )
-    return entries
+# The keys of a verify config, with their defaults, read by the config
+# rule (`errors.read_config`); a type marks a required key.
+VERIFY_KEYS = {
+    "psi": {"kind": "coulomb"},
+    "grid": {},
+    "resolutions": [16],
+    "families": [
+        {"kind": "maxwellian", "params": {"temperature": 1.0}, "normalize": True},
+        {"kind": "radial_shell", "params": {"radius": 2.0, "width": 0.5}, "normalize": True},
+        {"kind": "radial_heavy_tail", "params": {"exponent": 4.0}, "normalize": True},
+    ],
+    "suites": list,
+}
+GRID_KEYS = {"dim": 3, "half_width": 6.0}
 
 
 # ---------------------------------------------------------------------------
-# verification suites: each returns a list of InequalityReport
+# verification suites: each maps its options, with their defaults, to a
+# call that returns a list of InequalityReport.  The calls look the
+# checkers up by their names in this module when they run.
 
 
-def _suite_edd_radial(f, psi, entry):
-    return [check_edd_theorem(f, psi, mode=entry.get("mode", "radial_explicit"))]
-
-
-def _suite_sobolev(f, psi, entry):
-    gamma1 = entry.get("gamma1", psi.gamma1)
-    variant = entry.get("variant")
-    if variant is None:
+def _sobolev(f, psi, opts):
+    gamma1 = psi.gamma1 if opts["gamma1"] is None else opts["gamma1"]
+    variant = opts["variant"]
+    if variant == "auto":
         variant = "coulomb_explicit" if f.grid.dim == 3 and psi.is_coulomb else "general"
-    return [check_sobolev(f, gamma1, variant=variant, q=entry.get("q"))]
+    return [check_sobolev(f, gamma1, variant=variant, q=opts["q"])]
 
 
-def _suite_young(f, psi, entry):
-    return [check_young(f, psi, R=entry.get("R", 2.0), r=entry.get("r", 1.2))]
-
-
-def _suite_gamma_floor(f, psi, entry):
-    return [check_gamma_lower_bound(f, hbar=entry.get("hbar", 6.0))]
-
-
-def _suite_interpolation(f, psi, entry):
-    return [
-        check_interpolation(
-            f,
-            q1=entry.get("q1", 1.0),
-            l1=entry.get("l1", 2.0),
-            q2=entry.get("q2", 3.0),
-            l2=entry.get("l2", 0.0),
-            beta=entry.get("beta", 0.5),
-        )
-    ]
-
-
-def _suite_moment_condition(f, psi, entry):
-    from .inequalities import InequalityReport
-
-    pairs = entry.get(
-        "pairs",
-        [[-3.0, -3.0, True], [-2.0 * math.sqrt(3.0), -2.0 * math.sqrt(3.0), False]],
-    )
+def _moment_condition(f, psi, opts):
     reports = []
-    for g1, g2, expected in pairs:
+    for g1, g2, expected in opts["pairs"]:
         got = moment_condition(g1, g2)
         reports.append(
             InequalityReport(
                 name="moment_condition",
                 lhs=float(got),
-                rhs=float(bool(expected)),
+                rhs=float(expected),
                 constant_used="table",
-                holds=(got == bool(expected)),
+                holds=(got == expected),
                 slack=0.0,
-                inputs={"gamma1": g1, "gamma2": g2, "expected": bool(expected)},
+                inputs={"gamma1": g1, "gamma2": g2, "expected": expected},
             )
         )
     return reports
 
 
 SUITES = {
-    "edd_radial": _suite_edd_radial,
-    "sobolev": _suite_sobolev,
-    "young": _suite_young,
-    "gamma_floor": _suite_gamma_floor,
-    "interpolation": _suite_interpolation,
-    "moment_condition": _suite_moment_condition,
+    "edd_radial": (
+        {"mode": "radial_explicit"},
+        lambda f, psi, o: [check_edd_theorem(f, psi, mode=o["mode"])],
+    ),
+    "sobolev": ({"gamma1": None, "variant": "auto", "q": None}, _sobolev),
+    "young": (
+        {"R": 2.0, "r": 1.2},
+        lambda f, psi, o: [check_young(f, psi, R=o["R"], r=o["r"])],
+    ),
+    "gamma_floor": (
+        {"hbar": 6.0},
+        lambda f, psi, o: [check_gamma_lower_bound(f, hbar=o["hbar"])],
+    ),
+    "interpolation": (
+        {"q1": 1.0, "l1": 2.0, "q2": 3.0, "l2": 0.0, "beta": 0.5},
+        lambda f, psi, o: [check_interpolation(
+            f, q1=o["q1"], l1=o["l1"], q2=o["q2"], l2=o["l2"], beta=o["beta"])],
+    ),
+    "moment_condition": (
+        {"pairs": [(-3.0, -3.0, True),
+                   (-2.0 * math.sqrt(3.0), -2.0 * math.sqrt(3.0), False)]},
+        _moment_condition,
+    ),
 }
 
 # moment_condition is a pure table; run it once, not per family/resolution
@@ -239,35 +188,37 @@ def _write_suite_reports(rows, out_dir):
 
 
 def cmd_verify(args):
-    cfg = _load_config(args.config)
-    if not isinstance(cfg, dict):
-        raise ConfigError("verify config must be a JSON object")
-    psi = _psi_from_config(cfg.get("psi", {"kind": "coulomb"}))
-    resolutions = cfg.get("resolutions", [16])
-    if args.resolution is not None:
-        resolutions = [args.resolution]
-    if not isinstance(resolutions, list) or not resolutions:
-        raise ConfigError("'resolutions' must be a nonempty list")
     # every grid and state is built once, before any suite runs, so bad
     # values exit 2 and each (family, n) state is shared by all suites
-    grids = _build_grids(cfg.get("grid", {}), resolutions)
-    entries = _suite_entries(cfg)
-    fam_specs = _family_specs(cfg)
-    states = []
-    for n, grid in zip(resolutions, grids):
-        for fam_spec in fam_specs:
-            try:
-                f = generate_distribution(fam_spec, grid)
-            except (ValidationError, DegeneracyError, NumericError) as exc:
-                f = exc  # an error row in every suite
-            except (KeyError, TypeError, ValueError, OSError) as exc:
-                raise ConfigError(f"bad family {fam_spec.kind!r}: {exc}")
-            states.append((fam_spec.kind, n, f))
+    with _reading("verify config"):
+        cfg = read_config(_load_config(args.config), VERIFY_KEYS, "verify config")
+        psi = psi_spec_from_json(cfg["psi"])
+        resolutions = cfg["resolutions"] if args.resolution is None else [args.resolution]
+        if not resolutions:
+            raise ValidationError("'resolutions' must be a nonempty list")
+        grid_cfg = read_config(cfg["grid"], GRID_KEYS, "grid")
+        grids = [build_grid(grid_cfg["dim"], grid_cfg["half_width"], n) for n in resolutions]
+        if not cfg["suites"]:
+            raise ValidationError("'suites' must be a nonempty list of suite names")
+        options = {name: defaults for name, (defaults, _) in SUITES.items()}
+        entries = [read_tagged({"name": item} if isinstance(item, str) else item,
+                               "name", options, "suite") for item in cfg["suites"]]
+        if not cfg["families"]:
+            raise ValidationError("'families' must be a nonempty list")
+        fam_specs = [DistributionSpec.from_json_dict(item) for item in cfg["families"]]
+        states = []
+        for n, grid in zip(resolutions, grids):
+            for fam_spec in fam_specs:
+                try:
+                    f = generate_distribution(fam_spec, grid)
+                except (ValidationError, DegeneracyError, NumericError) as exc:
+                    f = exc  # an error row in every suite
+                states.append((fam_spec.kind, n, f))
 
     rows = []
     failures = []
     for entry in entries:
-        suite_fn = SUITES[entry["name"]]
+        suite_fn = SUITES[entry["name"]][1]
         if entry["name"] in _FAMILY_FREE_SUITES:
             cases = [("-", "-", None)]
         else:
@@ -319,7 +270,8 @@ def cmd_verify(args):
 
 
 def cmd_functional(args):
-    f = _load_state(args.input)
+    with _reading(args.input):
+        f = DiscreteDistribution.load(args.input)
     psi = _parse_psi(args.psi)
     gamma1 = psi.gamma1
     summary = moments(f, l_list=(1.0, 2.0))
@@ -354,17 +306,6 @@ SOLVE_KEYS = ("psi", "grid", "initial")
 SOLVER_CONFIG_KEYS = ("dt", "steps", "scheme", "l_list", "k_list", "cadence", "gamma1")
 
 
-def _solver_config_from_json(cfg, psi):
-    unknown = sorted(set(cfg) - set(SOLVE_KEYS + SOLVER_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown solve config keys {unknown}")
-    kwargs = {key: cfg[key] for key in SOLVER_CONFIG_KEYS if key in cfg}
-    try:
-        return SolverConfig(spec=psi, **kwargs)
-    except (TypeError, ValueError) as exc:  # ValidationError is a ValueError
-        raise ConfigError(f"bad solve config: {exc}")
-
-
 def _diagnostics_rows(series, config):
     l_list = list(config.l_list)
     k_list = list(config.k_list)
@@ -388,23 +329,18 @@ def _diagnostics_rows(series, config):
 
 def cmd_solve(args):
     cfg = _load_config(args.config)
-    if not isinstance(cfg, dict):
-        raise ConfigError("solve config must be a JSON object")
-    psi = _psi_from_config(cfg.get("psi", {"kind": "coulomb"}))
-    config = _solver_config_from_json(cfg, psi)
-    grid_cfg = cfg.get("grid")
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError("'grid' object with dim/half_width/nodes_per_axis required")
-    n = grid_cfg.get("nodes_per_axis", 16) if args.resolution is None else args.resolution
-    [grid] = _build_grids(grid_cfg, [n])
-
-    init_cfg = cfg.get("initial")
-    if not isinstance(init_cfg, dict):
-        raise ConfigError("'initial' distribution spec required")
-    try:
-        f0 = generate_distribution(DistributionSpec.from_json_dict(init_cfg), grid)
-    except (KeyError, TypeError, ValueError, OSError, NumericError, ResourceError) as exc:
-        raise ConfigError(f"bad initial condition: {exc}")
+    with _reading("solve config"):
+        if not isinstance(cfg, dict):
+            raise ValidationError("solve config must be a JSON object")
+        unknown = sorted(set(cfg) - set(SOLVE_KEYS + SOLVER_CONFIG_KEYS))
+        if unknown:
+            raise ValidationError(f"unknown solve config keys {unknown}")
+        psi = psi_spec_from_json(cfg.get("psi", {"kind": "coulomb"}))
+        config = SolverConfig(spec=psi, **{k: cfg[k] for k in SOLVER_CONFIG_KEYS if k in cfg})
+        grid_cfg = read_config(cfg.get("grid"), {**GRID_KEYS, "nodes_per_axis": 16}, "grid")
+        n = grid_cfg["nodes_per_axis"] if args.resolution is None else args.resolution
+        grid = build_grid(grid_cfg["dim"], grid_cfg["half_width"], n)
+        f0 = generate_distribution(DistributionSpec.from_json_dict(cfg.get("initial")), grid)
 
     try:
         series = run(f0, config)

@@ -11,33 +11,49 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_value, read_config
 from .grid import DiscreteDistribution, normalize
+
+
+# Each family's parameters and their defaults, read by the config rule
+# (`errors.read_config`): a type marks a required parameter.  A one-item
+# per-axis list applies to every axis; empty weights are equal weights.
+PARAMS = {
+    "maxwellian": {"temperature": 1.0, "mean": [0.0]},
+    "bimaxwellian": {"separation": 2.0, "temperature": 1.0, "axis": 0},
+    "anisotropic_gaussian": {"variances": [1.0], "mean": [0.0]},
+    "radial_shell": {"radius": 2.0, "width": 0.5},
+    "radial_heavy_tail": {"exponent": 4.0},
+    "mixture": {"components": list, "weights": []},
+    "custom_file": {"path": str},
+}
 
 
 @dataclass
 class DistributionSpec:
+    """A family `kind` with its `params`, read against `PARAMS` at
+    construction, so a bad parameter fails before any state is built."""
+
     kind: str
     params: dict = field(default_factory=dict)
     normalize: bool = False
 
+    def __post_init__(self):
+        if self.kind not in PARAMS:
+            raise ValidationError(f"unknown distribution kind {self.kind!r}")
+        check_value(self.normalize, False, "normalize")
+        self.params = read_config(self.params, PARAMS[self.kind], f"{self.kind} params")
+        if self.kind == "mixture":
+            for comp in self.params["components"]:
+                if not isinstance(comp, DistributionSpec):
+                    DistributionSpec.from_json_dict(comp)
+            check_value(self.params["weights"], [0.0], "weights")
+
     @staticmethod
     def from_json_dict(obj):
-        obj = dict(obj)
-        kind = obj.pop("kind", None)
-        if kind is None:
-            raise ValidationError("distribution spec needs a 'kind'")
-        norm = bool(obj.pop("normalize", False))
-        params = obj.pop("params", None)
-        if params is not None:
-            if not isinstance(params, dict):
-                raise ValidationError("'params' must be an object")
-            if obj:
-                raise ValidationError(
-                    f"unexpected keys besides 'params': {sorted(obj)}"
-                )
-            return DistributionSpec(kind=kind, params=dict(params), normalize=norm)
-        return DistributionSpec(kind=kind, params=obj, normalize=norm)
+        return DistributionSpec(**read_config(
+            obj, {"kind": str, "params": {}, "normalize": False}, "distribution spec"
+        ))
 
     def to_json_dict(self):
         return {
@@ -47,83 +63,78 @@ class DistributionSpec:
         }
 
 
-def _maxwellian_values(grid, temperature, mean, mass=1.0):
+def _maxwellian_values(grid, temperature, mean):
     if temperature <= 0:
         raise ValidationError(f"temperature must be > 0, got {temperature}")
-    mean = np.asarray(mean, dtype=float)
-    if mean.shape != (grid.dim,):
-        mean = np.broadcast_to(mean, (grid.dim,)).astype(float)
     d2 = np.sum((grid.coords - mean[None, :]) ** 2, axis=1)
     return (
-        mass
-        * (2.0 * math.pi * temperature) ** (-grid.dim / 2.0)
+        (2.0 * math.pi * temperature) ** (-grid.dim / 2.0)
         * np.exp(-d2 / (2.0 * temperature))
     )
+
+
+def _per_axis(values, grid, name):
+    """A list of one value per axis, or of one value for every axis, as an
+    array of length grid.dim."""
+    if len(values) not in (1, grid.dim):
+        raise ValidationError(f"{name} needs 1 or {grid.dim} entries, got {values}")
+    return np.broadcast_to(np.asarray(values, dtype=float), (grid.dim,))
 
 
 def _raw_values(spec, grid):
     kind, p = spec.kind, spec.params
     if kind == "maxwellian":
-        return _maxwellian_values(
-            grid, p.get("temperature", 1.0), p.get("mean", np.zeros(grid.dim))
-        )
+        return _maxwellian_values(grid, p["temperature"], _per_axis(p["mean"], grid, "mean"))
     if kind == "bimaxwellian":
-        sep = p.get("separation", 2.0)
-        temp = p.get("temperature", 1.0)
-        axis = int(p.get("axis", 0))
+        if not 0 <= p["axis"] < grid.dim:
+            raise ValidationError(f"axis must lie in [0, {grid.dim}), got {p['axis']}")
         u = np.zeros(grid.dim)
-        u[axis] = 0.5 * sep
+        u[p["axis"]] = 0.5 * p["separation"]
         return 0.5 * (
-            _maxwellian_values(grid, temp, u)
-            + _maxwellian_values(grid, temp, -u)
+            _maxwellian_values(grid, p["temperature"], u)
+            + _maxwellian_values(grid, p["temperature"], -u)
         )
     if kind == "anisotropic_gaussian":
-        var = np.asarray(p.get("variances", np.ones(grid.dim)), dtype=float)
-        if var.shape != (grid.dim,) or np.any(var <= 0):
-            raise ValidationError("variances must be positive, one per axis")
-        mean = np.asarray(p.get("mean", np.zeros(grid.dim)), dtype=float)
+        var = _per_axis(p["variances"], grid, "variances")
+        if np.any(var <= 0):
+            raise ValidationError("variances must be positive")
+        mean = _per_axis(p["mean"], grid, "mean")
         q = np.sum((grid.coords - mean[None, :]) ** 2 / var[None, :], axis=1)
         norm = (2.0 * math.pi) ** (-grid.dim / 2.0) / math.sqrt(float(np.prod(var)))
         return norm * np.exp(-0.5 * q)
     if kind == "radial_shell":
-        radius = p.get("radius", 2.0)
-        width = p.get("width", 0.5)
+        radius, width = p["radius"], p["width"]
         if radius <= 0 or width <= 0:
             raise ValidationError("radius and width must be > 0")
         r = np.sqrt(grid.sq_norm)
         return np.exp(-((r - radius) ** 2) / (2.0 * width**2))
     if kind == "radial_heavy_tail":
-        expo = p.get("exponent", 4.0)
+        expo = p["exponent"]
         if expo <= (grid.dim + 2.0) / 2.0:
             raise ValidationError(
                 f"exponent {expo} gives an infinite energy moment"
             )
         return (1.0 + grid.sq_norm) ** (-expo)
     if kind == "mixture":
-        comps = p.get("components")
+        comps = p["components"]
         if not comps:
             raise ValidationError("mixture needs a nonempty component list")
-        weights = p.get("weights", [1.0 / len(comps)] * len(comps))
+        weights = p["weights"] or [1.0 / len(comps)] * len(comps)
         if len(weights) != len(comps) or any(w < 0 for w in weights):
             raise ValidationError("mixture weights must be nonnegative, one per component")
         out = np.zeros(grid.size)
         for w, comp in zip(weights, comps):
-            sub = comp if isinstance(comp, DistributionSpec) else DistributionSpec.from_json_dict(comp)
-            cf = generate_distribution(sub, grid)
+            cf = generate_distribution(comp, grid)
             out += w * cf.values / max(np.sum(cf.values), 1e-300)
         return out
-    if kind == "custom_file":
-        path = p.get("path")
-        if path is None:
-            raise ValidationError("custom_file needs a 'path'")
-        loaded = DiscreteDistribution.load(path)
-        if not loaded.grid.same_layout(grid):
-            raise ValidationError(
-                f"distribution in {path} has layout "
-                f"{loaded.grid!r}, expected {grid!r}"
-            )
-        return loaded.values
-    raise ValidationError(f"unknown distribution kind {kind!r}")
+    path = p["path"]  # custom_file
+    loaded = DiscreteDistribution.load(path)
+    if not loaded.grid.same_layout(grid):
+        raise ValidationError(
+            f"distribution in {path} has layout "
+            f"{loaded.grid!r}, expected {grid!r}"
+        )
+    return loaded.values
 
 
 def generate_distribution(spec, grid):

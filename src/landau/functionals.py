@@ -63,16 +63,6 @@ class MomentSummary:
     abs_entropy: float
     moments: dict
 
-    def to_json_dict(self):
-        return {
-            "mass": self.mass,
-            "momentum": self.momentum.tolist(),
-            "energy": self.energy,
-            "entropy": self.entropy,
-            "abs_entropy": self.abs_entropy,
-            "moments": {str(l): v for l, v in self.moments.items()},
-        }
-
 
 def moments(f, l_list=()):
     """Midpoint-quadrature moments; f ln f is taken as 0 below the floor."""

@@ -9,12 +9,11 @@ extended by zero outside the box.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, NumericError, ResourceError, ValidationError
+from .errors import DegeneracyError, NumericError, ResourceError, ValidationError, read_config
 
 # Below this value a node contributes 0 to log/sqrt functionals
 # (consistent with f ln f -> 0 as f -> 0).
@@ -44,7 +43,9 @@ class VelocityGrid:
             raise ValidationError(f"half_width must be > 0, got {half_width}")
         if nodes_per_axis < 4:
             raise ValidationError(f"nodes_per_axis must be >= 4, got {nodes_per_axis}")
-        if nodes_per_axis ** dim > max_nodes:
+        # n >= 2, so n^dim > max_nodes once dim reaches its bit length; the
+        # first test spares the power of a huge dim
+        if dim >= max_nodes.bit_length() or nodes_per_axis ** dim > max_nodes:
             raise ResourceError(
                 f"{nodes_per_axis}^{dim} nodes exceed the budget of {max_nodes}"
             )
@@ -83,17 +84,8 @@ def build_grid(dim, half_width, nodes_per_axis, max_nodes=DEFAULT_MAX_NODES):
     return VelocityGrid(dim, half_width, nodes_per_axis, max_nodes=max_nodes)
 
 
-def check_layout_types(dim, half_width, resolutions):
-    """Raise ValidationError unless dim and every resolution are integers
-    and half_width is a finite number, as read from JSON; nothing is
-    coerced, so 8.7 nodes, a dim of 3.0 or a half_width of "4" is rejected.
-    """
-    if not all(type(x) is int for x in [dim, *resolutions]):
-        raise ValidationError(
-            f"dim and nodes per axis must be integers: {dim!r}, {resolutions!r}"
-        )
-    if type(half_width) not in (int, float) or not math.isfinite(half_width):
-        raise ValidationError(f"half_width must be a finite number, got {half_width!r}")
+# the keys of a stored distribution, all required; sizes are never truncated
+STATE_KEYS = {"dim": int, "half_width": float, "nodes_per_axis": int, "values": list}
 
 
 class DiscreteDistribution:
@@ -138,15 +130,14 @@ class DiscreteDistribution:
 
     @staticmethod
     def from_json_dict(obj):
-        """Read a stored distribution; its grid sizes are checked by
-        `check_layout_types`, never truncated."""
-        keys = ("dim", "half_width", "nodes_per_axis", "values")
-        if not isinstance(obj, dict) or not all(k in obj for k in keys):
-            raise ValidationError(f"a distribution is an object with keys {keys}")
-        dim, half_width, n = obj["dim"], obj["half_width"], obj["nodes_per_axis"]
-        check_layout_types(dim, half_width, [n])
-        grid = build_grid(dim, half_width, n)
-        return DiscreteDistribution(grid, np.asarray(obj["values"], dtype=float))
+        """Read a stored distribution by the config rule; its values must
+        be JSON numbers."""
+        obj = read_config(obj, STATE_KEYS, "distribution")
+        grid = build_grid(obj["dim"], obj["half_width"], obj["nodes_per_axis"])
+        values = np.asarray(obj["values"])
+        if values.dtype.kind not in "iuf":
+            raise ValidationError(f"distribution values must be numbers, not {values.dtype}")
+        return DiscreteDistribution(grid, values)
 
     @staticmethod
     def load(path):

@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .functionals import (
+    _gamma_value,
+    _gaussian_moments,
     check_normalized,
     entropy_dissipation,
     gamma_floor,
-    gamma_determinant,
     lambda0,
     moments,
     weighted_fisher,
@@ -327,14 +328,18 @@ def check_gamma_lower_bound(f, hbar):
             f"abs-entropy {ms.abs_entropy} exceeds the assumed bound {hbar}"
         )
     lam = lambda0(hbar)
+    if lam <= 0:
+        raise ValidationError(f"lam must be > 0, got {lam}")
     floor = gamma_floor(hbar)
+    # the moments do not depend on the axis pair: one pass serves all six
+    _, m0, m1, m2 = _gaussian_moments(f, lam)
     values = {}
     worst = math.inf
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
-            g = gamma_determinant(f, lam, i, j).gamma_value
+            g = _gamma_value(m0, m1, m2, i, j)
             values[f"{i}{j}"] = g
             worst = min(worst, g)
     rep = _report(

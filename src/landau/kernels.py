@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_tagged
 
 _SANDWICH_RADII = np.logspace(-3.0, 3.0, 1000)
 
@@ -179,18 +179,17 @@ class BracketedPsi:
         }
 
 
+# The kernel laws a JSON object can name, with their parameters; a
+# bracketed law needs a callable psi and has no JSON form.
+KERNELS = {"coulomb": {}, "power_law": {"gamma": float}}
+
+
 def psi_spec_from_json(obj):
     """Parse the tagged-union JSON form of a kernel law."""
-    kind = obj.get("kind")
-    if kind == "coulomb":
+    params = read_tagged(obj, "kind", KERNELS, "kernel")
+    if params["kind"] == "coulomb":
         return CoulombPsi()
-    if kind == "power_law":
-        return PowerLawPsi(float(obj["gamma"]))
-    if kind == "bracketed":
-        raise ValidationError(
-            "bracketed kernels need a callable psi and cannot be built from JSON"
-        )
-    raise ValidationError(f"unknown kernel kind {kind!r}")
+    return PowerLawPsi(params["gamma"])
 
 
 def psi_eval(spec, r):

@@ -14,12 +14,11 @@ per-step total of f telescopes and mass is conserved exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_value, fits
 from .functionals import entropy_dissipation, moments, weighted_fisher, weighted_lp
 from .grid import EPS_FLOOR, _gradient_nd
 from .kernels import a_contract, collision_coefficients
@@ -384,28 +383,9 @@ def step(f, spec, dt, scheme="euler"):
     return new
 
 
-def _is_int(x):
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_real(x):
-    """x is a finite real number and not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _check_dt(dt):
-    if not (_is_real(dt) and dt > 0):
+    if not (fits(dt, 0.0) and dt > 0):
         raise ValidationError(f"dt must be 'auto' or a finite number > 0, got {dt!r}")
-
-
-def _real_tuple(name, values, positive=False):
-    """values, a list or tuple of finite real numbers (> 0 if `positive`)
-    that are not bools, as a tuple of floats."""
-    if not (isinstance(values, (list, tuple))
-            and all(_is_real(x) and (x > 0 or not positive) for x in values)):
-        bound = " > 0" if positive else ""
-        raise ValidationError(f"{name} must be a list of finite numbers{bound}, got {values!r}")
-    return tuple(float(x) for x in values)
 
 
 @dataclass
@@ -421,19 +401,23 @@ class SolverConfig:
     keep_snapshots: bool = False  # retain (t, state) at the cadence steps
 
     def __post_init__(self):
+        # values are read by the config rule, then stored as floats
         if self.dt != "auto":
             _check_dt(self.dt)
-        if not _is_int(self.steps) or self.steps < 1:
-            raise ValidationError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if not _is_int(self.cadence) or self.cadence < 0:
-            raise ValidationError(f"cadence must be an integer >= 0, got {self.cadence!r}")
+        for name, default in (("steps", 0), ("cadence", 0), ("l_list", [0.0]),
+                              ("k_list", [0.0]), ("gamma1", None)):
+            check_value(getattr(self, name), default, name)
+        if self.steps < 1:
+            raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        if self.cadence < 0:
+            raise ValidationError(f"cadence must be >= 0, got {self.cadence}")
         if self.scheme not in ("euler", "heun"):
             raise ValidationError(f"scheme must be 'euler' or 'heun', got {self.scheme!r}")
-        self.l_list = _real_tuple("l_list", self.l_list)
-        self.k_list = _real_tuple("k_list", self.k_list, positive=True)
+        if not all(k > 0 for k in self.k_list):
+            raise ValidationError(f"k_list entries must be > 0, got {self.k_list}")
+        self.l_list = tuple(map(float, self.l_list))
+        self.k_list = tuple(map(float, self.k_list))
         if self.gamma1 is not None:
-            if not _is_real(self.gamma1):
-                raise ValidationError(f"gamma1 must be null or a finite number, got {self.gamma1!r}")
             self.gamma1 = float(self.gamma1)
 
     def resolved_cadence(self):

@@ -172,6 +172,14 @@ class TestVerify:
         {"grid": {"dim": 1}}, {"grid": 5}, {"resolutions": ["a"]},
         {"resolutions": [0]}, {"resolutions": [12, 3]}, {"resolutions": [12.5]},
         {"resolutions": [True]}, {"resolutions": 12}, {"families": ["ab"]},
+        # suite options are read by the same rule: no coercion, no unknown keys
+        {"suites": [{"name": "young", "R": "x"}]},
+        {"suites": [{"name": "interpolation", "beta": "0.5"}]},
+        {"suites": [{"name": "sobolev", "gamma1": "x"}]},
+        {"suites": [{"name": "moment_condition", "pairs": [[1, 2]]}]},
+        {"suites": [{"name": "gamma_floor", "hbr": 8.0}]},
+        {"resolution": [12]}, {"grid": {"dim": 3, "half_width": 6.0, "nodes": 12}},
+        {"grid": {"dim": 10**400}},  # refused by the node budget without forming 12^dim
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, override):
         cfg = {"grid": {"dim": 3, "half_width": 6.0}, "resolutions": [12], "suites": ["sobolev"]}
@@ -317,6 +325,15 @@ class TestSolve:
             {"kind": "custom_file", "params": {"path": "no_such_state.json"}}]}}},
         {"l_list": "12"}, {"gamma1": math.nan}, {"k_list": [math.inf]}, {"k_list": [0]},
         {"dt": True}, {"l_list": [math.nan]}, {"dt": "1e-4"},
+        {"initial": {"kind": "bimaxwellian", "params": {"axis": 5}}},
+        {"initial": {"kind": "bimaxwellian", "params": {"axis": 1.7}}},
+        {"initial": {"kind": "maxwellian", "params": {"temperature": True}}},
+        {"initial": {"kind": "maxwellian", "normalize": "no"}},
+        {"initial": {"kind": "maxwellian", "normalize": "false"}},
+        {"psi": {"kind": "power_law", "gamma": "-2.5"}},
+        {"psi": {"kind": "power_law", "gamma": True}},
+        {"initial": {"kind": "maxwellian", "params": {"temprature": 2.0}}},
+        {"grid": {"dim": 3, "half_width": 5.0, "nodes": 8}},
     ])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, override):
         _, raw = self.write_config(tmp_path, nodes=8)

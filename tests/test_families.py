@@ -72,6 +72,32 @@ class TestGenerators:
         with pytest.raises(ValidationError):
             generate_distribution(DistributionSpec("cauchy", {}), GRID)
 
+    def test_params_read_strictly(self):
+        # an unknown parameter is not ignored, and normalize is not coerced
+        with pytest.raises(ValidationError):
+            DistributionSpec("maxwellian", {"temprature": 2.0})
+        with pytest.raises(ValidationError):
+            DistributionSpec("maxwellian", {}, normalize="no")
+
+    @pytest.mark.parametrize("kind, ints, floats", [
+        ("maxwellian", {"temperature": 2, "mean": [1, 0, 0]},
+         {"temperature": 2.0, "mean": [1.0, 0.0, 0.0]}),
+        ("bimaxwellian", {"separation": 2, "temperature": 1, "axis": 1},
+         {"separation": 2.0, "temperature": 1.0, "axis": 1}),
+        ("anisotropic_gaussian", {"variances": [1, 2, 3], "mean": [0]},
+         {"variances": [1.0, 2.0, 3.0], "mean": [0.0]}),
+        ("radial_shell", {"radius": 2, "width": 1}, {"radius": 2.0, "width": 1.0}),
+        ("radial_heavy_tail", {"exponent": 4}, {"exponent": 4.0}),
+        ("mixture",
+         {"components": [{"kind": "maxwellian", "params": {"temperature": 2}}], "weights": [3]},
+         {"components": [{"kind": "maxwellian", "params": {"temperature": 2.0}}],
+          "weights": [3.0]}),
+    ])
+    def test_integer_params_match_floats(self, kind, ints, floats):
+        a = generate_distribution(DistributionSpec(kind, ints), GRID)
+        b = generate_distribution(DistributionSpec(kind, floats), GRID)
+        assert np.array_equal(a.values, b.values)
+
     def test_custom_file_round_trip(self, tmp_path):
         f = generate_distribution(
             DistributionSpec("maxwellian", {"temperature": 1.0}), GRID

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .grid import EPS_FLOOR, grad_log, gradient_sqrt, integrate
-from .kernels import a_contract, a_convolve
+from .kernels import a_convolve, a_pair_sum
 
 # Fixed chunk row-count: reductions are per-chunk np.sum in a fixed order,
 # so repeated runs are bit-identical.
@@ -87,8 +87,8 @@ def weighted_lp(f, p, l):
 
     p = inf returns the weighted sup over nodes.
     """
-    if p < 1:
-        raise ValidationError(f"p must be >= 1, got {p}")
+    if not p >= 1:  # NaN fails too
+        raise ValidationError(f"p must be >= 1 or inf, got {p}")
     w = (1.0 + f.grid.sq_norm) ** (l / 2.0)
     g = w * f.values
     if math.isinf(p):
@@ -119,7 +119,8 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
 
         D = h^N [ sum_ij <H_ij, a_ij*F> - sum_i <G_i, (sum_j a_ij*G_j)_i> ],
 
-    matching the direct pair sum to roundoff.  When the mask covers every
+    matching the direct pair sum to roundoff.  The second sum is a Parseval
+    sum over the spectra of G (`a_pair_sum`).  When the mask covers every
     node, F is f bit for bit, so the coefficient field A = a*f of f, when
     given as `coeffs`, is a*F.
     """
@@ -127,14 +128,14 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
     xi, mask = grad_log(f)
     F = np.where(mask, f.values, 0.0)
     G = np.where(mask[:, None], f.values[:, None] * xi, 0.0)
-    H = G[:, :, None] * xi[:, None, :]
     if coeffs is not None and mask.all():
         aF = coeffs
     else:
         aF = a_convolve(grid, spec, F.reshape(grid.shape))
-    aG = a_contract(grid, spec, G.T.reshape((grid.dim,) + grid.shape))
-    total = float(np.sum(H * aF)) - float(np.sum(G * aG))
-    return grid.cell_volume * total
+    H = G[:, :, None] * xi[:, None, :]
+    H *= aF  # the products H_ij a_ij*F, with no third (size, N, N) array
+    drift = a_pair_sum(grid, spec, G.T.reshape((grid.dim,) + grid.shape))
+    return grid.cell_volume * (float(np.sum(H)) - drift)
 
 
 def entropy_dissipation(f, spec, form="projected", coeffs=None):

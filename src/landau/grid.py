@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, NumericError, ResourceError, ValidationError, read_config
+from .errors import (DegeneracyError, NumericError, ResourceError, ValidationError,
+                     check_value, read_config)
 
 # Below this value a node contributes 0 to log/sqrt functionals
 # (consistent with f ln f -> 0 as f -> 0).
@@ -37,6 +38,11 @@ class VelocityGrid:
     """
 
     def __init__(self, dim, half_width, nodes_per_axis, max_nodes=DEFAULT_MAX_NODES):
+        # read by the config rule: sizes are never truncated, and a
+        # half-width is a finite number
+        check_value(dim, 0, "dim")
+        check_value(half_width, 0.0, "half_width")
+        check_value(nodes_per_axis, 0, "nodes_per_axis")
         if dim < 2:
             raise ValidationError(f"dim must be >= 2, got {dim}")
         if not (half_width > 0):
@@ -49,9 +55,9 @@ class VelocityGrid:
             raise ResourceError(
                 f"{nodes_per_axis}^{dim} nodes exceed the budget of {max_nodes}"
             )
-        self.dim = int(dim)
+        self.dim = dim
         self.half_width = float(half_width)
-        self.n = int(nodes_per_axis)
+        self.n = nodes_per_axis
         self.h = 2.0 * self.half_width / self.n
         self.axis = -self.half_width + (np.arange(self.n) + 0.5) * self.h
         self.axis.flags.writeable = False

@@ -10,30 +10,48 @@ coefficient function of the pair difference z = v - w is
 and the field is the node quadrature (a_ij*g)(v) = h^N sum_{w != v}
 a_ij(v - w) g(w).
 
-Convolution engine.  Each a_ij is tabulated on the (2n-1)^N grid of node
-differences z = v - w, with a zero at z = 0 that drops the source cell
-w = v.  Their full linear convolution at v + (n-1) is sum_w table[v - w +
-(n-1)] g(w), the table entry of z = (v - w) h, so the slice [n-1 : 2n-1]
-per axis is the node quadrature.  Both are zero-padded to P = the
-smallest 5-smooth length >= 2n-1 per axis; the product of their real
-spectra is the period-P circular convolution, which adds linear index
-m +- P onto m.  The linear indices span 0..3n-3, and for kept m in
-[n-1, 2n-2], m + P > 3n-3 and m - P < 0, so the kept slice is alias-free.
+Convolution engine.  Each a_ij is stored wrapped on the period-P grid,
+P = the smallest 5-smooth length >= 2n-1 per axis: index k along an axis
+holds z = k h for k in [0, n), z = (k - P) h for k in (P - n, P), and zero
+between, with a zero at z = 0 that drops the source cell w = v.  The field
+g is zero-padded to P, and the product of their spectra is the period-P
+circular convolution, whose entry v is sum_w table[(v - w) mod P] g(w).
+For kept v in [0, n) and nodes w in [0, n), v - w lies in [-(n-1), n-1],
+and (v - w) mod P is the table entry of z = (v - w) h, because the z >= 0
+indices [0, n) and the z < 0 indices [P-n+1, P) do not meet when P >=
+2n-1.  So the slice [0, n) per axis is the node quadrature, alias-free.
+
+The spectra are real.  a_ij(-z) = a_ij(z), so the wrapped table is even
+on the period-P grid, table[-k mod P] = table[k], and the transform of a
+real even sequence is real; its computed imaginary part is round-off,
+below 1e-15 of the real part, and is dropped, so each spectrum is a
+float64 array of shape P^(N-1) x (P/2+1).  Each table is tabulated only on
+its z >= 0 octant (n^N nodes) and unfolded by parity into one reused P^N
+buffer before its transform: a_ii is even along every axis, and a_ij with
+i != j is odd along axes i and j and even along the others; psi is even.
+
+The drift term sum_i <g_i, sum_j a_ij*g_j> of the dissipation is a
+Parseval sum over the spectra g_i^ of the padded g_i, with no inverse
+transform.  g_i vanishes off the nodes, so its node sum against the
+circular convolution is the sum over the whole period, P^-N sum_k Re S(k)
+with S(k) = sum_ij conj(g_i^(k)) a_ij^(k) g_j^(k) over the full spectrum.
+On the half spectrum each last-axis bin also stands for its mirror, weight
+2, except bin 0 and, for even P, bin P/2, weight 1.
 
 The engine keeps one entry per (grid layout, kernel), and at most one
 entry at a time: a new layout drops the old entry before it builds
-anything.  The entry owns the spectra of the a_ij, i <= j, and of psi,
-each made on first use (the a_ij tables one at a time), and reused complex
-work buffers: one per field component, one for products and one for the
-summands of `a_contract`.  Each call overwrites the buffers it reads, and
-every result is a fresh array.
+anything.  The entry owns the real spectra of the a_ij, i <= j, and of
+psi, each made on first use (the a_ij tables one at a time), and reused
+complex work buffers: one per field component, one for products and one
+for the summands of `a_contract`.  Each call overwrites the buffers it
+reads, and every result is a fresh array.
 
 Every transform is a sequence of NumPy 1-D passes that skips the lines
 holding only padding.  `_forward` runs a real pass along the last axis of
 the data, then complex passes along axes 0, 1, ..., N-2, each over the slab
 whose lines still hold data.  `_quadrature` runs unscaled inverse complex
 passes along axes 0, ..., N-2 in place, keeping only the valid slice
-[n-1, 2n-1) after each, then the unscaled inverse real pass on the last
+[0, n) after each, then the unscaled inverse real pass on the last
 axis, then the factor 1/P^N.  This is the pass order, axis order and
 scaling of pocketfft's n-D real transforms (as in scipy.fft.rfftn and
 irfftn), each line goes through the same 1-D plan, and a line is
@@ -208,36 +226,61 @@ def projection(z):
     return np.eye(z.size) - np.outer(z, z) / rsq
 
 
-def _difference_grid(grid, spec):
-    """z components, |z|^2 (1 at z = 0) and psi(|z|) (0 at z = 0) on the
-    (2n-1)^N difference grid; entry d is z = (d - (n-1)) * h componentwise."""
-    n, h, dim = grid.n, grid.h, grid.dim
-    axis = (np.arange(2 * n - 1) - (n - 1)) * h
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    rsq = sum(m**2 for m in mesh)
-    rsq[(n - 1,) * dim] = 1.0
+def _difference_fields(axis, dim, spec):
+    """Per-axis z, |z|^2 (1 at z = 0), psi(|z|) (0 at z = 0) and the index
+    of z = 0 on the tensor grid with `axis` (which holds 0) on each of `dim`
+    axes; the z are an open mesh that broadcasts to the full grid."""
+    z = [axis.reshape((-1,) + (1,) * (dim - 1 - d)) for d in range(dim)]
+    origin = (int(np.flatnonzero(axis == 0)[0]),) * dim
+    rsq = sum(c**2 for c in z)
+    rsq[origin] = 1.0
     psi = np.asarray(spec.psi(np.sqrt(rsq)), dtype=float)
-    psi[(n - 1,) * dim] = 0.0
-    return mesh, rsq, psi
+    psi[origin] = 0.0
+    return z, rsq, psi, origin
 
 
-def _a_table_items(grid, spec):
-    """((i, j), a_ij table) for i <= j, made one at a time; each table is
-    zero at z = 0 (the source cell w = v)."""
-    mesh, rsq, psi = _difference_grid(grid, spec)
-    center = (grid.n - 1,) * grid.dim
-    for i in range(grid.dim):
-        for j in range(i, grid.dim):
-            tab = -psi * mesh[i] * mesh[j] / rsq
+def _a_table_items(z, rsq, psi, origin):
+    """((i, j), a_ij table) for i <= j, made one at a time from the
+    `_difference_fields`; each table is zero at z = 0 (the source cell
+    w = v)."""
+    for i in range(len(z)):
+        for j in range(i, len(z)):
+            tab = -psi * z[i] * z[j] / rsq
             if i == j:
                 tab += psi
-            tab[center] = 0.0
+            tab[origin] = 0.0
             yield (i, j), tab
 
 
 def _a_tables(grid, spec):
-    """All a_ij tables for i <= j, keyed (i, j), for the direct oracle."""
-    return dict(_a_table_items(grid, spec))
+    """All a_ij tables for i <= j, keyed (i, j), on the (2n-1)^N grid of
+    node differences (entry d is z = (d - (n-1)) h componentwise): the
+    direct-sum oracle's tables."""
+    n = grid.n
+    axis = (np.arange(2 * n - 1) - (n - 1)) * grid.h
+    return dict(_a_table_items(*_difference_fields(axis, grid.dim, spec)))
+
+
+def _octant_fields(grid, spec):
+    """`_difference_fields` on the z >= 0 octant, entry k at z = k h."""
+    return _difference_fields(np.arange(grid.n) * grid.h, grid.dim, spec)
+
+
+def _unfold(octant, odd, out):
+    """Write into `out` (P^N, zero off the table) the wrapped table whose
+    z >= 0 octant is `octant`: index k along an axis holds z = k h for
+    k < n and z = (k - P) h for k > P - n.  The table is odd along the
+    axes in `odd` and even along the others."""
+    n, dim, P = octant.shape[0], octant.ndim, out.shape[0]
+    out[(slice(n),) * dim] = octant
+    for ax in range(dim):
+        head, tail = (slice(None),) * ax, (slice(n),) * (dim - 1 - ax)
+        src = out[head + (slice(n - 1, 0, -1),) + tail]  # z = (n-1) h, ..., h
+        dst = out[head + (slice(P - n + 1, P),) + tail]  # z = -(n-1) h, ..., -h
+        if ax in odd:
+            np.negative(src, out=dst)
+        else:
+            dst[...] = src
 
 
 def _fast_len(m):
@@ -276,14 +319,14 @@ def _forward(g, shape, out=None):
 
 
 def _quadrature(grid, spectrum, shape, out=None):
-    """h^N times the valid slice of the inverse transform, written into the
-    flat `out` (a strided column of the caller's result will do) or a fresh
-    array, and returned.
+    """h^N times the valid slice [0, n) of the inverse transform, written
+    into the flat `out` (a strided column of the caller's result will do)
+    or a fresh array, and returned.
 
     The complex passes run in place, so `spectrum` must be a work buffer
     the caller no longer needs.
     """
-    valid = slice(grid.n - 1, 2 * grid.n - 1)
+    valid = slice(grid.n)
     x = spectrum
     for ax in range(grid.dim - 1):
         np.fft.ifft(x, axis=ax, norm="forward", out=x)
@@ -300,10 +343,10 @@ def _quadrature(grid, spectrum, shape, out=None):
 class _Layout:
     """What the engine keeps for one (grid layout, kernel).
 
-    The a_ij spectra (i <= j, keyed both ways) and the psi spectrum are made
-    on first use.  The complex work buffers, one per field component, one
-    for products and one for the summands of `a_contract`, are reused by
-    every call; each call overwrites what it reads.
+    The real a_ij spectra (i <= j, keyed both ways) and the real psi
+    spectrum are made on first use.  The complex work buffers, one per field
+    component, one for products and one for the summands of `a_contract`,
+    are reused by every call; each call overwrites what it reads.
     """
 
     def __init__(self, grid, spec):
@@ -315,17 +358,30 @@ class _Layout:
         self.term = np.empty(half, dtype=complex)
         self._a = self._psi = None
 
+    def _real_spectra(self, octants):
+        """{key: real spectrum} of the wrapped tables unfolded from the
+        (key, octant, odd axes) items, one at a time through one P^N buffer;
+        each transform runs in the product buffer, and the imaginary part,
+        round-off of an even table, is dropped."""
+        wrapped = np.zeros(self.shape)
+        spectra = {}
+        for key, octant, odd in octants:
+            _unfold(octant, odd, wrapped)
+            spectra[key] = _forward(wrapped, self.shape, out=self.product).real.copy()
+        return spectra
+
     def a_spectra(self):
+        # a_ij is odd along axes i and j when i != j, even along the others
         if self._a is None:
-            spectra = {}
-            for (i, j), tab in _a_table_items(self.grid, self.spec):
-                spectra[(i, j)] = spectra[(j, i)] = _forward(tab, self.shape)
-            self._a = spectra
+            items = _a_table_items(*_octant_fields(self.grid, self.spec))
+            spectra = self._real_spectra((ij, tab, {ij[0]} ^ {ij[1]}) for ij, tab in items)
+            self._a = {**spectra, **{(j, i): s for (i, j), s in spectra.items()}}
         return self._a
 
     def psi_spectrum(self):
         if self._psi is None:
-            self._psi = _forward(_difference_grid(self.grid, self.spec)[2], self.shape)
+            psi = _octant_fields(self.grid, self.spec)[2]
+            self._psi = self._real_spectra([(None, psi, ())])[None]
         return self._psi
 
 
@@ -380,16 +436,44 @@ def a_contract(grid, spec, g):
     over j taken on the spectra, and one inverse per component i.
     """
     lay = _layout(grid, spec)
-    spectra = lay.a_spectra()
-    g_hat = [_forward(comp, lay.shape, out=buf) for comp, buf in zip(g, lay.field_hat)]
     out = np.empty((grid.size, grid.dim))
-    acc = lay.product
-    for i in range(grid.dim):
-        acc.fill(0)  # the sum starts from 0, which sets the signs of zeros
-        for j in range(grid.dim):
-            acc += np.multiply(spectra[(i, j)], g_hat[j], out=lay.term)
+    for i, (_, acc) in enumerate(_contracted(lay, g)):
         _quadrature(grid, acc, lay.shape, out=out[:, i])
     return out
+
+
+def a_pair_sum(grid, spec, g):
+    """sum_i <g_i, (sum_j a_ij*g_j)_i> over the nodes for g of shape
+    (N,) + grid.shape: the node sum of g times `a_contract(grid, spec, g)`.
+
+    A Parseval sum over the spectra, with no inverse transform: one forward
+    transform per component of g.  The products Re(conj(g_i^) s_i^) are
+    summed pairwise (np.sum), which keeps the round-off of a dissipation
+    that is a small difference of large sums near the node-space value.
+    """
+    lay = _layout(grid, spec)
+    P = lay.shape[-1]
+    edges = [0, P // 2] if P % 2 == 0 else [0]  # last-axis bins without a mirror
+    # (re, im) pairs of the summand buffer, free once each sum is made
+    prod = lay.term.view(float).reshape(lay.term.shape + (2,))
+    total = 0.0
+    for g_hat, acc in _contracted(lay, g):
+        np.multiply(g_hat.view(float), acc.view(float), out=lay.term.view(float))
+        total += 2.0 * float(np.sum(prod)) - sum(float(np.sum(prod[..., k, :])) for k in edges)
+    return total * grid.cell_volume / math.prod(lay.shape)
+
+
+def _contracted(lay, g):
+    """(g_i spectrum, sum_j a_ij^ g_j^) for each i, the sum in the product
+    buffer, which the next item overwrites."""
+    spectra = lay.a_spectra()
+    g_hat = [_forward(comp, lay.shape, out=buf) for comp, buf in zip(g, lay.field_hat)]
+    acc = lay.product
+    for i in range(len(g_hat)):
+        acc.fill(0)  # the sum starts from 0, which sets the signs of zeros
+        for j in range(len(g_hat)):
+            acc += np.multiply(spectra[(i, j)], g_hat[j], out=lay.term)
+        yield g_hat[i], acc
 
 
 def psi_convolve(grid, spec, g):

@@ -591,8 +591,8 @@ def lp_energy_balance(f, spec, k, fields=None):
     conservative-projection correction is accounted in the drift term.
     `fields` are the `_face_fluxes` of f when they are already made.
     """
-    if k <= 0:
-        raise ValidationError(f"k must be > 0, got {k}")
+    if not (k > 0 and math.isfinite(k)):  # NaN fails too
+        raise ValidationError(f"k must be finite and > 0, got {k}")
     grid = f.grid
     if fields is None:
         fields = _face_fluxes(f, spec)

@@ -276,6 +276,9 @@ class TestSolve:
             rows = list(csv.reader(fh))
         assert rows[0][:4] == ["step", "t", "mass", "px"]
         assert len(rows) == 12  # header + 11 records
+        # every record is a heavy sample here; each D cell is a plain number
+        d = rows[0].index("D")
+        assert all(math.isfinite(float(row[d])) for row in rows[1:])
         final = DiscreteDistribution.load(str(out / "final_state.json"))
         assert float(np.min(final.values)) >= 0.0
 

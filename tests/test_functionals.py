@@ -21,7 +21,7 @@ from landau.functionals import (
     weighted_lp,
 )
 from landau.grid import DiscreteDistribution, build_grid
-from landau.kernels import CoulombPsi, PowerLawPsi
+from landau.kernels import CoulombPsi, PowerLawPsi, collision_coefficients
 
 
 def maxwellian(grid, temperature=1.0, mean=None):
@@ -81,6 +81,13 @@ class TestWeightedNorms:
         w = (1.0 + g.sq_norm) ** -1.0
         assert weighted_lp(f, math.inf, -2.0) == pytest.approx(np.max(w * vals))
 
+    @pytest.mark.parametrize("p", [0.5, 0.0, -math.inf, math.nan])
+    def test_weighted_lp_exponent_validation(self, p):
+        g = build_grid(2, 2.0, 6)
+        f = DiscreteDistribution(g, np.ones(g.size))
+        with pytest.raises(ValidationError):
+            weighted_lp(f, p, 0.0)
+
     def test_weighted_fisher_gaussian(self):
         # |grad sqrt(M)|^2 = |v|^2 M / 4; with weight (1+|v|^2)^-3/2 the
         # integral has a closed 1-D radial form; frozen quadrature oracle:
@@ -127,6 +134,15 @@ class TestEntropyDissipation:
         d_eq = entropy_dissipation(maxwellian(g), spec)
         d_bi = entropy_dissipation(bimodal(g, eps=0.1), spec)
         assert d_eq <= 1e-3 * d_bi
+
+    def test_python_float_in_every_form(self):
+        # np.float64 would print as "np.float64(...)" in diagnostics.csv
+        g = build_grid(3, 4.0, 8)
+        f = bimodal(g)
+        spec = CoulombPsi()
+        coeffs = collision_coefficients(f, spec)
+        for kwargs in ({}, {"coeffs": coeffs}, {"form": "pairdiff"}):
+            assert type(entropy_dissipation(f, spec, **kwargs)) is float, kwargs
 
     def test_scaling_quadratic_in_mass(self):
         g = build_grid(3, 4.0, 10)

@@ -43,6 +43,23 @@ class TestBuildGrid:
         with pytest.raises(ValidationError):
             build_grid(3, 2.0, 3)
 
+    @pytest.mark.parametrize("args", [
+        (3, 6.0, 8.7), (3, 6.0, 8.0), (3.0, 6.0, 8), (True, 6.0, 8), (3, 6.0, True),
+        ("3", 6.0, 8), (3, 6.0, "8"), (3, "6", 8), (3, math.nan, 8), (3, math.inf, 8),
+        (3, True, 8),
+    ], ids=["n=8.7", "n=8.0", "dim=3.0", "dim=True", "n=True", "dim='3'", "n='8'",
+            "L='6'", "L=nan", "L=inf", "L=True"])
+    def test_sizes_read_by_the_config_rule(self, args):
+        # a library caller gets the config rule too: no truncation, no
+        # parsing, no bool, a finite half-width
+        with pytest.raises(ValidationError):
+            build_grid(*args)
+
+    def test_integer_half_width_is_a_float(self):
+        g = build_grid(3, 6, 8)
+        assert (g.dim, g.half_width, g.n) == (3, 6.0, 8)
+        assert type(g.half_width) is float
+
     def test_memory_budget_guard(self):
         from landau.errors import ResourceError
 

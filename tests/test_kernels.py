@@ -1,6 +1,7 @@
 """Kernel laws, the projection matrix, and the convolution coefficients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ class TestCollisionCoefficients:
         spec = Unhashable(-2.5)
         assert transforms(fa, spec) == 7
         assert transforms(fa, spec) == 7  # never cached
+
+    def test_cold_table_spectra_peak_memory(self):
+        # real spectra, one P^N unfold buffer and P^N of transform work,
+        # with a margin of eight n^N octant arrays: complex spectra, or
+        # tables and meshes on the (2n-1)^N difference grid, do not fit
+        grid = build_grid(3, 2.0, 16)
+        lay = landau.kernels._Layout(grid, CoulombPsi())
+        P = lay.shape[0]  # 32
+        spectra = 6 * P**2 * (P // 2 + 1) * 8
+        budget = spectra + 2 * P**3 * 8 + 8 * grid.size * 8
+        tracemalloc.start()
+        try:
+            lay.a_spectra()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
     def test_diffusion_matrix_symmetric_psd(self):
         rng = np.random.default_rng(3)

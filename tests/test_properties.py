@@ -9,17 +9,21 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
 from landau.functionals import entropy_dissipation
-from landau.grid import DiscreteDistribution, _multilinear, build_grid
+from landau.grid import DiscreteDistribution, _multilinear, build_grid, grad_log
 from landau.kernels import (
     CoulombPsi,
+    PowerLawPsi,
     _a_tables,
     _convolve_direct,
+    _difference_fields,
     _fast_len,
     _forward,
+    _Layout,
     _padded_shape,
     _quadrature,
     a_contract,
     a_convolve,
+    a_pair_sum,
     psi_convolve,
 )
 from landau.solver import assemble_operator
@@ -40,6 +44,14 @@ def positive_state(n, half_width, seed):
 
 def max_rel(x, ref):
     return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+def wrapped(table, shape):
+    """A centered (2n-1)^N difference table zero-padded to `shape` and rolled
+    so that z = 0 sits at index 0 and negative z at the end of each axis."""
+    n = (table.shape[0] + 1) // 2
+    padded = np.pad(table, [(0, m - table.shape[0]) for m in shape])
+    return np.roll(padded, -(n - 1), axis=tuple(range(table.ndim)))
 
 
 @few
@@ -79,6 +91,21 @@ def test_operator_conserves_mass_momentum_energy(state):
     for d in range(3):
         assert abs(float(np.sum(q * v[:, d]))) <= 1e-12 * scale
     assert abs(float(np.sum(q * grid.sq_norm))) <= 1e-12 * scale
+
+
+@few
+@given(states)
+def test_pair_sum_is_node_sum_of_a_contract(state):
+    # the Parseval drift term of D against h^N sum <G, a_contract(G)>, for
+    # G = f grad log f and for a random vector field
+    f = positive_state(*state)
+    grid = f.grid
+    xi, _ = grad_log(f)
+    G = (f.values[:, None] * xi).T.reshape((3,) + grid.shape)
+    noise = np.random.default_rng(state[2]).standard_normal(G.shape)
+    for g in (G, noise):
+        ref = grid.cell_volume * float(np.sum(g.reshape(3, -1).T * a_contract(grid, SPEC, g)))
+        assert abs(grid.cell_volume * a_pair_sum(grid, SPEC, g) - ref) <= 1e-12 * abs(ref)
 
 
 @few
@@ -125,11 +152,36 @@ def test_quadrature_is_valid_slice_of_irfftn(layout):
     grid = build_grid(dim, 3.0, n)
     shape = _padded_shape(grid)
     rng = np.random.default_rng(seed)
-    spectrum = scipy.fft.rfftn(rng.standard_normal((2 * n - 1,) * dim), shape)
+    spectrum = scipy.fft.rfftn(wrapped(rng.standard_normal((2 * n - 1,) * dim), shape))
     full = scipy.fft.irfftn(spectrum, shape)
-    ref = grid.cell_volume * full[(slice(n - 1, 2 * n - 1),) * dim].ravel()
+    ref = grid.cell_volume * full[(slice(n),) * dim].ravel()
     # _quadrature overwrites the spectrum, so the reference comes first
     assert np.array_equal(_quadrature(grid, spectrum, shape), ref)
+
+
+@exact
+@given(layouts, st.sampled_from([CoulombPsi(), PowerLawPsi(-2.5), PowerLawPsi(0.0)]))
+@example((2, 5, 0), CoulombPsi())
+@example((3, 5, 1), CoulombPsi())
+@example((2, 8, 2), PowerLawPsi(-2.5))
+@example((3, 8, 3), CoulombPsi())
+def test_table_spectra_are_real_parts_of_wrapped_spectra(layout, spec):
+    dim, n, _ = layout
+    grid = build_grid(dim, 3.0, n)
+    shape = _padded_shape(grid)
+    lay = _Layout(grid, spec)
+    tables = _a_tables(grid, spec)
+    psi = _difference_fields((np.arange(2 * n - 1) - (n - 1)) * grid.h, dim, spec)[2]
+    spectra = lay.a_spectra()
+    assert len(spectra) == dim * dim
+    for key, table, spectrum in [(None, psi, lay.psi_spectrum())] + [
+            (ij, tables[ij], spectra[ij]) for ij in tables]:
+        ref = scipy.fft.rfftn(wrapped(table, shape))
+        assert spectrum.dtype == np.float64 and spectrum.shape == ref.shape, key
+        assert np.array_equal(spectrum, ref.real), key
+        assert np.max(np.abs(ref.imag)) <= 1e-15 * np.max(np.abs(ref.real)), key
+        if key is not None:
+            assert spectra[key[::-1]] is spectrum
 
 
 @exact
@@ -146,7 +198,7 @@ def test_engine_results_do_not_depend_on_earlier_calls(layout):
 
     def results(field):  # field[0] scalar, field[1:] a vector field
         return (a_convolve(grid, SPEC, field[0]), a_contract(grid, SPEC, field[1:]),
-                psi_convolve(grid, SPEC, field[0]))
+                psi_convolve(grid, SPEC, field[0]), a_pair_sum(grid, SPEC, field[1:]))
 
     x, y = (rng.standard_normal((dim + 1,) + grid.shape) for _ in range(2))
     first = results(x)

@@ -258,6 +258,12 @@ class TestLpBalance:
         with pytest.raises(ValidationError):
             lp_energy_balance(maxwellian(grid), SPEC, 0.0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_k_must_be_finite(self, k):
+        grid = build_grid(3, 4.0, 6)
+        with pytest.raises(ValidationError):
+            lp_energy_balance(maxwellian(grid), SPEC, k)
+
 
 @pytest.fixture(scope="module")
 def series():
@@ -375,5 +381,6 @@ class TestStateFields:
         steps = series.records[-1].step
         heavy = len(series.snapshots)
         # per state A (1 + 6) and the drift (3 + 3); per heavy sample the
-        # a_contract of D; the six a_ij tables once
-        assert len(calls) == (steps + 1) * 13 + heavy * 6 + 6
+        # three forward transforms of D's Parseval drift term; the six a_ij
+        # tables once
+        assert len(calls) == (steps + 1) * 13 + heavy * 3 + 6

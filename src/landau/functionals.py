@@ -17,6 +17,22 @@ collision coefficients use), which evaluates the identical pair quadrature
 in O(M log M); the cross-product form is a direct double sum. In both, the
 source cell w = v is skipped and nodes below the positivity floor
 contribute nothing.
+
+The reconstruction recovers xi from moments of g(w) = exp(-lam|w|^2) f(w) h^N
+over the support, with phi = (1, w_i, w_j): at each node v it solves
+
+    M x = z(v),   M_k = sum_w phi_k(w) (1, w_j, w_i) g(w),   det M = -Gamma,
+
+for x = (v_i xi_j - v_j xi_i, xi_i, -xi_j)(v) and keeps x_1 = xi_i(v).  Here
+z_k(v) = sum_w q_ij(v,w) phi_k(w) g(w) plus the Gaussian-weight terms that
+integration by parts gives for the sums of xi(w).  The pair sum costs O(m),
+not O(m^2), because q_ij is bilinear in six terms,
+
+    q_ij(v,w) = sum_r c_r(v) b_r(w),
+    b = (1, w_i, w_j, xi_i, xi_j, w_i xi_j - w_j xi_i),
+    c = (v_i xi_j - v_j xi_i, -xi_j, xi_i, v_j, -v_i, 1),
+
+so the pair sums are c @ (b @ (phi g)^T).
 """
 
 from __future__ import annotations
@@ -89,6 +105,8 @@ def weighted_lp(f, p, l):
     """
     if not p >= 1:  # NaN fails too
         raise ValidationError(f"p must be >= 1 or inf, got {p}")
+    if not math.isfinite(l):
+        raise ValidationError(f"l must be finite, got {l}")
     w = (1.0 + f.grid.sq_norm) ** (l / 2.0)
     g = w * f.values
     if math.isinf(p):
@@ -98,16 +116,11 @@ def weighted_lp(f, p, l):
 
 def weighted_fisher(f, gamma1):
     """int |grad sqrt(f)|^2 (1+|v|^2)^{min(gamma1/2, -1)} dv."""
+    if not math.isfinite(gamma1):
+        raise ValidationError(f"gamma1 must be finite, got {gamma1}")
     gs = gradient_sqrt(f)
     w = (1.0 + f.grid.sq_norm) ** min(gamma1 / 2.0, -1.0)
     return float(f.grid.cell_volume * np.sum(np.sum(gs**2, axis=1) * w))
-
-
-def _support_arrays(f):
-    """Coordinates, values, and log-gradients restricted to f > floor."""
-    xi, mask = grad_log(f)
-    idx = np.flatnonzero(mask)
-    return f.grid.coords[idx], f.values[idx], xi[idx], idx
 
 
 def _dissipation_projected_conv(f, spec, coeffs=None):
@@ -148,7 +161,8 @@ def entropy_dissipation(f, spec, form="projected", coeffs=None):
         raise ValidationError(f"unknown form {form!r}")
     if form == "projected":
         return _dissipation_projected_conv(f, spec, coeffs)
-    coords, fv, xi, idx = _support_arrays(f)
+    xi, mask = grad_log(f)
+    coords, fv, xi = f.grid.coords[mask], f.values[mask], xi[mask]
     m = coords.shape[0]
     if m == 0:
         return 0.0
@@ -203,24 +217,25 @@ def check_normalized(f, tol=1e-3):
 
 
 def _gaussian_moments(f, lam):
-    """Zeroth/first/second weighted moments with weight exp(-lam |w|^2) f(w)."""
+    """Zeroth/first/second moments of g(w) = exp(-lam |w|^2) f(w) h^N."""
     grid = f.grid
     g = np.exp(-lam * grid.sq_norm) * f.values * grid.cell_volume
-    m0 = float(np.sum(g))
-    m1 = grid.coords.T @ g
-    m2 = (grid.coords.T * g) @ grid.coords
-    return g, m0, m1, m2
+    return float(np.sum(g)), grid.coords.T @ g, (grid.coords.T * g) @ grid.coords
 
 
-def _gamma_value(m0, m1, m2, i, j):
-    mat = np.array(
+def _gamma_matrix(m0, m1, m2, i, j):
+    """M[k] = sum_w phi_k(w) (1, w_j, w_i) g(w), phi = (1, w_i, w_j); det M = -Gamma."""
+    return np.array(
         [
             [m0, m1[j], m1[i]],
             [m1[i], m2[i, j], m2[i, i]],
             [m1[j], m2[j, j], m2[i, j]],
         ]
     )
-    return -float(np.linalg.det(mat))
+
+
+def _gamma_value(m0, m1, m2, i, j):
+    return -float(np.linalg.det(_gamma_matrix(m0, m1, m2, i, j)))
 
 
 def gamma_determinant(f, lam, i, j):
@@ -234,76 +249,19 @@ def gamma_determinant(f, lam, i, j):
     if i == j:
         raise ValidationError("axis indices must differ")
     check_normalized(f)
-    _, m0, m1, m2 = _gaussian_moments(f, lam)
+    m0, m1, m2 = _gaussian_moments(f, lam)
     return GammaDeterminant(lam=lam, i=i, j=j, gamma_value=_gamma_value(m0, m1, m2, i, j))
 
 
-def _log_gradient_moment_pack(f, lam):
-    """All weighted moment sums needed to reconstruct the log gradient.
-
-    With g(w) = exp(-lam|w|^2) f(w) h^N over support nodes and
-    xi = grad log f:
-      m0, m1[k], m2[k,l]  -- plain moments,
-      s0[l] = sum xi_l g,  s1[k,l] = sum w_k xi_l g,
-      s2[k,m,l] = sum w_k w_m xi_l g.
-    """
-    coords, fv, xi, idx = _support_arrays(f)
-    grid = f.grid
-    g = np.exp(-lam * np.sum(coords**2, axis=1)) * fv * grid.cell_volume
-    m0 = float(np.sum(g))
-    m1 = coords.T @ g
-    m2 = (coords.T * g) @ coords
-    s0 = xi.T @ g
-    s1 = (coords.T * g) @ xi
-    dim = grid.dim
-    s2 = np.empty((dim, dim, dim))
-    for k in range(dim):
-        s2[k] = (coords.T * (coords[:, k] * g)) @ xi
-    return coords, xi, idx, m0, m1, m2, s0, s1, s2
-
-
-def _reconstruct_component(v, xiv, i, j, lam, m0, m1, m2, s0, s1, s2, gamma):
-    """Cramer solve for xi_i(v) from the pair-difference moment system."""
-    x1v = v[:, i] * xiv[:, j] - v[:, j] * xiv[:, i]
-    # Factorized pair sums Qk(v) = sum_w q_ij(v, w) * {1, w_i, w_j} g(w).
-    q1 = (
-        x1v * m0
-        + xiv[:, i] * m1[j]
-        - xiv[:, j] * m1[i]
-        - v[:, i] * s0[j]
-        + v[:, j] * s0[i]
-        + (s1[i, j] - s1[j, i])
-    )
-    q2 = (
-        x1v * m1[i]
-        + xiv[:, i] * m2[i, j]
-        - xiv[:, j] * m2[i, i]
-        - v[:, i] * s1[i, j]
-        + v[:, j] * s1[i, i]
-        + (s2[i, i, j] - s2[i, j, i])
-    )
-    q3 = (
-        x1v * m1[j]
-        + xiv[:, i] * m2[j, j]
-        - xiv[:, j] * m2[i, j]
-        - v[:, i] * s1[j, j]
-        + v[:, j] * s1[j, i]
-        + (s2[j, i, j] - s2[j, j, i])
-    )
-    z1 = q1 + 2 * lam * (v[:, i] * m1[j] - v[:, j] * m1[i])
-    z2 = q2 + 2 * lam * v[:, i] * m2[i, j] + v[:, j] * (m0 - 2 * lam * m2[i, i]) - m1[j]
-    z3 = q3 - v[:, i] * (m0 - 2 * lam * m2[j, j]) - 2 * lam * v[:, j] * m2[i, j] + m1[i]
-    # Determinant of the numerator matrix
-    #   [ m0     z1  m1[i]   ]
-    #   [ m1[i]  z2  m2[i,i] ]
-    #   [ m1[j]  z3  m2[i,j] ]
-    # expanded along the middle column; denominator determinant is -gamma.
-    num = (
-        -z1 * (m1[i] * m2[i, j] - m2[i, i] * m1[j])
-        + z2 * (m0 * m2[i, j] - m1[i] * m1[j])
-        - z3 * (m0 * m2[i, i] - m1[i] * m1[i])
-    )
-    return num / (-gamma)
+def _pair_factors(v, xi, g, i, j):
+    """Factors (c, B) of the pair sums sum_w q_ij(v, w) phi_k(w) g(w) = (c @ B)[v, k]
+    over support nodes v, w: c is (m, 6), B = b @ (phi g)^T is (6, 3)."""
+    vi, vj, xii, xij = v[:, i], v[:, j], xi[:, i], xi[:, j]
+    one = np.ones_like(vi)
+    rot = vi * xij - vj * xii
+    c = np.stack([rot, -xij, xii, vj, -vi, one], axis=1)
+    b = np.stack([one, vi, vj, xii, xij, rot])
+    return c, b @ (b[:3] * g).T
 
 
 def reconstruct_log_gradient_field(f, lam=None):
@@ -320,27 +278,25 @@ def reconstruct_log_gradient_field(f, lam=None):
     if lam <= 0:
         raise ValidationError(f"lam must be > 0, got {lam}")
     floor = gamma_floor(ms.abs_entropy)
-    coords, xi, idx, m0, m1, m2, s0, s1, s2 = _log_gradient_moment_pack(f, lam)
+    xi, mask = grad_log(f)
+    g = np.exp(-lam * f.grid.sq_norm[mask]) * f.values[mask] * f.grid.cell_volume
+    m0, m1, m2 = _gaussian_moments(f, lam)
     dim = f.grid.dim
     out = np.zeros((f.grid.size, dim))
     for i in range(dim):
-        best_j, best_gamma = -1, -np.inf
-        for j in range(dim):
-            if j == i:
-                continue
-            gv = _gamma_value(m0, m1, m2, i, j)
-            if gv > best_gamma:
-                best_j, best_gamma = j, gv
-        if best_gamma < floor:
+        gammas = {j: _gamma_value(m0, m1, m2, i, j) for j in range(dim) if j != i}
+        j = max(gammas, key=gammas.get)
+        if gammas[j] < floor:
             raise DegeneracyError(
-                f"Gamma_(lam,{i},{best_j}) = {best_gamma} is below the "
+                f"Gamma_(lam,{i},{j}) = {gammas[j]} is below the "
                 f"floor {floor}: near-concentration on a hyperplane"
             )
-        out[idx, i] = _reconstruct_component(
-            coords, xi, i, best_j, lam, m0, m1, m2, s0, s1, s2, best_gamma
-        )
-    mask = np.zeros(f.grid.size, dtype=bool)
-    mask[idx] = True
+        c, B = _pair_factors(f.grid.coords[mask], xi[mask], g, i, j)
+        # the Gaussian-weight terms, on the rows of c_3..c_5 = (v_j, -v_i, 1)
+        B[3:] += [[-2 * lam * m1[i], m0 - 2 * lam * m2[i, i], -2 * lam * m2[i, j]],
+                  [-2 * lam * m1[j], -2 * lam * m2[i, j], m0 - 2 * lam * m2[j, j]],
+                  [0.0, -m1[j], m1[i]]]
+        out[mask, i] = np.linalg.solve(_gamma_matrix(m0, m1, m2, i, j), (c @ B).T)[1]
     return out, mask
 
 

@@ -217,38 +217,32 @@ def gradient_sqrt(f):
 def grad_log(f):
     """Node-wise estimate of grad(log f) and its validity mask.
 
-    Central differences of log f on interior nodes (second-order one-sided at
-    the box boundary).  Where the stencil touches floored nodes, falls back to
-    a one-sided two-point difference toward the valid side; isolated nodes get
-    a zero component.  Returns (xi, mask) with xi of shape (size, dim) and
-    mask true where f > EPS_FLOOR.
+    One rule on every axis of every state, at each node above EPS_FLOOR:
+    the `_gradient_nd` stencil (central inside, second-order one-sided at
+    the box faces) where it touches only nodes above the floor; otherwise a
+    two-point difference toward a neighbour above the floor, forward first;
+    otherwise 0.  An all-positive state gets `_gradient_nd(log f)` bit for
+    bit.  Returns (xi, mask) with xi of shape (size, dim), zero off the
+    mask, and mask true where f > EPS_FLOOR.
     """
     grid = f.grid
     vals = f.reshaped()
     mask = vals > EPS_FLOOR
-    if mask.all():
-        logf = np.log(vals)
-        xi = _gradient_nd(logf, grid.h)
-        return xi.reshape(grid.dim, grid.size).T, mask.ravel()
-
-    logf = np.where(mask, np.log(np.where(mask, vals, 1.0)), 0.0)
-    h = grid.h
-    xi = np.zeros((grid.dim,) + grid.shape)
+    logf = np.log(np.where(mask, vals, 1.0))
+    xi = _gradient_nd(logf, grid.h)
     for d in range(grid.dim):
-        lf = np.moveaxis(logf, d, 0)
-        mk = np.moveaxis(mask, d, 0)
-        comp = np.moveaxis(xi[d], d, 0)
-        up = np.roll(lf, -1, axis=0)
-        dn = np.roll(lf, 1, axis=0)
+        lf, mk, comp = (np.moveaxis(a, d, 0) for a in (logf, mask, xi[d]))
         up_ok = np.roll(mk, -1, axis=0)
         dn_ok = np.roll(mk, 1, axis=0)
-        up_ok[-1] = False
-        dn_ok[0] = False
-        central = (up - dn) / (2 * h)
-        fwd = (up - lf) / h
-        bwd = (lf - dn) / h
+        up_ok[-1] = dn_ok[0] = False
+        # the nodes of the `_gradient_nd` stencil: k +- 1 inside, and
+        # 0, 1, 2 and n-3, n-2, n-1 at the faces
+        stencil_ok = up_ok & dn_ok
+        stencil_ok[0] = up_ok[0] & mk[2]
+        stencil_ok[-1] = dn_ok[-1] & mk[-3]
+        fwd = (np.roll(lf, -1, axis=0) - lf) / grid.h
         comp[...] = np.select(
-            [up_ok & dn_ok, up_ok, dn_ok], [central, fwd, bwd], default=0.0
+            [stencil_ok, up_ok, dn_ok], [comp, fwd, np.roll(fwd, 1, axis=0)], default=0.0
         )
         comp[~mk] = 0.0
     return xi.reshape(grid.dim, grid.size).T, mask.ravel()

@@ -332,7 +332,7 @@ def check_gamma_lower_bound(f, hbar):
         raise ValidationError(f"lam must be > 0, got {lam}")
     floor = gamma_floor(hbar)
     # the moments do not depend on the axis pair: one pass serves all six
-    _, m0, m1, m2 = _gaussian_moments(f, lam)
+    m0, m1, m2 = _gaussian_moments(f, lam)
     values = {}
     worst = math.inf
     for i in range(3):

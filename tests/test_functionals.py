@@ -88,6 +88,21 @@ class TestWeightedNorms:
         with pytest.raises(ValidationError):
             weighted_lp(f, p, 0.0)
 
+    @pytest.mark.parametrize("l", [math.nan, math.inf, -math.inf])
+    def test_weighted_lp_weight_exponent_validation(self, l):
+        g = build_grid(2, 2.0, 6)
+        f = DiscreteDistribution(g, np.ones(g.size))
+        for p in (2.0, math.inf):
+            with pytest.raises(ValidationError):
+                weighted_lp(f, p, l)
+
+    @pytest.mark.parametrize("gamma1", [math.nan, math.inf, -math.inf])
+    def test_weighted_fisher_exponent_validation(self, gamma1):
+        g = build_grid(2, 2.0, 6)
+        f = DiscreteDistribution(g, np.ones(g.size))
+        with pytest.raises(ValidationError):
+            weighted_fisher(f, gamma1)
+
     def test_weighted_fisher_gaussian(self):
         # |grad sqrt(M)|^2 = |v|^2 M / 4; with weight (1+|v|^2)^-3/2 the
         # integral has a closed 1-D radial form; frozen quadrature oracle:

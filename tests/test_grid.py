@@ -216,6 +216,19 @@ class TestGradLog:
         err = np.max(np.abs(xi[interior] + g.coords[interior]))
         assert err < 5e-2
 
+    def test_floored_corner_changes_only_its_stencils(self):
+        # log f is quadratic, so the `_gradient_nd` stencils are exact on
+        # it; a floored corner may change only the nodes whose stencil holds
+        # it: the corner and its three neighbours
+        g = build_grid(3, 4.0, 16)
+        vals = np.exp(-0.5 * g.sq_norm)
+        vals[0] = 0.0
+        xi, mask = grad_log(DiscreteDistribution(g, vals))
+        far = mask & (np.linalg.norm(g.coords - g.coords[0], axis=1) > 1.1 * g.h)
+        assert np.count_nonzero(mask & ~far) == 3
+        assert np.max(np.abs(xi[far] + g.coords[far])) <= 1e-12
+        assert not np.any(xi[~mask])
+
 
 class TestNormalize:
     def test_already_normalized_is_identity(self):

@@ -1,15 +1,15 @@
-"""Exact discrete identities of the convolution engine and the flux-form
-operator, checked on random positive states of small grids, and the
-bit-identity of the NumPy transforms and interpolation against their SciPy
-references."""
+"""Exact discrete identities of the convolution engine, the flux-form
+operator and the log-gradient reconstruction, checked on random positive
+states of small grids, and the bit-identity of the NumPy transforms,
+interpolation and log gradient against their references."""
 
 import numpy as np
 import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
-from landau.functionals import entropy_dissipation
-from landau.grid import DiscreteDistribution, _multilinear, build_grid, grad_log
+from landau.functionals import _pair_factors, entropy_dissipation
+from landau.grid import DiscreteDistribution, _gradient_nd, _multilinear, build_grid, grad_log
 from landau.kernels import (
     CoulombPsi,
     PowerLawPsi,
@@ -115,6 +115,37 @@ def test_projected_dissipation_equals_pair_difference(state):
     projected = entropy_dissipation(f, SPEC, form="projected")
     pairdiff = entropy_dissipation(f, SPEC, form="pairdiff")
     assert abs(projected - pairdiff) <= 1e-10 * abs(pairdiff)
+
+
+@few
+@given(states)
+def test_grad_log_of_positive_state_is_plain_gradient(state):
+    f = positive_state(*state)
+    xi, mask = grad_log(f)
+    ref = _gradient_nd(np.log(f.reshaped()), f.grid.h).reshape(3, f.grid.size).T
+    assert mask.all() and np.array_equal(xi, ref)
+
+
+@few
+@given(st.integers(4, 6), st.floats(2.0, 5.0), st.integers(0, 2**32 - 1),
+       st.floats(1e-4, 1.0))
+def test_factored_pair_sums_equal_double_sum(n, half_width, seed, lam):
+    # sum_w q_ij(v, w) phi_k(w) g(w), phi = (1, w_i, w_j), summed over all
+    # node pairs, against the six-term factorization c @ B
+    f = positive_state(n, half_width, seed)
+    v = f.grid.coords
+    xi, _ = grad_log(f)
+    g = np.exp(-lam * f.grid.sq_norm) * f.values * f.grid.cell_volume
+    dv = v[:, None, :] - v[None, :, :]
+    dxi = xi[:, None, :] - xi[None, :, :]
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                continue
+            q = dv[..., i] * dxi[..., j] - dv[..., j] * dxi[..., i]
+            ref = q @ (np.stack([np.ones(len(v)), v[:, i], v[:, j]], axis=1) * g[:, None])
+            c, B = _pair_factors(v, xi, g, i, j)
+            assert max_rel(c @ B, ref) <= 1e-12
 
 
 # dim, n, seed; n = 5 and n = 8 pad to exactly P = 2n - 1 (9, 15)

@@ -135,20 +135,26 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
     matching the direct pair sum to roundoff.  The second sum is a Parseval
     sum over the spectra of G (`a_pair_sum`).  When the mask covers every
     node, F is f bit for bit, so the coefficient field A = a*f of f, when
-    given as `coeffs`, is a*F.
+    given as `coeffs`, is a*F.  The first sum is taken row by row, H_i. =
+    G_i xi, so no (size, N, N) array but a*F is made, and a*F is dropped
+    before the drift term.
     """
     grid = f.grid
     xi, mask = grad_log(f)
-    F = np.where(mask, f.values, 0.0)
-    G = np.where(mask[:, None], f.values[:, None] * xi, 0.0)
+    G = np.where(mask, f.values * xi.T, 0.0)  # (N, size)
     if coeffs is not None and mask.all():
         aF = coeffs
     else:
-        aF = a_convolve(grid, spec, F.reshape(grid.shape))
-    H = G[:, :, None] * xi[:, None, :]
-    H *= aF  # the products H_ij a_ij*F, with no third (size, N, N) array
-    drift = a_pair_sum(grid, spec, G.T.reshape((grid.dim,) + grid.shape))
-    return grid.cell_volume * (float(np.sum(H)) - drift)
+        aF = a_convolve(grid, spec, np.where(mask, f.values, 0.0).reshape(grid.shape))
+    diffusion = 0.0
+    row = np.empty_like(xi)
+    for i, G_i in enumerate(G):
+        np.multiply(G_i[:, None], xi, out=row)
+        row *= aF[:, i]
+        diffusion += float(np.sum(row))
+    del aF, row
+    drift = a_pair_sum(grid, spec, G.reshape((grid.dim,) + grid.shape))
+    return grid.cell_volume * (diffusion - drift)
 
 
 def entropy_dissipation(f, spec, form="projected", coeffs=None):

@@ -26,9 +26,10 @@ on the period-P grid, table[-k mod P] = table[k], and the transform of a
 real even sequence is real; its computed imaginary part is round-off,
 below 1e-15 of the real part, and is dropped, so each spectrum is a
 float64 array of shape P^(N-1) x (P/2+1).  Each table is tabulated only on
-its z >= 0 octant (n^N nodes) and unfolded by parity into one reused P^N
-buffer before its transform: a_ii is even along every axis, and a_ij with
-i != j is odd along axes i and j and even along the others; psi is even.
+its z >= 0 octant (n^N nodes) and unfolded by parity into a float view of
+one work buffer before its transform: a_ii is even along every axis, and
+a_ij with i != j is odd along axes i and j and even along the others; psi
+is even.
 
 The drift term sum_i <g_i, sum_j a_ij*g_j> of the dissipation is a
 Parseval sum over the spectra g_i^ of the padded g_i, with no inverse
@@ -41,10 +42,16 @@ On the half spectrum each last-axis bin also stands for its mirror, weight
 The engine keeps one entry per (grid layout, kernel), and at most one
 entry at a time: a new layout drops the old entry before it builds
 anything.  The entry owns the real spectra of the a_ij, i <= j, and of
-psi, each made on first use (the a_ij tables one at a time), and reused
-complex work buffers: one per field component, one for products and one
-for the summands of `a_contract`.  Each call overwrites the buffers it
-reads, and every result is a fresh array.
+psi, each made on first use (the a_ij tables one at a time), and N reused
+complex half-spectrum work buffers, one per field component.  A scalar
+field's spectrum sits in the first buffer and each product with a kernel
+spectrum is formed, and inverted in place, in the last.  The contraction
+sum_j a_ij^ g_j^ runs slab by slab along the leading spectral axis, in
+N + 1 slab temporaries of about `_SLAB_BYTES`, and `a_contract` writes each
+slab's sums back over the g_i spectra, whose inverses then run in place.
+A cold build unfolds and transforms its tables inside the buffers too.
+Each call overwrites the buffers it reads, and every result is a fresh
+array; no call makes a temporary the size of a work buffer.
 
 Every transform is a sequence of NumPy 1-D passes that skips the lines
 holding only padding.  `_forward` runs a real pass along the last axis of
@@ -69,6 +76,12 @@ import numpy as np
 from .errors import ValidationError, read_tagged
 
 _SANDWICH_RADII = np.logspace(-3.0, 3.0, 1000)
+
+# Bytes of one slab of the spectral contraction, rounded down to whole rows
+# of the leading spectral axis (at least one, at most all).  The N + 1 slab
+# temporaries then stay in cache; 96 KiB was the fastest size of a measured
+# sweep at P = 32, 48 and 64.
+_SLAB_BYTES = 96 * 1024
 
 
 @dataclass(frozen=True)
@@ -344,9 +357,11 @@ class _Layout:
     """What the engine keeps for one (grid layout, kernel).
 
     The real a_ij spectra (i <= j, keyed both ways) and the real psi
-    spectrum are made on first use.  The complex work buffers, one per field
-    component, one for products and one for the summands of `a_contract`,
-    are reused by every call; each call overwrites what it reads.
+    spectrum are made on first use.  The N complex half-spectrum work
+    buffers `field_hat`, one per field component, are reused by every call;
+    each call overwrites what it reads.  A cold build runs inside them too,
+    so every entry point makes the spectra it needs before its first
+    forward transform.
     """
 
     def __init__(self, grid, spec):
@@ -354,20 +369,22 @@ class _Layout:
         self.shape = _padded_shape(grid)
         half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
         self.field_hat = [np.empty(half, dtype=complex) for _ in range(grid.dim)]
-        self.product = np.empty(half, dtype=complex)
-        self.term = np.empty(half, dtype=complex)
         self._a = self._psi = None
 
     def _real_spectra(self, octants):
         """{key: real spectrum} of the wrapped tables unfolded from the
-        (key, octant, odd axes) items, one at a time through one P^N buffer;
-        each transform runs in the product buffer, and the imaginary part,
-        round-off of an even table, is dropped."""
-        wrapped = np.zeros(self.shape)
+        (key, octant, odd axes) items, one at a time.  Each table is
+        unfolded into a float view of the first field buffer, which holds
+        P^(N-1)(P/2+1) complex >= P^N floats, and transformed into the last
+        one (N >= 2); the imaginary part, round-off of an even table, is
+        dropped."""
+        wrapped = self.field_hat[0].view(float).ravel()[:math.prod(self.shape)]
+        wrapped = wrapped.reshape(self.shape)
+        wrapped.fill(0)
         spectra = {}
         for key, octant, odd in octants:
             _unfold(octant, odd, wrapped)
-            spectra[key] = _forward(wrapped, self.shape, out=self.product).real.copy()
+            spectra[key] = _forward(wrapped, self.shape, out=self.field_hat[-1]).real.copy()
         return spectra
 
     def a_spectra(self):
@@ -415,16 +432,18 @@ def _symmetric(grid, fill):
 def a_convolve(grid, spec, g):
     """The tensor field a*g for a scalar field g of shape grid.shape.
 
-    Returns (size, N, N), symmetric: one forward transform of g and one
-    inverse per component i <= j.
+    Returns (size, N, N), symmetric: one forward transform of g, into the
+    first field buffer, and one inverse per component i <= j, in place in
+    the last one.
     """
     lay = _layout(grid, spec)
     spectra = lay.a_spectra()
     g_hat = _forward(g, lay.shape, out=lay.field_hat[0])
+    work = lay.field_hat[-1]
 
     def fill(i, j, column):
-        np.multiply(spectra[(i, j)], g_hat, out=lay.product)
-        _quadrature(grid, lay.product, lay.shape, out=column)
+        np.multiply(spectra[(i, j)], g_hat, out=work)
+        _quadrature(grid, work, lay.shape, out=column)
 
     return _symmetric(grid, fill)
 
@@ -433,12 +452,17 @@ def a_contract(grid, spec, g):
     """The vector field sum_j a_ij*g_j for g of shape (N,) + grid.shape.
 
     Returns (size, N): one forward transform per component of g, the sum
-    over j taken on the spectra, and one inverse per component i.
+    over j taken on the spectra slab by slab and written back over the g_i
+    spectra, and one inverse per component i, in place there.
     """
     lay = _layout(grid, spec)
+    for g_hat, acc in _slab_contractions(lay, g):
+        for dst, src in zip(g_hat, acc):
+            dst[...] = src
+    del acc  # the slab temporaries
     out = np.empty((grid.size, grid.dim))
-    for i, (_, acc) in enumerate(_contracted(lay, g)):
-        _quadrature(grid, acc, lay.shape, out=out[:, i])
+    for i, buf in enumerate(lay.field_hat):
+        _quadrature(grid, buf, lay.shape, out=out[:, i])
     return out
 
 
@@ -447,33 +471,50 @@ def a_pair_sum(grid, spec, g):
     (N,) + grid.shape: the node sum of g times `a_contract(grid, spec, g)`.
 
     A Parseval sum over the spectra, with no inverse transform: one forward
-    transform per component of g.  The products Re(conj(g_i^) s_i^) are
-    summed pairwise (np.sum), which keeps the round-off of a dissipation
-    that is a small difference of large sums near the node-space value.
+    transform per component of g.  The products Re(conj(g_i^) s_i^) of a
+    slab are summed pairwise (np.sum) and the slab sums added in order,
+    which keeps the round-off of a dissipation that is a small difference
+    of large sums near the node-space value.
     """
     lay = _layout(grid, spec)
     P = lay.shape[-1]
     edges = [0, P // 2] if P % 2 == 0 else [0]  # last-axis bins without a mirror
-    # (re, im) pairs of the summand buffer, free once each sum is made
-    prod = lay.term.view(float).reshape(lay.term.shape + (2,))
     total = 0.0
-    for g_hat, acc in _contracted(lay, g):
-        np.multiply(g_hat.view(float), acc.view(float), out=lay.term.view(float))
-        total += 2.0 * float(np.sum(prod)) - sum(float(np.sum(prod[..., k, :])) for k in edges)
+    for g_hat, acc in _slab_contractions(lay, g):
+        for g_i, s_i in zip(g_hat, acc):
+            # (re, im) pair products, in the slab sum they no longer need
+            prod = np.multiply(s_i.view(float), g_i.view(float), out=s_i.view(float))
+            prod = prod.reshape(s_i.shape + (2,))
+            total += 2.0 * float(np.sum(prod)) - sum(float(np.sum(prod[..., k, :])) for k in edges)
     return total * grid.cell_volume / math.prod(lay.shape)
 
 
-def _contracted(lay, g):
-    """(g_i spectrum, sum_j a_ij^ g_j^) for each i, the sum in the product
-    buffer, which the next item overwrites."""
-    spectra = lay.a_spectra()
+def _slab_contractions(lay, g):
+    """The spectra of the components of g, in the field buffers, taken
+    slab by slab along the leading spectral axis: for each slab, the g_i^
+    slabs (views of the buffers) and the N sums sum_j a_ij^ g_j^ over it.
+
+    Each sum starts from zeros, which sets the signs of zeros, and adds
+    j = 0, ..., N-1 in order, as a sum over the whole arrays would, so the
+    values are the same bit for bit.  The sums and the product they add are
+    N + 1 slab temporaries, which the next slab overwrites.
+    """
+    spectra = lay.a_spectra()  # before the transforms: a cold build uses the buffers
     g_hat = [_forward(comp, lay.shape, out=buf) for comp, buf in zip(g, lay.field_hat)]
-    acc = lay.product
-    for i in range(len(g_hat)):
-        acc.fill(0)  # the sum starts from 0, which sets the signs of zeros
-        for j in range(len(g_hat)):
-            acc += np.multiply(spectra[(i, j)], g_hat[j], out=lay.term)
-        yield g_hat[i], acc
+    rows = min(len(g_hat[0]), max(1, _SLAB_BYTES // g_hat[0][0].nbytes))
+    slab = (rows,) + g_hat[0].shape[1:]
+    acc = [np.empty(slab, dtype=complex) for _ in g_hat]
+    term = np.empty(slab, dtype=complex)
+    for start in range(0, len(g_hat[0]), rows):
+        rs = slice(start, start + rows)
+        g_s = [gh[rs] for gh in g_hat]
+        m = len(g_s[0])  # the last slab may be short
+        acc_s = [a[:m] for a in acc]
+        for i, a in enumerate(acc_s):
+            a.fill(0)
+            for j, gj in enumerate(g_s):
+                a += np.multiply(spectra[(i, j)][rs], gj, out=term[:m])
+        yield g_s, acc_s
 
 
 def psi_convolve(grid, spec, g):
@@ -482,7 +523,8 @@ def psi_convolve(grid, spec, g):
     lay = _layout(grid, spec)
     psi_hat = lay.psi_spectrum()
     g_hat = _forward(g, lay.shape, out=lay.field_hat[0])
-    return _quadrature(grid, np.multiply(psi_hat, g_hat, out=lay.product), lay.shape)
+    work = np.multiply(psi_hat, g_hat, out=lay.field_hat[-1])
+    return _quadrature(grid, work, lay.shape)
 
 
 def _convolve_direct(table, fvals):

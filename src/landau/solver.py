@@ -505,6 +505,7 @@ def run(f0, config):
     for istep in range(1, config.steps + 1):
         dt = _step_size(config.dt, fields.A, f.grid.h)
         f, clipped = _advance(f, config.spec, dt, config.scheme, fields)
+        fields = None  # the old state's fields go before the new ones are made
         fields = _face_fluxes(f, config.spec)
         t += dt
         rec = make_record(istep, clipped)

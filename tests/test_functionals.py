@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import landau.kernels
+
 from landau.errors import ValidationError
 from landau.functionals import (
     GAMMA_FLOOR_COEFF,
@@ -158,6 +160,20 @@ class TestEntropyDissipation:
         coeffs = collision_coefficients(f, spec)
         for kwargs in ({}, {"coeffs": coeffs}, {"form": "pairdiff"}):
             assert type(entropy_dissipation(f, spec, **kwargs)) is float, kwargs
+
+    def test_peak_memory(self, monkeypatch, traced_peak):
+        # from a cold engine: the a_ij spectra and N work buffers, the one
+        # (size, N, N) array a*F, and six (size, N) arrays for xi, G, one
+        # row of the products, F and the transform temporaries; a second
+        # (size, N, N) array, or a further work buffer, does not fit
+        monkeypatch.setattr(landau.kernels, "_LAYOUT", {})
+        g = build_grid(3, 6.0, 16)
+        P = landau.kernels._padded_shape(g)[0]  # 32
+        half = P**2 * (P // 2 + 1)
+        engine = 6 * half * 8 + 3 * half * 16
+        budget = engine + g.size * 9 * 8 + 6 * g.size * 3 * 8
+        f = maxwellian(g)
+        assert traced_peak(lambda: entropy_dissipation(f, CoulombPsi())) < budget
 
     def test_scaling_quadratic_in_mass(self):
         g = build_grid(3, 4.0, 10)

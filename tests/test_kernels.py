@@ -1,7 +1,6 @@
 """Kernel laws, the projection matrix, and the convolution coefficients."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +15,13 @@ from landau.kernels import (
     PowerLawPsi,
     _a_tables,
     _convolve_direct,
+    _difference_fields,
     a_contract,
+    a_convolve,
+    a_pair_sum,
     collision_coefficients,
     projection,
+    psi_convolve,
     psi_eval,
     psi_spec_from_json,
 )
@@ -100,6 +103,106 @@ class TestProjection:
             projection(np.zeros(3))
 
 
+def direct_reference(name, grid, spec, g):
+    """What the entry point `name` returns for the fields g, shape
+    (N,) + grid.shape, from `_convolve_direct` sums (scalar entry points
+    take g[0])."""
+    N, n, cv = grid.dim, grid.n, grid.cell_volume
+    if name == "psi_convolve":
+        axis = (np.arange(2 * n - 1) - (n - 1)) * grid.h
+        psi = _difference_fields(axis, N, spec)[2]
+        return cv * _convolve_direct(psi, g[0]).ravel()
+    tabs = _a_tables(grid, spec)
+
+    def conv(i, j, field):
+        return cv * _convolve_direct(tabs[min(i, j), max(i, j)], field).ravel()
+
+    if name == "a_convolve":
+        out = np.empty((grid.size, N, N))
+        for i in range(N):
+            for j in range(N):
+                out[:, i, j] = conv(i, j, g[0])
+        return out
+    contract = np.stack([sum(conv(i, j, g[j]) for j in range(N)) for i in range(N)], axis=-1)
+    if name == "a_contract":
+        return contract
+    return float(np.sum(g.reshape(N, -1).T * contract))  # a_pair_sum
+
+
+ENTRY_POINTS = {"a_convolve": (a_convolve, True), "a_contract": (a_contract, False),
+                "a_pair_sum": (a_pair_sum, False), "psi_convolve": (psi_convolve, True)}
+
+
+class TestEngine:
+    """The engine's N work buffers: a cold build runs inside them, so every
+    entry point must build before its first forward transform, and the
+    contraction runs slab by slab in place."""
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [5, 6])  # odd P = 9 and even P = 12
+    def test_first_call_on_fresh_layout(self, monkeypatch, name, dim, n):
+        monkeypatch.setattr(landau.kernels, "_LAYOUT", {})
+        grid = build_grid(dim, 1.75, n)  # a half-width no other test uses
+        spec = CoulombPsi()
+        g = np.random.default_rng(dim * n).standard_normal((dim,) + grid.shape)
+        fn, scalar = ENTRY_POINTS[name]
+        got = fn(grid, spec, g[0] if scalar else g)
+        ref = direct_reference(name, grid, spec, g)
+        if name == "a_pair_sum":
+            contract = direct_reference("a_contract", grid, spec, g)
+            scale = float(np.sum(np.abs(g.reshape(dim, -1).T * contract)))
+        else:
+            scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [13, 16])  # slabs of 18 + 7 and 11 + 11 + 10 rows
+    def test_contract_keeps_summation_order(self, n):
+        # slab by slab, a_contract is bit for bit the inverse of the sum over
+        # whole spectra started from zeros
+        K = landau.kernels
+        grid = build_grid(3, 4.0, n)
+        spec = CoulombPsi()
+        g = np.random.default_rng(n).standard_normal((3,) + grid.shape)
+        lay = K._layout(grid, spec)
+        spectra = lay.a_spectra()
+        g_hat = [K._forward(comp, lay.shape) for comp in g]
+        assert len(lay.field_hat[0]) > max(1, K._SLAB_BYTES // lay.field_hat[0][0].nbytes)
+        ref = np.empty((grid.size, 3))
+        for i in range(3):
+            acc = np.zeros_like(g_hat[0])
+            for j in range(3):
+                acc += spectra[(i, j)] * g_hat[j]
+            K._quadrature(grid, acc, lay.shape, out=ref[:, i])
+        assert np.array_equal(a_contract(grid, spec, g), ref)
+
+    def test_layout_holds_n_work_buffers(self, traced_peak):
+        # N complex half spectra and nothing else the size of one
+        grid = build_grid(3, 2.0, 16)
+        P = landau.kernels._padded_shape(grid)[0]  # 32
+        buffers = 3 * P**2 * (P // 2 + 1) * 16
+        assert traced_peak(lambda: landau.kernels._Layout(grid, CoulombPsi())) < buffers + 4096
+
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_cold_entry_point_peak_memory(self, monkeypatch, traced_peak, name):
+        # the spectra it builds, the N work buffers and its result, plus the
+        # slab temporaries of a contraction, NumPy's 128 KiB cast buffer of
+        # a real-complex product and eight n^N octant arrays: a further
+        # work buffer (P^(N-1)(P/2+1) complex, 272 KiB here) does not fit
+        monkeypatch.setattr(landau.kernels, "_LAYOUT", {})
+        grid = build_grid(3, 2.0, 16)
+        P = landau.kernels._padded_shape(grid)[0]
+        half = P**2 * (P // 2 + 1)
+        g = np.random.default_rng(4).standard_normal((3,) + grid.shape)
+        fn, scalar = ENTRY_POINTS[name]
+        spectra = (1 if name == "psi_convolve" else 6) * half * 8
+        result = {"a_convolve": 9, "a_contract": 3, "a_pair_sum": 0, "psi_convolve": 1}[name]
+        slabs = 0 if scalar else 4 * landau.kernels._SLAB_BYTES
+        budget = (spectra + 3 * half * 16 + result * grid.size * 8 + slabs
+                  + 128 * 1024 + 8 * grid.size * 8)
+        assert traced_peak(lambda: fn(grid, CoulombPsi(), g[0] if scalar else g)) < budget
+
+
 class TestCollisionCoefficients:
     # n = 5 and n = 8 pad to exactly 2n - 1 (9, 15), where an off-by-one alias would show
     @pytest.mark.parametrize("n", [5, 6, 8])
@@ -154,22 +257,15 @@ class TestCollisionCoefficients:
         assert transforms(fa, spec) == 7
         assert transforms(fa, spec) == 7  # never cached
 
-    def test_cold_table_spectra_peak_memory(self):
-        # real spectra, one P^N unfold buffer and P^N of transform work,
-        # with a margin of eight n^N octant arrays: complex spectra, or
+    def test_cold_table_spectra_peak_memory(self, traced_peak):
+        # real spectra, built inside the work buffers, with a margin of
+        # eight n^N octant arrays: complex spectra, a P^N scratch buffer, or
         # tables and meshes on the (2n-1)^N difference grid, do not fit
         grid = build_grid(3, 2.0, 16)
         lay = landau.kernels._Layout(grid, CoulombPsi())
         P = lay.shape[0]  # 32
         spectra = 6 * P**2 * (P // 2 + 1) * 8
-        budget = spectra + 2 * P**3 * 8 + 8 * grid.size * 8
-        tracemalloc.start()
-        try:
-            lay.a_spectra()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < budget
+        assert traced_peak(lay.a_spectra) < spectra + 8 * grid.size * 8
 
     def test_diffusion_matrix_symmetric_psd(self):
         rng = np.random.default_rng(3)

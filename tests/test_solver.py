@@ -1,11 +1,13 @@
 """Flux-form solver: stability, conservation, consistency, weak forms."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import landau.kernels
+import landau.solver
 
 from landau.errors import ValidationError
 from landau.families import DistributionSpec, generate_distribution
@@ -365,6 +367,22 @@ class TestStateFields:
         for _, s in series.snapshots:
             assert 0 < np.count_nonzero(s.values <= EPS_FLOOR) < grid.size
         self.assert_diagnostics_reproduced(series)
+
+    def test_one_state_fields_alive(self, monkeypatch):
+        # a run drops each state's fields before it makes the next state's
+        made = []
+        face_fluxes = landau.solver._face_fluxes
+
+        def tracked(f, spec, coeffs=None):
+            assert all(ref() is None for ref in made)
+            fields = face_fluxes(f, spec, coeffs)
+            made.append(weakref.ref(fields.A))
+            return fields
+
+        monkeypatch.setattr(landau.solver, "_face_fluxes", tracked)
+        f0 = random_state(build_grid(3, 3.0, 16), np.random.default_rng(23))
+        series = self.relax(f0)
+        assert len(made) == series.records[-1].step + 1
 
     @pytest.mark.parametrize("k_list", [(1.0,), (1.0, 2.0)])
     def test_transform_budget(self, monkeypatch, k_list):

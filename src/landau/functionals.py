@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ValidationError
 from .grid import EPS_FLOOR, grad_log, gradient_sqrt, integrate
-from .kernels import a_convolve, a_pair_sum
+from .kernels import a_column_keys, a_columns, a_pair_sum
 
 # Fixed chunk row-count: reductions are per-chunk np.sum in a fixed order,
 # so repeated runs are bit-identical.
@@ -133,26 +133,27 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
         D = h^N [ sum_ij <H_ij, a_ij*F> - sum_i <G_i, (sum_j a_ij*G_j)_i> ],
 
     matching the direct pair sum to roundoff.  The second sum is a Parseval
-    sum over the spectra of G (`a_pair_sum`).  When the mask covers every
-    node, F is f bit for bit, so the coefficient field A = a*f of f, when
-    given as `coeffs`, is a*F.  The first sum is taken row by row, H_i. =
-    G_i xi, so no (size, N, N) array but a*F is made, and a*F is dropped
-    before the drift term.
+    sum over the spectra of G (`a_pair_sum`).  The first is taken one
+    component a_ij*F, i <= j, at a time, in the order of `a_columns`, with
+    H_ij = G_i xi_j and the i != j terms counted twice, so no (size, N, N)
+    array is made.  When the mask covers every node, F is f bit for bit, so
+    the coefficient field A = a*f of f, when given as `coeffs`, holds the
+    same components, and they are summed in the same order.
     """
     grid = f.grid
     xi, mask = grad_log(f)
     G = np.where(mask, f.values * xi.T, 0.0)  # (N, size)
     if coeffs is not None and mask.all():
-        aF = coeffs
+        columns = ((i, j, coeffs[:, i, j]) for i, j in a_column_keys(grid.dim))
     else:
-        aF = a_convolve(grid, spec, np.where(mask, f.values, 0.0).reshape(grid.shape))
+        columns = a_columns(grid, spec, np.where(mask, f.values, 0.0).reshape(grid.shape))
     diffusion = 0.0
-    row = np.empty_like(xi)
-    for i, G_i in enumerate(G):
-        np.multiply(G_i[:, None], xi, out=row)
-        row *= aF[:, i]
-        diffusion += float(np.sum(row))
-    del aF, row
+    H_ij = np.empty(grid.size)
+    for i, j, column in columns:
+        np.multiply(G[i], xi[:, j], out=H_ij)
+        H_ij *= column
+        diffusion += (1.0 if i == j else 2.0) * float(np.sum(H_ij))
+    del H_ij
     drift = a_pair_sum(grid, spec, G.reshape((grid.dim,) + grid.shape))
     return grid.cell_volume * (diffusion - drift)
 

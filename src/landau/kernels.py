@@ -23,13 +23,23 @@ indices [0, n) and the z < 0 indices [P-n+1, P) do not meet when P >=
 
 The spectra are real.  a_ij(-z) = a_ij(z), so the wrapped table is even
 on the period-P grid, table[-k mod P] = table[k], and the transform of a
-real even sequence is real; its computed imaginary part is round-off,
-below 1e-15 of the real part, and is dropped, so each spectrum is a
-float64 array of shape P^(N-1) x (P/2+1).  Each table is tabulated only on
-its z >= 0 octant (n^N nodes) and unfolded by parity into a float view of
-one work buffer before its transform: a_ii is even along every axis, and
-a_ij with i != j is odd along axes i and j and even along the others; psi
-is even.
+real even sequence is real.  Along each axis the table is even or odd: a_ii
+is even along every axis, a_ij with i != j is odd along axes i and j and
+even along the others, and psi is even.  The transform factors over the
+axes, so each spectrum is made from the table's z >= 0 octant (n^N nodes)
+by one matrix product per axis,
+
+    t -> sum_{k<n} w_k cos(2 pi ((m k) mod P) / P) t_k      (even axis)
+    t -> sum_{k<n} w_k sin(2 pi ((m k) mod P) / P) t_k      (odd axis)
+
+with w_0 = 1 and w_k = 2 for k >= 1 (k and -k alike), and each odd axis a
+factor -i, so a_ij, i != j, takes a minus sign.  No transform runs and no
+P^N array is made.  Along every axis the spectrum has the parity of the
+table, so only rows k_0 in [0, H), H = P//2 + 1, of the leading axis are
+kept, and of the last axis the rfft half [0, H): a float64 array of shape
+(H,) + (P,)*(N-2) + (H,).  Row k_0 >= H of the full spectrum is row P - k_0,
+negated for the a_0j, j != 0, which are odd along axis 0; a product takes
+those rows from the reversed view s[P-H:0:-1], whose rows stay contiguous.
 
 The drift term sum_i <g_i, sum_j a_ij*g_j> of the dissipation is a
 Parseval sum over the spectra g_i^ of the padded g_i, with no inverse
@@ -41,17 +51,18 @@ On the half spectrum each last-axis bin also stands for its mirror, weight
 
 The engine keeps one entry per (grid layout, kernel), and at most one
 entry at a time: a new layout drops the old entry before it builds
-anything.  The entry owns the real spectra of the a_ij, i <= j, and of
+anything.  The entry owns the half spectra of the a_ij, i <= j, and of
 psi, each made on first use (the a_ij tables one at a time), and N reused
 complex half-spectrum work buffers, one per field component.  A scalar
 field's spectrum sits in the first buffer and each product with a kernel
-spectrum is formed, and inverted in place, in the last.  The contraction
-sum_j a_ij^ g_j^ runs slab by slab along the leading spectral axis, in
-N + 1 slab temporaries of about `_SLAB_BYTES`, and `a_contract` writes each
-slab's sums back over the g_i spectra, whose inverses then run in place.
-A cold build unfolds and transforms its tables inside the buffers too.
-Each call overwrites the buffers it reads, and every result is a fresh
-array; no call makes a temporary the size of a work buffer.
+spectrum is formed, and inverted in place, in the last; `a_columns` hands
+out the components of a*g one at a time.  The contraction sum_j a_ij^ g_j^
+runs slab by slab along the leading spectral axis, in N + 1 slab
+temporaries of about `_SLAB_BYTES`, subtracting the mirrored rows of the
+odd a_0j, and `a_contract` writes each slab's sums back over the g_i
+spectra, whose inverses then run in place.  Each call overwrites the
+buffers it reads, and every result is a fresh array; no call makes a
+temporary the size of a work buffer.
 
 Every transform is a sequence of NumPy 1-D passes that skips the lines
 holding only padding.  `_forward` runs a real pass along the last axis of
@@ -279,23 +290,6 @@ def _octant_fields(grid, spec):
     return _difference_fields(np.arange(grid.n) * grid.h, grid.dim, spec)
 
 
-def _unfold(octant, odd, out):
-    """Write into `out` (P^N, zero off the table) the wrapped table whose
-    z >= 0 octant is `octant`: index k along an axis holds z = k h for
-    k < n and z = (k - P) h for k > P - n.  The table is odd along the
-    axes in `odd` and even along the others."""
-    n, dim, P = octant.shape[0], octant.ndim, out.shape[0]
-    out[(slice(n),) * dim] = octant
-    for ax in range(dim):
-        head, tail = (slice(None),) * ax, (slice(n),) * (dim - 1 - ax)
-        src = out[head + (slice(n - 1, 0, -1),) + tail]  # z = (n-1) h, ..., h
-        dst = out[head + (slice(P - n + 1, P),) + tail]  # z = -(n-1) h, ..., -h
-        if ax in odd:
-            np.negative(src, out=dst)
-        else:
-            dst[...] = src
-
-
 def _fast_len(m):
     """The smallest 2^a 3^b 5^c >= m >= 1."""
     k = m
@@ -353,15 +347,66 @@ def _quadrature(grid, spectrum, shape, out=None):
     return out
 
 
+def _axis_sums(odd, rows, n, P):
+    """(rows, n) matrix of t -> sum_k w_k {cos | sin}(2 pi ((m k) mod P) / P) t_k
+    for m in [0, rows): one axis of the spectrum of a period-P table, even
+    (cos) or odd (sin) along it, from its entries k in [0, n)."""
+    angle = (2 * math.pi / P) * (np.outer(np.arange(rows), np.arange(n)) % P)
+    mat = np.sin(angle) if odd else np.cos(angle)
+    mat[:, 1:] *= 2
+    return mat
+
+
+def _along(x, ax, mat):
+    """The matrix `mat` applied along axis `ax` of x."""
+    shape = x.shape
+    if ax == x.ndim - 1:
+        y = x.reshape(-1, shape[-1]) @ mat.T
+    else:
+        y = mat @ x.reshape(math.prod(shape[:ax]), shape[ax], -1)
+    return y.reshape(shape[:ax] + (len(mat),) + shape[ax + 1:])
+
+
+def _odd_on_axis0(i, j):
+    """Whether a_ij is odd along axis 0: i != j and one of them is 0."""
+    return (i == 0) != (j == 0)
+
+
+def _row_parts(P, start, stop):
+    """Rows [start, stop) of a full spectrum's leading axis as (part, rows,
+    mirrored) items: `part` slices [start, stop) and `rows` slices the
+    stored rows [0, H) that hold it, reversed for the mirrored rows
+    k >= H, which hold row P - k."""
+    H = P // 2 + 1
+    parts = []
+    if start < H:
+        parts.append((slice(0, min(stop, H) - start), slice(start, min(stop, H)), False))
+    if stop > H:
+        lo = max(start, H)
+        parts.append((slice(lo - start, stop - start), slice(P - lo, P - stop, -1), True))
+    return parts
+
+
+def _times(spectrum, g_hat, out):
+    """out = g_hat times the full spectrum, even along axis 0, whose rows
+    [0, H) are `spectrum`."""
+    P = len(g_hat)
+    for part, rows, _ in _row_parts(P, 0, P):
+        np.multiply(spectrum[rows], g_hat[part], out=out[part])
+    return out
+
+
 class _Layout:
     """What the engine keeps for one (grid layout, kernel).
 
-    The real a_ij spectra (i <= j, keyed both ways) and the real psi
-    spectrum are made on first use.  The N complex half-spectrum work
-    buffers `field_hat`, one per field component, are reused by every call;
-    each call overwrites what it reads.  A cold build runs inside them too,
-    so every entry point makes the spectra it needs before its first
-    forward transform.
+    The a_ij spectra (i <= j, keyed both ways) and the psi spectrum, each
+    of shape (H,) + (P,)*(N-2) + (H,), are made on first use by separable
+    cosine and sine sums over the tables' z >= 0 octants, with no transform
+    and no work buffer.  A product with a full half-spectrum field takes
+    the rows k >= H of the leading axis from the mirrored rows P - k
+    (`_row_parts`), negated for the a_0j, j != 0.  The N complex
+    half-spectrum work buffers `field_hat`, one per field component, are
+    reused by every call; each call overwrites what it reads.
     """
 
     def __init__(self, grid, spec):
@@ -371,34 +416,37 @@ class _Layout:
         self.field_hat = [np.empty(half, dtype=complex) for _ in range(grid.dim)]
         self._a = self._psi = None
 
-    def _real_spectra(self, octants):
-        """{key: real spectrum} of the wrapped tables unfolded from the
-        (key, octant, odd axes) items, one at a time.  Each table is
-        unfolded into a float view of the first field buffer, which holds
-        P^(N-1)(P/2+1) complex >= P^N floats, and transformed into the last
-        one (N >= 2); the imaginary part, round-off of an even table, is
-        dropped."""
-        wrapped = self.field_hat[0].view(float).ravel()[:math.prod(self.shape)]
-        wrapped = wrapped.reshape(self.shape)
-        wrapped.fill(0)
+    def _build(self, octants):
+        """{key: stored spectrum} of the tables in the (key, octant, odd
+        axes) items, one at a time: one matrix product per axis, the last
+        and the leading axis (H rows) before the middle ones (P rows), so
+        the partial products stay near n^N entries."""
+        n, dim, P = self.grid.n, self.grid.dim, self.shape[0]
+        H = P // 2 + 1
+        rows = [H] + [P] * (dim - 2) + [H]
+        order = [dim - 1] + list(range(dim - 1))
+        sums = {(odd, m): _axis_sums(odd, m, n, P) for odd in (False, True) for m in set(rows)}
         spectra = {}
-        for key, octant, odd in octants:
-            _unfold(octant, odd, wrapped)
-            spectra[key] = _forward(wrapped, self.shape, out=self.field_hat[-1]).real.copy()
+        for key, x, odd in octants:
+            for ax in order:
+                x = _along(x, ax, sums[(ax in odd, rows[ax])])
+            if odd:  # each odd axis gives a factor -i, and a_ij, i != j, has two
+                np.negative(x, out=x)
+            spectra[key] = x
         return spectra
 
     def a_spectra(self):
         # a_ij is odd along axes i and j when i != j, even along the others
         if self._a is None:
             items = _a_table_items(*_octant_fields(self.grid, self.spec))
-            spectra = self._real_spectra((ij, tab, {ij[0]} ^ {ij[1]}) for ij, tab in items)
+            spectra = self._build((ij, tab, {ij[0]} ^ {ij[1]}) for ij, tab in items)
             self._a = {**spectra, **{(j, i): s for (i, j), s in spectra.items()}}
         return self._a
 
     def psi_spectrum(self):
         if self._psi is None:
             psi = _octant_fields(self.grid, self.spec)[2]
-            self._psi = self._real_spectra([(None, psi, ())])[None]
+            self._psi = self._build([(None, psi, ())])[None]
         return self._psi
 
 
@@ -418,34 +466,44 @@ def _layout(grid, spec):
     return hit
 
 
-def _symmetric(grid, fill):
-    """(size, N, N) tensor whose column (i, j), i <= j, fill(i, j, column)
-    writes; column (j, i) is a copy."""
-    out = np.empty((grid.size, grid.dim, grid.dim))
-    for i in range(grid.dim):
-        for j in range(i, grid.dim):
-            fill(i, j, out[:, i, j])
-            out[:, j, i] = out[:, i, j]
-    return out
+def a_column_keys(dim):
+    """The (i, j), i <= j, of the components of a*g in the order
+    `a_columns` yields them: the tables even along axis 0 first, then the
+    a_0j, j != 0, which are odd along it."""
+    keys = [(i, j) for i in range(dim) for j in range(i, dim)]
+    return sorted(keys, key=lambda ij: _odd_on_axis0(*ij))
 
 
-def a_convolve(grid, spec, g):
-    """The tensor field a*g for a scalar field g of shape grid.shape.
+def a_columns(grid, spec, g):
+    """(i, j, component a_ij*g, flattened) for i <= j, in the order of
+    `a_column_keys`, for a scalar field g of shape grid.shape.
 
-    Returns (size, N, N), symmetric: one forward transform of g, into the
-    first field buffer, and one inverse per component i <= j, in place in
-    the last one.
+    One forward transform of g, into the first field buffer, and one
+    inverse per component, in place in the last one.  Before the first odd
+    table the mirrored rows of g^ are negated, once.  The buffers are in use
+    until the generator is exhausted.
     """
     lay = _layout(grid, spec)
     spectra = lay.a_spectra()
     g_hat = _forward(g, lay.shape, out=lay.field_hat[0])
+    mirrored = g_hat[lay.shape[0] // 2 + 1:]
     work = lay.field_hat[-1]
+    negated = False
+    for i, j in a_column_keys(grid.dim):
+        if _odd_on_axis0(i, j) and not negated:
+            np.negative(mirrored, out=mirrored)
+            negated = True
+        _times(spectra[(i, j)], g_hat, work)
+        yield i, j, _quadrature(grid, work, lay.shape)
 
-    def fill(i, j, column):
-        np.multiply(spectra[(i, j)], g_hat, out=work)
-        _quadrature(grid, work, lay.shape, out=column)
 
-    return _symmetric(grid, fill)
+def a_convolve(grid, spec, g):
+    """The tensor field a*g for a scalar field g of shape grid.shape:
+    (size, N, N), symmetric, the components of `a_columns`."""
+    out = np.empty((grid.size, grid.dim, grid.dim))
+    for i, j, column in a_columns(grid, spec, g):
+        out[:, i, j] = out[:, j, i] = column
+    return out
 
 
 def a_contract(grid, spec, g):
@@ -495,25 +553,33 @@ def _slab_contractions(lay, g):
     slabs (views of the buffers) and the N sums sum_j a_ij^ g_j^ over it.
 
     Each sum starts from zeros, which sets the signs of zeros, and adds
-    j = 0, ..., N-1 in order, as a sum over the whole arrays would, so the
-    values are the same bit for bit.  The sums and the product they add are
-    N + 1 slab temporaries, which the next slab overwrites.
+    j = 0, ..., N-1 in order, as a sum over the whole expanded spectra
+    would, so the values are the same bit for bit; the mirrored rows of an
+    a_0j, j != 0, are subtracted, not negated and added.  The sums and the
+    product they add are N + 1 slab temporaries, which the next slab
+    overwrites.
     """
-    spectra = lay.a_spectra()  # before the transforms: a cold build uses the buffers
+    spectra = lay.a_spectra()
     g_hat = [_forward(comp, lay.shape, out=buf) for comp, buf in zip(g, lay.field_hat)]
-    rows = min(len(g_hat[0]), max(1, _SLAB_BYTES // g_hat[0][0].nbytes))
+    P = len(g_hat[0])
+    rows = min(P, max(1, _SLAB_BYTES // g_hat[0][0].nbytes))
     slab = (rows,) + g_hat[0].shape[1:]
     acc = [np.empty(slab, dtype=complex) for _ in g_hat]
     term = np.empty(slab, dtype=complex)
-    for start in range(0, len(g_hat[0]), rows):
-        rs = slice(start, start + rows)
-        g_s = [gh[rs] for gh in g_hat]
-        m = len(g_s[0])  # the last slab may be short
-        acc_s = [a[:m] for a in acc]
+    for start in range(0, P, rows):
+        stop = min(start + rows, P)  # the last slab may be short
+        g_s = [gh[start:stop] for gh in g_hat]
+        acc_s = [a[:stop - start] for a in acc]
+        parts = _row_parts(P, start, stop)
         for i, a in enumerate(acc_s):
             a.fill(0)
             for j, gj in enumerate(g_s):
-                a += np.multiply(spectra[(i, j)][rs], gj, out=term[:m])
+                for part, src, mirrored in parts:
+                    t = np.multiply(spectra[(i, j)][src], gj[part], out=term[part])
+                    if mirrored and _odd_on_axis0(i, j):
+                        a[part] -= t
+                    else:
+                        a[part] += t
         yield g_s, acc_s
 
 
@@ -523,7 +589,7 @@ def psi_convolve(grid, spec, g):
     lay = _layout(grid, spec)
     psi_hat = lay.psi_spectrum()
     g_hat = _forward(g, lay.shape, out=lay.field_hat[0])
-    work = np.multiply(psi_hat, g_hat, out=lay.field_hat[-1])
+    work = _times(psi_hat, g_hat, lay.field_hat[-1])
     return _quadrature(grid, work, lay.shape)
 
 
@@ -552,9 +618,7 @@ def collision_coefficients(f, spec, method="fft"):
     grid, fg = f.grid, f.reshaped()
     if method == "fft":
         return a_convolve(grid, spec, fg)
-    tabs = _a_tables(grid, spec)
-
-    def fill(i, j, column):
-        column[:] = grid.cell_volume * _convolve_direct(tabs[(i, j)], fg).ravel()
-
-    return _symmetric(grid, fill)
+    out = np.empty((grid.size, grid.dim, grid.dim))
+    for (i, j), tab in _a_tables(grid, spec).items():
+        out[:, i, j] = out[:, j, i] = grid.cell_volume * _convolve_direct(tab, fg).ravel()
+    return out

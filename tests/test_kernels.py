@@ -129,14 +129,27 @@ def direct_reference(name, grid, spec, g):
     return float(np.sum(g.reshape(N, -1).T * contract))  # a_pair_sum
 
 
+def assert_matches_direct(name, grid, spec, g, got):
+    """The result `got` of the entry point `name` is its direct sum to 1e-12
+    of the largest entry, or for a_pair_sum of the sum of |terms|."""
+    ref = direct_reference(name, grid, spec, g)
+    if name == "a_pair_sum":
+        contract = direct_reference("a_contract", grid, spec, g)
+        scale = float(np.sum(np.abs(g.reshape(grid.dim, -1).T * contract)))
+    else:
+        scale = np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
 ENTRY_POINTS = {"a_convolve": (a_convolve, True), "a_contract": (a_contract, False),
                 "a_pair_sum": (a_pair_sum, False), "psi_convolve": (psi_convolve, True)}
 
 
 class TestEngine:
-    """The engine's N work buffers: a cold build runs inside them, so every
-    entry point must build before its first forward transform, and the
-    contraction runs slab by slab in place."""
+    """The engine's half spectra and N work buffers: products take the rows
+    k >= H of the leading axis from the mirrored rows, with the sign of the
+    odd a_0j, the contraction runs slab by slab in place, and a cold build
+    runs in neither buffer nor transform."""
 
     @pytest.mark.parametrize("name", list(ENTRY_POINTS))
     @pytest.mark.parametrize("dim", [2, 3])
@@ -147,14 +160,17 @@ class TestEngine:
         spec = CoulombPsi()
         g = np.random.default_rng(dim * n).standard_normal((dim,) + grid.shape)
         fn, scalar = ENTRY_POINTS[name]
-        got = fn(grid, spec, g[0] if scalar else g)
-        ref = direct_reference(name, grid, spec, g)
-        if name == "a_pair_sum":
-            contract = direct_reference("a_contract", grid, spec, g)
-            scale = float(np.sum(np.abs(g.reshape(dim, -1).T * contract)))
-        else:
-            scale = np.max(np.abs(ref))
-        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+        assert_matches_direct(name, grid, spec, g, fn(grid, spec, g[0] if scalar else g))
+
+    @pytest.mark.parametrize("name", ["a_contract", "a_pair_sum"])
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_slabs_across_mirrored_rows(self, name, n):
+        # a slab that holds rows on both sides of H: at n = 13, P = 25 and
+        # H = 13 in the slab [0, 18); at n = 16, P = 32 and H = 17 in [11, 22)
+        grid = build_grid(3, 4.0, n)
+        spec = CoulombPsi()
+        g = np.random.default_rng(n + 1).standard_normal((3,) + grid.shape)
+        assert_matches_direct(name, grid, spec, g, ENTRY_POINTS[name][0](grid, spec, g))
 
     @pytest.mark.parametrize("n", [13, 16])  # slabs of 18 + 7 and 11 + 11 + 10 rows
     def test_contract_keeps_summation_order(self, n):
@@ -165,14 +181,21 @@ class TestEngine:
         spec = CoulombPsi()
         g = np.random.default_rng(n).standard_normal((3,) + grid.shape)
         lay = K._layout(grid, spec)
+        P = lay.shape[0]
         spectra = lay.a_spectra()
+
+        def full(i, j):  # the stored rows [0, H), then rows P - k for k >= H
+            s = spectra[(i, j)]
+            sign = -1.0 if (i == 0) != (j == 0) else 1.0
+            return np.concatenate([s, sign * s[P - len(s):0:-1]])
+
         g_hat = [K._forward(comp, lay.shape) for comp in g]
         assert len(lay.field_hat[0]) > max(1, K._SLAB_BYTES // lay.field_hat[0][0].nbytes)
         ref = np.empty((grid.size, 3))
         for i in range(3):
             acc = np.zeros_like(g_hat[0])
             for j in range(3):
-                acc += spectra[(i, j)] * g_hat[j]
+                acc += full(i, j) * g_hat[j]
             K._quadrature(grid, acc, lay.shape, out=ref[:, i])
         assert np.array_equal(a_contract(grid, spec, g), ref)
 
@@ -185,21 +208,24 @@ class TestEngine:
 
     @pytest.mark.parametrize("name", list(ENTRY_POINTS))
     def test_cold_entry_point_peak_memory(self, monkeypatch, traced_peak, name):
-        # the spectra it builds, the N work buffers and its result, plus the
-        # slab temporaries of a contraction, NumPy's 128 KiB cast buffer of
-        # a real-complex product and eight n^N octant arrays: a further
-        # work buffer (P^(N-1)(P/2+1) complex, 272 KiB here) does not fit
+        # the half spectra it builds (H^2 P^(N-2) floats each), the N work
+        # buffers, its result and NumPy's 128 KiB cast buffer of a
+        # real-complex product, plus the slab temporaries of a contraction
+        # or eight n^N octant arrays, whichever is larger: the octants are
+        # gone before the slabs are made.  A further work buffer
+        # (P^(N-1)(P/2+1) complex, 272 KiB here) fits only beside
+        # psi_convolve's one spectrum
         monkeypatch.setattr(landau.kernels, "_LAYOUT", {})
         grid = build_grid(3, 2.0, 16)
         P = landau.kernels._padded_shape(grid)[0]
-        half = P**2 * (P // 2 + 1)
+        H = P // 2 + 1
         g = np.random.default_rng(4).standard_normal((3,) + grid.shape)
         fn, scalar = ENTRY_POINTS[name]
-        spectra = (1 if name == "psi_convolve" else 6) * half * 8
+        spectra = (1 if name == "psi_convolve" else 6) * H * P * H * 8
         result = {"a_convolve": 9, "a_contract": 3, "a_pair_sum": 0, "psi_convolve": 1}[name]
         slabs = 0 if scalar else 4 * landau.kernels._SLAB_BYTES
-        budget = (spectra + 3 * half * 16 + result * grid.size * 8 + slabs
-                  + 128 * 1024 + 8 * grid.size * 8)
+        budget = (spectra + 3 * P * P * H * 16 + result * grid.size * 8 + 128 * 1024
+                  + max(slabs, 8 * grid.size * 8))
         assert traced_peak(lambda: fn(grid, CoulombPsi(), g[0] if scalar else g)) < budget
 
 
@@ -227,45 +253,46 @@ class TestCollisionCoefficients:
 
     def test_table_spectra_cache_one_layout(self, monkeypatch):
         calls = []
-        forward = landau.kernels._forward
+        build = landau.kernels._Layout._build
 
-        def counted(g, shape, out=None):
-            calls.append(shape)  # the padded transform shape
-            return forward(g, shape, out=out)
+        def counted(self, octants):
+            calls.append(self.shape)  # the padded transform shape
+            return build(self, octants)
 
-        monkeypatch.setattr(landau.kernels, "_forward", counted)
+        monkeypatch.setattr(landau.kernels._Layout, "_build", counted)
         rng = np.random.default_rng(2)
         # half-widths no other test uses, so the first call is cold
         fa = DiscreteDistribution(build_grid(3, 2.375, 5), rng.random(125))
         fb = DiscreteDistribution(build_grid(3, 2.625, 5), rng.random(125))
 
-        def transforms(f, spec=CoulombPsi()):
+        def builds(f, spec=CoulombPsi()):
             calls.clear()
             collision_coefficients(f, spec)
             return len(calls)
 
-        assert transforms(fa) == 7  # six a_ij tables and the field
+        assert builds(fa) == 1  # the six a_ij tables
         assert set(calls) == {(9, 9, 9)}  # next_fast_len(2n - 1) at n = 5
-        assert transforms(fa) == 1  # only the field
-        assert transforms(fb) == 7
-        assert transforms(fa) == 7  # fb's layout evicted fa's
+        assert builds(fa) == 0
+        assert builds(fb) == 1
+        assert builds(fa) == 1  # fb's layout evicted fa's
 
         class Unhashable(PowerLawPsi):
             __hash__ = None
 
         spec = Unhashable(-2.5)
-        assert transforms(fa, spec) == 7
-        assert transforms(fa, spec) == 7  # never cached
+        assert builds(fa, spec) == 1
+        assert builds(fa, spec) == 1  # never cached
 
     def test_cold_table_spectra_peak_memory(self, traced_peak):
-        # real spectra, built inside the work buffers, with a margin of
-        # eight n^N octant arrays: complex spectra, a P^N scratch buffer, or
-        # tables and meshes on the (2n-1)^N difference grid, do not fit
+        # the half spectra (H^2 P^(N-2) floats each), built by matrix
+        # products, with a margin of one more half spectrum and eight n^N
+        # octant arrays: full-axis spectra, a P^N scratch buffer, or tables
+        # and meshes on the (2n-1)^N difference grid, do not fit
         grid = build_grid(3, 2.0, 16)
         lay = landau.kernels._Layout(grid, CoulombPsi())
         P = lay.shape[0]  # 32
-        spectra = 6 * P**2 * (P // 2 + 1) * 8
-        assert traced_peak(lay.a_spectra) < spectra + 8 * grid.size * 8
+        half = (P // 2 + 1) ** 2 * P * 8
+        assert traced_peak(lay.a_spectra) < 7 * half + 8 * grid.size * 8
 
     def test_diffusion_matrix_symmetric_psd(self):
         rng = np.random.default_rng(3)

@@ -41,28 +41,35 @@ kept, and of the last axis the rfft half [0, H): a float64 array of shape
 negated for the a_0j, j != 0, which are odd along axis 0; a product takes
 those rows from the reversed view s[P-H:0:-1], whose rows stay contiguous.
 
-The drift term sum_i <g_i, sum_j a_ij*g_j> of the dissipation is a
-Parseval sum over the spectra g_i^ of the padded g_i, with no inverse
-transform.  g_i vanishes off the nodes, so its node sum against the
-circular convolution is the sum over the whole period, P^-N sum_k Re S(k)
-with S(k) = sum_ij conj(g_i^(k)) a_ij^(k) g_j^(k) over the full spectrum.
-On the half spectrum each last-axis bin also stands for its mirror, weight
-2, except bin 0 and, for even P, bin P/2, weight 1.
+The drift term sum_ij <g_i, a_ij*g_j> of the dissipation is a Parseval
+sum over the spectra g_i^ of the padded g_i, with no inverse transform.
+g_i vanishes off the nodes, so its node sum against the circular
+convolution is the sum over the whole period, P^-N sum_k Re S(k) with
+S(k) = sum_ij conj(g_i^(k)) a_ij^(k) g_j^(k) over the full spectrum.  On
+the half spectrum each last-axis bin also stands for its mirror, weight 2,
+except bin 0 and, for even P, bin P/2, weight 1.  The sum runs in two slab
+passes with m = N - 1.  The first holds g_0^, ..., g_(m-1)^, adds their
+mutual terms Re(conj(g_i^) sum_(j<m) a_ij^ g_j^), and overwrites each slab
+of g_0^ with 2w, w = sum_(i<m) a_im^ g_i^.  The second transforms g_m into a
+freed buffer and adds Re(conj(g_m^) (a_mm^ g_m^ + 2w)).  So at most
+max(2, N - 1) spectra are alive at once.
 
 The engine keeps one entry per (grid layout, kernel), and at most one
 entry at a time: a new layout drops the old entry before it builds
 anything.  The entry owns the half spectra of the a_ij, i <= j, and of
-psi, each made on first use (the a_ij tables one at a time), and N reused
-complex half-spectrum work buffers, one per field component.  A scalar
-field's spectrum sits in the first buffer and each product with a kernel
-spectrum is formed, and inverted in place, in the last; `a_columns` hands
-out the components of a*g one at a time.  The contraction sum_j a_ij^ g_j^
-runs slab by slab along the leading spectral axis, in N + 1 slab
-temporaries of about `_SLAB_BYTES`, subtracting the mirrored rows of the
-odd a_0j, and `a_contract` writes each slab's sums back over the g_i
-spectra, whose inverses then run in place.  Each call overwrites the
-buffers it reads, and every result is a fresh array; no call makes a
-temporary the size of a work buffer.
+psi, each made on first use (the a_ij tables one at a time), and complex
+half-spectrum work buffers `field_hat`, each made the first time a call
+asks for it and then reused: `a_columns` and `psi_convolve` take two, a
+scalar field's spectrum in the first and each product with a kernel
+spectrum formed, and inverted in place, in the second; `a_pair_sum` takes
+max(2, N - 1) and `a_contract` N, one per field component.  The sums
+sum_j a_ij^ g_j^ run slab by slab along the leading spectral axis
+(`_add_row`), in slab temporaries of about `_SLAB_BYTES`, subtracting the
+mirrored rows of the odd a_0j: two for `a_pair_sum`, N + 1 for
+`a_contract`, which writes each slab's sums back over the g_i spectra,
+whose inverses then run in place.  Each call overwrites the buffers it
+reads, and every result is a fresh array; no call makes a temporary the
+size of a work buffer.
 
 Every transform is a sequence of NumPy 1-D passes that skips the lines
 holding only padding.  `_forward` runs a real pass along the last axis of
@@ -80,7 +87,9 @@ results are bit-identical to the full n-D transforms.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -89,7 +98,7 @@ from .errors import ValidationError, read_tagged
 _SANDWICH_RADII = np.logspace(-3.0, 3.0, 1000)
 
 # Bytes of one slab of the spectral contraction, rounded down to whole rows
-# of the leading spectral axis (at least one, at most all).  The N + 1 slab
+# of the leading spectral axis (at least one, at most all).  The slab
 # temporaries then stay in cache; 96 KiB was the fastest size of a measured
 # sweep at P = 32, 48 and 64.
 _SLAB_BYTES = 96 * 1024
@@ -266,10 +275,14 @@ def _difference_fields(axis, dim, spec):
 def _a_table_items(z, rsq, psi, origin):
     """((i, j), a_ij table) for i <= j, made one at a time from the
     `_difference_fields`; each table is zero at z = 0 (the source cell
-    w = v)."""
+    w = v): q z_i z_j, q = -psi / |z|^2, with psi added on the diagonal.
+    z_i z_j is a small outer product of the open mesh, so each table takes
+    one full-size pass."""
+    q = -psi / rsq
+    del rsq  # q takes its place
     for i in range(len(z)):
         for j in range(i, len(z)):
-            tab = -psi * z[i] * z[j] / rsq
+            tab = q * (z[i] * z[j])
             if i == j:
                 tab += psi
             tab[origin] = 0.0
@@ -404,16 +417,18 @@ class _Layout:
     cosine and sine sums over the tables' z >= 0 octants, with no transform
     and no work buffer.  A product with a full half-spectrum field takes
     the rows k >= H of the leading axis from the mirrored rows P - k
-    (`_row_parts`), negated for the a_0j, j != 0.  The N complex
-    half-spectrum work buffers `field_hat`, one per field component, are
-    reused by every call; each call overwrites what it reads.
+    (`_row_parts`), negated for the a_0j, j != 0.  The complex
+    half-spectrum work buffers `field_hat[k]` are made the first time a
+    call asks for buffer k, so a new layout holds none; they only grow in
+    number, are reused by every later call, and go with the layout.  Each
+    call overwrites what it reads.
     """
 
     def __init__(self, grid, spec):
         self.grid, self.spec = grid, spec
         self.shape = _padded_shape(grid)
         half = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
-        self.field_hat = [np.empty(half, dtype=complex) for _ in range(grid.dim)]
+        self.field_hat = defaultdict(partial(np.empty, half, dtype=complex))
         self._a = self._psi = None
 
     def _build(self, octants):
@@ -449,6 +464,12 @@ class _Layout:
             self._psi = self._build([(None, psi, ())])[None]
         return self._psi
 
+    def spectra_of(self, g, first=0):
+        """The spectra of the fields g, written into the work buffers
+        first, first + 1, ..."""
+        return [_forward(comp, self.shape, out=self.field_hat[first + k])
+                for k, comp in enumerate(g)]
+
 
 # (dim, half_width, n, spec) -> _Layout; one layout only
 _LAYOUT = {}
@@ -478,16 +499,16 @@ def a_columns(grid, spec, g):
     """(i, j, component a_ij*g, flattened) for i <= j, in the order of
     `a_column_keys`, for a scalar field g of shape grid.shape.
 
-    One forward transform of g, into the first field buffer, and one
-    inverse per component, in place in the last one.  Before the first odd
+    One forward transform of g, into the first work buffer, and one
+    inverse per component, in place in the second.  Before the first odd
     table the mirrored rows of g^ are negated, once.  The buffers are in use
     until the generator is exhausted.
     """
     lay = _layout(grid, spec)
     spectra = lay.a_spectra()
-    g_hat = _forward(g, lay.shape, out=lay.field_hat[0])
+    (g_hat,) = lay.spectra_of([g])
     mirrored = g_hat[lay.shape[0] // 2 + 1:]
-    work = lay.field_hat[-1]
+    work = lay.field_hat[1]
     negated = False
     for i, j in a_column_keys(grid.dim):
         if _odd_on_axis0(i, j) and not negated:
@@ -506,81 +527,112 @@ def a_convolve(grid, spec, g):
     return out
 
 
+def _slabs(spectrum):
+    """The shape of a slab temporary for a work-buffer-shaped `spectrum`,
+    whole rows of its leading axis of about `_SLAB_BYTES` (at least one, at
+    most all), and the (start, stop, parts) of each slab, parts as
+    `_row_parts`; the last slab may be short."""
+    P = len(spectrum)
+    rows = min(P, max(1, _SLAB_BYTES // spectrum[0].nbytes))
+    bounds = [(start, min(start + rows, P)) for start in range(0, P, rows)]
+    return (rows,) + spectrum.shape[1:], [(a, b, _row_parts(P, a, b)) for a, b in bounds]
+
+
+def _add_row(acc, term, spectra, i, g_items, parts):
+    """acc += sum_j a_ij^ g_j^ over one slab, j in the order of the
+    (j, g_j^ slab) items, each product formed in `term`, and return acc.
+
+    The mirrored rows of an a_0j, j != 0, are subtracted, not negated and
+    added, so a sum started from zeros over j = 0, ..., N-1 is bit for bit
+    the sum over the whole expanded spectra.
+    """
+    for j, g_j in g_items:
+        for part, src, mirrored in parts:
+            t = np.multiply(spectra[(i, j)][src], g_j[part], out=term[part])
+            if mirrored and _odd_on_axis0(i, j):
+                acc[part] -= t
+            else:
+                acc[part] += t
+    return acc
+
+
 def a_contract(grid, spec, g):
     """The vector field sum_j a_ij*g_j for g of shape (N,) + grid.shape.
 
-    Returns (size, N): one forward transform per component of g, the sum
-    over j taken on the spectra slab by slab and written back over the g_i
-    spectra, and one inverse per component i, in place there.
+    Returns (size, N): one forward transform per component of g, into N
+    work buffers, the sum over j taken on the spectra slab by slab in N + 1
+    slab temporaries and written back over the g_i spectra, and one inverse
+    per component i, in place there.
     """
     lay = _layout(grid, spec)
-    for g_hat, acc in _slab_contractions(lay, g):
-        for dst, src in zip(g_hat, acc):
-            dst[...] = src
-    del acc  # the slab temporaries
+    spectra = lay.a_spectra()
+    g_hat = lay.spectra_of(g)
+    slab, slabs = _slabs(g_hat[0])
+    acc = [np.empty(slab, dtype=complex) for _ in g_hat]
+    term = np.empty(slab, dtype=complex)
+    for start, stop, parts in slabs:
+        g_s = [gh[start:stop] for gh in g_hat]
+        acc_s = [a[:stop - start] for a in acc]
+        for i, a in enumerate(acc_s):
+            a[...] = 0
+            _add_row(a, term, spectra, i, enumerate(g_s), parts)
+        for dst, a in zip(g_s, acc_s):
+            dst[...] = a
+    del acc, term  # the slab temporaries
     out = np.empty((grid.size, grid.dim))
-    for i, buf in enumerate(lay.field_hat):
+    for i, buf in enumerate(g_hat):
         _quadrature(grid, buf, lay.shape, out=out[:, i])
     return out
 
 
-def a_pair_sum(grid, spec, g):
-    """sum_i <g_i, (sum_j a_ij*g_j)_i> over the nodes for g of shape
-    (N,) + grid.shape: the node sum of g times `a_contract(grid, spec, g)`.
+def _parseval(g_hat, s_hat, edges):
+    """The half-spectrum Parseval sum of Re(conj(g_hat) s_hat) over one slab:
+    weight 2 on every last-axis bin but the `edges`, weight 1.  The (re, im)
+    pair products are written over s_hat and summed pairwise (np.sum)."""
+    prod = np.multiply(s_hat.view(float), g_hat.view(float), out=s_hat.view(float))
+    prod = prod.reshape(s_hat.shape + (2,))
+    return 2.0 * float(np.sum(prod)) - sum(float(np.sum(prod[..., k, :])) for k in edges)
 
-    A Parseval sum over the spectra, with no inverse transform: one forward
-    transform per component of g.  The products Re(conj(g_i^) s_i^) of a
-    slab are summed pairwise (np.sum) and the slab sums added in order,
-    which keeps the round-off of a dissipation that is a small difference
-    of large sums near the node-space value.
+
+def a_pair_sum(grid, spec, g):
+    """sum_ij <g_i, a_ij*g_j> over the nodes for g of shape (N,) +
+    grid.shape: the node sum of g times `a_contract(grid, spec, g)`.
+
+    A Parseval sum over the spectra, with no inverse transform and one
+    forward transform per component of g, folded in two slab passes into
+    max(2, N - 1) work buffers and two slab temporaries (module docstring).
+    The slab sums are added in order, which keeps the round-off of a
+    dissipation that is a small difference of large sums near the
+    node-space value.
     """
     lay = _layout(grid, spec)
+    spectra = lay.a_spectra()
+    m = grid.dim - 1
     P = lay.shape[-1]
     edges = [0, P // 2] if P % 2 == 0 else [0]  # last-axis bins without a mirror
+    g_hat = lay.spectra_of(g[:m])
+    slab, slabs = _slabs(g_hat[0])
+    acc = np.empty(slab, dtype=complex)
+    term = np.empty_like(acc)
     total = 0.0
-    for g_hat, acc in _slab_contractions(lay, g):
-        for g_i, s_i in zip(g_hat, acc):
-            # (re, im) pair products, in the slab sum they no longer need
-            prod = np.multiply(s_i.view(float), g_i.view(float), out=s_i.view(float))
-            prod = prod.reshape(s_i.shape + (2,))
-            total += 2.0 * float(np.sum(prod)) - sum(float(np.sum(prod[..., k, :])) for k in edges)
+    for start, stop, parts in slabs:
+        g_s = list(enumerate(gh[start:stop] for gh in g_hat))
+        a = acc[:stop - start]
+        for i, g_i in g_s:
+            a[...] = 0
+            total += _parseval(g_i, _add_row(a, term, spectra, i, g_s, parts), edges)
+        a[...] = 0
+        _add_row(a, term, spectra, m, g_s, parts)
+        np.add(a, a, out=g_hat[0][start:stop])  # 2w, over the g_0^ rows done with
+    w2 = g_hat[0]
+    (g_m,) = lay.spectra_of(g[m:], first=1)
+    for start, stop, parts in slabs:
+        a = acc[:stop - start]
+        a[...] = 0
+        _add_row(a, term, spectra, m, [(m, g_m[start:stop])], parts)
+        a += w2[start:stop]
+        total += _parseval(g_m[start:stop], a, edges)
     return total * grid.cell_volume / math.prod(lay.shape)
-
-
-def _slab_contractions(lay, g):
-    """The spectra of the components of g, in the field buffers, taken
-    slab by slab along the leading spectral axis: for each slab, the g_i^
-    slabs (views of the buffers) and the N sums sum_j a_ij^ g_j^ over it.
-
-    Each sum starts from zeros, which sets the signs of zeros, and adds
-    j = 0, ..., N-1 in order, as a sum over the whole expanded spectra
-    would, so the values are the same bit for bit; the mirrored rows of an
-    a_0j, j != 0, are subtracted, not negated and added.  The sums and the
-    product they add are N + 1 slab temporaries, which the next slab
-    overwrites.
-    """
-    spectra = lay.a_spectra()
-    g_hat = [_forward(comp, lay.shape, out=buf) for comp, buf in zip(g, lay.field_hat)]
-    P = len(g_hat[0])
-    rows = min(P, max(1, _SLAB_BYTES // g_hat[0][0].nbytes))
-    slab = (rows,) + g_hat[0].shape[1:]
-    acc = [np.empty(slab, dtype=complex) for _ in g_hat]
-    term = np.empty(slab, dtype=complex)
-    for start in range(0, P, rows):
-        stop = min(start + rows, P)  # the last slab may be short
-        g_s = [gh[start:stop] for gh in g_hat]
-        acc_s = [a[:stop - start] for a in acc]
-        parts = _row_parts(P, start, stop)
-        for i, a in enumerate(acc_s):
-            a.fill(0)
-            for j, gj in enumerate(g_s):
-                for part, src, mirrored in parts:
-                    t = np.multiply(spectra[(i, j)][src], gj[part], out=term[part])
-                    if mirrored and _odd_on_axis0(i, j):
-                        a[part] -= t
-                    else:
-                        a[part] += t
-        yield g_s, acc_s
 
 
 def psi_convolve(grid, spec, g):
@@ -588,8 +640,8 @@ def psi_convolve(grid, spec, g):
     dropped."""
     lay = _layout(grid, spec)
     psi_hat = lay.psi_spectrum()
-    g_hat = _forward(g, lay.shape, out=lay.field_hat[0])
-    work = _times(psi_hat, g_hat, lay.field_hat[-1])
+    (g_hat,) = lay.spectra_of([g])
+    work = _times(psi_hat, g_hat, lay.field_hat[1])
     return _quadrature(grid, work, lay.shape)
 
 

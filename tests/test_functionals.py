@@ -161,18 +161,15 @@ class TestEntropyDissipation:
         for kwargs in ({}, {"coeffs": coeffs}, {"form": "pairdiff"}):
             assert type(entropy_dissipation(f, spec, **kwargs)) is float, kwargs
 
-    def test_peak_memory(self, monkeypatch, traced_peak):
-        # from a cold engine: the a_ij half spectra (H^2 P^(N-2) floats
-        # each), the N work buffers, the slab temporaries of the drift term,
-        # and six (size, N) arrays for xi, G, one component of a*F, one
-        # product, F and the transform temporaries; the (size, N, N) array
-        # a*F, or a further work buffer, does not fit
+    def test_peak_memory(self, monkeypatch, traced_peak, engine_bytes):
+        # from a cold engine: the a_ij half spectra, the two work buffers,
+        # the two slab temporaries of the drift term, and six (size, N) arrays
+        # for xi, G, one component of a*F, one product, F and the transform
+        # temporaries; the (size, N, N) array a*F, or a third work buffer,
+        # does not fit
         monkeypatch.setattr(landau.kernels, "_LAYOUT", {})
         g = build_grid(3, 6.0, 16)
-        P = landau.kernels._padded_shape(g)[0]  # 32
-        H = P // 2 + 1
-        engine = 6 * H * P * H * 8 + 3 * P * P * H * 16
-        budget = engine + 4 * landau.kernels._SLAB_BYTES + 6 * g.size * 3 * 8
+        budget = engine_bytes(g, 6, 2) + 2 * landau.kernels._SLAB_BYTES + 6 * g.size * 3 * 8
         f = maxwellian(g)
         assert traced_peak(lambda: entropy_dissipation(f, CoulombPsi())) < budget
 

@@ -8,6 +8,7 @@ import pytest
 import landau.kernels
 
 from landau.errors import ValidationError
+from landau.functionals import entropy_dissipation
 from landau.grid import DiscreteDistribution, _gradient_nd, build_grid
 from landau.kernels import (
     BracketedPsi,
@@ -146,10 +147,12 @@ ENTRY_POINTS = {"a_convolve": (a_convolve, True), "a_contract": (a_contract, Fal
 
 
 class TestEngine:
-    """The engine's half spectra and N work buffers: products take the rows
-    k >= H of the leading axis from the mirrored rows, with the sign of the
-    odd a_0j, the contraction runs slab by slab in place, and a cold build
-    runs in neither buffer nor transform."""
+    """The engine's half spectra and its work buffers, made on demand:
+    products take the rows k >= H of the leading axis from the mirrored
+    rows, with the sign of the odd a_0j, the contraction runs slab by slab
+    in place, the drift's Parseval sum folds its first spectra into one
+    accumulator in two slab passes, and a cold build runs in neither buffer
+    nor transform."""
 
     @pytest.mark.parametrize("name", list(ENTRY_POINTS))
     @pytest.mark.parametrize("dim", [2, 3])
@@ -199,32 +202,52 @@ class TestEngine:
             K._quadrature(grid, acc, lay.shape, out=ref[:, i])
         assert np.array_equal(a_contract(grid, spec, g), ref)
 
-    def test_layout_holds_n_work_buffers(self, traced_peak):
-        # N complex half spectra and nothing else the size of one
+    def test_layout_makes_work_buffers_on_demand(self, monkeypatch, traced_peak):
+        # a new layout holds no buffer; D takes two, and only a_contract N
+        K = landau.kernels
+        monkeypatch.setattr(K, "_LAYOUT", {})
         grid = build_grid(3, 2.0, 16)
-        P = landau.kernels._padded_shape(grid)[0]  # 32
-        buffers = 3 * P**2 * (P // 2 + 1) * 16
-        assert traced_peak(lambda: landau.kernels._Layout(grid, CoulombPsi())) < buffers + 4096
+        spec = CoulombPsi()
+        assert traced_peak(lambda: K._Layout(grid, spec)) < 4096
+        entropy_dissipation(maxwellian(grid), spec)
+        lay = K._layout(grid, spec)
+        assert len(lay.field_hat) == 2
+        # the drift term: one forward transform per component, no inverse
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(K, "_forward", counted(K._forward))
+        monkeypatch.setattr(K, "_quadrature", counted(K._quadrature))
+        g = np.random.default_rng(0).standard_normal((3,) + grid.shape)
+        a_pair_sum(grid, spec, g)
+        assert calls == ["_forward"] * 3 and len(lay.field_hat) == 2
+        a_contract(grid, spec, g)
+        assert len(lay.field_hat) == 3
 
     @pytest.mark.parametrize("name", list(ENTRY_POINTS))
-    def test_cold_entry_point_peak_memory(self, monkeypatch, traced_peak, name):
-        # the half spectra it builds (H^2 P^(N-2) floats each), the N work
-        # buffers, its result and NumPy's 128 KiB cast buffer of a
-        # real-complex product, plus the slab temporaries of a contraction
-        # or eight n^N octant arrays, whichever is larger: the octants are
-        # gone before the slabs are made.  A further work buffer
+    def test_cold_entry_point_peak_memory(self, monkeypatch, traced_peak, engine_bytes, name):
+        # the half spectra it builds, the work buffers it makes (N for
+        # a_contract, two otherwise), its result and NumPy's 128 KiB cast
+        # buffer of a real-complex product, plus the slab temporaries of a
+        # contraction (N + 1 for a_contract, two for a_pair_sum) or eight
+        # n^N octant arrays, whichever is larger: the octants are gone
+        # before the slabs are made.  A further work buffer
         # (P^(N-1)(P/2+1) complex, 272 KiB here) fits only beside
         # psi_convolve's one spectrum
         monkeypatch.setattr(landau.kernels, "_LAYOUT", {})
         grid = build_grid(3, 2.0, 16)
-        P = landau.kernels._padded_shape(grid)[0]
-        H = P // 2 + 1
         g = np.random.default_rng(4).standard_normal((3,) + grid.shape)
         fn, scalar = ENTRY_POINTS[name]
-        spectra = (1 if name == "psi_convolve" else 6) * H * P * H * 8
+        tables = 1 if name == "psi_convolve" else 6
+        buffers = 3 if name == "a_contract" else 2
         result = {"a_convolve": 9, "a_contract": 3, "a_pair_sum": 0, "psi_convolve": 1}[name]
-        slabs = 0 if scalar else 4 * landau.kernels._SLAB_BYTES
-        budget = (spectra + 3 * P * P * H * 16 + result * grid.size * 8 + 128 * 1024
+        slabs = {"a_contract": 4, "a_pair_sum": 2}.get(name, 0) * landau.kernels._SLAB_BYTES
+        budget = (engine_bytes(grid, tables, buffers) + result * grid.size * 8 + 128 * 1024
                   + max(slabs, 8 * grid.size * 8))
         assert traced_peak(lambda: fn(grid, CoulombPsi(), g[0] if scalar else g)) < budget
 
@@ -283,16 +306,14 @@ class TestCollisionCoefficients:
         assert builds(fa, spec) == 1
         assert builds(fa, spec) == 1  # never cached
 
-    def test_cold_table_spectra_peak_memory(self, traced_peak):
-        # the half spectra (H^2 P^(N-2) floats each), built by matrix
-        # products, with a margin of one more half spectrum and eight n^N
-        # octant arrays: full-axis spectra, a P^N scratch buffer, or tables
-        # and meshes on the (2n-1)^N difference grid, do not fit
+    def test_cold_table_spectra_peak_memory(self, traced_peak, engine_bytes):
+        # the six half spectra, built by matrix products, with a margin of
+        # one more half spectrum and eight n^N octant arrays: full-axis
+        # spectra, a P^N scratch buffer, or tables and meshes on the
+        # (2n-1)^N difference grid, do not fit
         grid = build_grid(3, 2.0, 16)
         lay = landau.kernels._Layout(grid, CoulombPsi())
-        P = lay.shape[0]  # 32
-        half = (P // 2 + 1) ** 2 * P * 8
-        assert traced_peak(lay.a_spectra) < 7 * half + 8 * grid.size * 8
+        assert traced_peak(lay.a_spectra) < engine_bytes(grid, 7) + 8 * grid.size * 8
 
     def test_diffusion_matrix_symmetric_psd(self):
         rng = np.random.default_rng(3)

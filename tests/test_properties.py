@@ -18,6 +18,7 @@ from landau.kernels import (
     _difference_fields,
     _fast_len,
     _forward,
+    _LAYOUT,
     _Layout,
     _padded_shape,
     _quadrature,
@@ -37,8 +38,8 @@ states = st.tuples(
 )
 
 
-def positive_state(n, half_width, seed):
-    grid = build_grid(3, half_width, n)
+def positive_state(n, half_width, seed, dim=3):
+    grid = build_grid(dim, half_width, n)
     rng = np.random.default_rng(seed)
     gauss = np.exp(-0.5 * grid.sq_norm)
     return DiscreteDistribution(grid, (0.1 + rng.random(grid.size)) * gauss)
@@ -99,15 +100,19 @@ def test_operator_conserves_mass_momentum_energy(state):
 @given(states)
 def test_pair_sum_is_node_sum_of_a_contract(state):
     # the Parseval drift term of D against h^N sum <G, a_contract(G)>, for
-    # G = f grad log f and for a random vector field
-    f = positive_state(*state)
-    grid = f.grid
-    xi, _ = grad_log(f)
-    G = (f.values[:, None] * xi).T.reshape((3,) + grid.shape)
-    noise = np.random.default_rng(state[2]).standard_normal(G.shape)
-    for g in (G, noise):
-        ref = grid.cell_volume * float(np.sum(g.reshape(3, -1).T * a_contract(grid, SPEC, g)))
-        assert abs(grid.cell_volume * a_pair_sum(grid, SPEC, g) - ref) <= 1e-12 * abs(ref)
+    # G = f grad log f and for a random vector field, in N = 2, 3 and 4:
+    # the fold holds one spectrum beside the last at N = 2 and 3, three at 4
+    for dim in (2, 3, 4):
+        f = positive_state(*state, dim=dim)
+        grid = f.grid
+        xi, _ = grad_log(f)
+        G = (f.values[:, None] * xi).T.reshape((dim,) + grid.shape)
+        noise = np.random.default_rng(state[2]).standard_normal(G.shape)
+        for g in (G, noise):
+            contract = a_contract(grid, SPEC, g)
+            ref = grid.cell_volume * float(np.sum(g.reshape(dim, -1).T * contract))
+            got = grid.cell_volume * a_pair_sum(grid, SPEC, g)
+            assert abs(got - ref) <= 1e-12 * abs(ref), dim
 
 
 @few
@@ -249,20 +254,31 @@ def test_columns_are_a_convolve_entries(layout):
 @example((2, 8, 2))
 @example((3, 8, 3))
 def test_engine_results_do_not_depend_on_earlier_calls(layout):
-    # the engine reuses its work buffers from call to call
+    # the engine reuses its work buffers from call to call, and makes them
+    # the first time a call needs them
     dim, n, seed = layout
     grid = build_grid(dim, 3.0, n)
     rng = np.random.default_rng(seed)
+    calls = {  # field[0] scalar, field[1:] a vector field
+        "a_convolve": lambda field: a_convolve(grid, SPEC, field[0]),
+        "a_contract": lambda field: a_contract(grid, SPEC, field[1:]),
+        "psi_convolve": lambda field: psi_convolve(grid, SPEC, field[0]),
+        "a_pair_sum": lambda field: a_pair_sum(grid, SPEC, field[1:]),
+    }
 
-    def results(field):  # field[0] scalar, field[1:] a vector field
-        return (a_convolve(grid, SPEC, field[0]), a_contract(grid, SPEC, field[1:]),
-                psi_convolve(grid, SPEC, field[0]), a_pair_sum(grid, SPEC, field[1:]))
+    def results(field, order):
+        return {name: calls[name](field) for name in order}
 
     x, y = (rng.standard_normal((dim + 1,) + grid.shape) for _ in range(2))
-    first = results(x)
-    results(y)
-    for again, ref in zip(results(x), first):
-        assert np.array_equal(again, ref)
+    first = results(x, calls)
+    results(y, calls)
+    again = results(x, calls)
+    # a_pair_sum first on a fresh layout, and a_contract adding the last
+    # buffer after it
+    _LAYOUT.clear()
+    fresh = results(x, ["a_pair_sum", "psi_convolve", "a_contract", "a_convolve"])
+    for name, ref in first.items():
+        assert np.array_equal(again[name], ref) and np.array_equal(fresh[name], ref), name
 
 
 @exact

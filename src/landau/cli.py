@@ -2,6 +2,10 @@
 inequality-verification suites over generated families, and solver runs
 with diagnostics/report files.
 
+`verify` builds and checks each (family, n) state as one work item, in
+forked worker processes when BLAS leaves CPUs free (`verify_workers`),
+and writes the same reports, messages and exit code as a serial run.
+
 Exit codes: 0 success, 1 checker or run-invariant failure (including
 stability errors), 2 usage or configuration errors.
 """
@@ -50,13 +54,17 @@ class ConfigError(Exception):
     """Malformed configuration or invocation (exit code 2)."""
 
 
+# what a bad input file or value raises while it is read
+_INPUT_ERRORS = (ValueError, ArithmeticError, ResourceError, OSError)
+
+
 @contextlib.contextmanager
 def _reading(what):
     """Turn a failure while reading `what` from input files into a usage
     error (exit 2)."""
     try:
         yield
-    except (ValueError, ArithmeticError, ResourceError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         raise ConfigError(f"bad {what}: {exc}") from None
 
 
@@ -187,9 +195,98 @@ def _write_suite_reports(rows, out_dir):
             )
 
 
+def verify_workers(states):
+    """Worker processes for `states` verify states: one per usable CPU that
+    BLAS leaves free, so 1 (run in this process) unless BLAS is pinned to
+    fewer threads than there are CPUs.  BLAS threads are the first positive
+    integer among OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS,
+    else one per usable CPU, BLAS's own default."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            blas = threads
+            break
+    return max(1, min(states, cpus // blas))
+
+
+def _suite_rows(entry, f, psi):
+    """Report rows of the suite `entry` on the state f, or the text of its
+    error row."""
+    try:
+        return [rep.to_json_dict() for rep in SUITES[entry["name"]][1](f, psi, entry)]
+    except (ValidationError, DegeneracyError, NumericError) as exc:
+        return str(exc)
+
+
+def _check_state(case, psi, entries):
+    """Build one (family spec, grid) state and run the suites `entries` on
+    it: one `_suite_rows` item per entry, and a state that fails to build
+    gives its error text to every entry.  An input error (`_INPUT_ERRORS`)
+    is returned, as the whole result if the build raised it, else as the
+    last item, for the caller to raise in serial order."""
+    try:
+        f = generate_distribution(*case)
+    except (ValidationError, DegeneracyError, NumericError) as exc:
+        return [str(exc)] * len(entries)
+    except _INPUT_ERRORS as exc:
+        return exc
+    results = []
+    for entry in entries:
+        try:
+            results.append(_suite_rows(entry, f, psi))
+        except _INPUT_ERRORS as exc:
+            results.append(exc)
+            break
+    return results
+
+
+_worker_job = None  # (cases, psi, entries) of a verify worker process
+
+
+def _start_worker(*job):
+    global _worker_job
+    _worker_job = job
+
+
+def _check_case(index):
+    cases, psi, entries = _worker_job
+    return _check_state(cases[index], psi, entries)
+
+
+def _check_states(cases, psi, entries):
+    """`_check_state` of every (family spec, grid) case, in the order of
+    `cases`.  With `verify_workers` above 1 the cases run largest n first
+    in a pool of forked workers, which read the job from the memory they
+    inherit; else they run here, one after another."""
+    workers = verify_workers(len(cases))
+    if workers == 1:
+        return [_check_state(case, psi, entries) for case in cases]
+    # imported here, so that `import landau.cli` does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import the package again.
+    # Forking is safe because BLAS runs one thread whenever workers > 1,
+    # and the pool forks every worker before it starts its own threads.
+    order = sorted(range(len(cases)), key=lambda i: -cases[i][1].n)
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_start_worker,
+                             initargs=(cases, psi, entries)) as pool:
+        done = dict(zip(order, pool.map(_check_case, order)))
+    return [done[i] for i in range(len(cases))]
+
+
 def cmd_verify(args):
-    # every grid and state is built once, before any suite runs, so bad
-    # values exit 2 and each (family, n) state is shared by all suites
+    # every grid is built, and every (family, n) state is built and checked
+    # by all per-state suites (`_check_states`), before any report is
+    # written, so bad values exit 2 and each state is shared by all suites
     with _reading("verify config"):
         cfg = read_config(_load_config(args.config), VERIFY_KEYS, "verify config")
         psi = psi_spec_from_json(cfg["psi"])
@@ -206,30 +303,28 @@ def cmd_verify(args):
         if not cfg["families"]:
             raise ValidationError("'families' must be a nonempty list")
         fam_specs = [DistributionSpec.from_json_dict(item) for item in cfg["families"]]
-        states = []
-        for n, grid in zip(resolutions, grids):
-            for fam_spec in fam_specs:
-                try:
-                    f = generate_distribution(fam_spec, grid)
-                except (ValidationError, DegeneracyError, NumericError) as exc:
-                    f = exc  # an error row in every suite
-                states.append((fam_spec.kind, n, f))
+        cases = [(fam_spec, grid) for grid in grids for fam_spec in fam_specs]
+        per_state = [e for e in entries if e["name"] not in _FAMILY_FREE_SUITES]
+        results = _check_states(cases, psi, per_state)
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+    states = [(fam_spec.kind, grid.n, iter(result))
+              for (fam_spec, grid), result in zip(cases, results)]
 
     rows = []
     failures = []
     for entry in entries:
-        suite_fn = SUITES[entry["name"]][1]
         if entry["name"] in _FAMILY_FREE_SUITES:
-            cases = [("-", "-", None)]
+            labels = [("-", "-", None)]
         else:
-            cases = states
-        for fam_label, res_label, f in cases:
-            try:
-                if isinstance(f, Exception):
-                    raise f
-                reports = suite_fn(f, psi, entry)
-            except (ValidationError, DegeneracyError, NumericError) as exc:
-                failures.append(f"{entry['name']}[{fam_label}@{res_label}]: {exc}")
+            labels = states
+        for fam_label, res_label, result in labels:
+            reports = _suite_rows(entry, None, psi) if result is None else next(result)
+            if isinstance(reports, Exception):
+                raise reports
+            if isinstance(reports, str):
+                failures.append(f"{entry['name']}[{fam_label}@{res_label}]: {reports}")
                 rows.append(
                     {
                         "suite": entry["name"],
@@ -240,12 +335,11 @@ def cmd_verify(args):
                         "rhs": math.nan,
                         "slack": math.nan,
                         "holds": False,
-                        "error": str(exc),
+                        "error": reports,
                     }
                 )
                 continue
-            for rep in reports:
-                row = rep.to_json_dict()
+            for row in reports:
                 row["suite"] = entry["name"]
                 row["family"] = fam_label
                 row["resolution"] = res_label

@@ -371,12 +371,16 @@ def _axis_sums(odd, rows, n, P):
 
 
 def _along(x, ax, mat):
-    """The matrix `mat` applied along axis `ax` of x."""
+    """The matrix `mat` applied along axis `ax` of x, as one matrix product:
+    any axis but the last is moved to the front and back, not applied as a
+    batch of small products, which multithreaded BLAS runs slowly."""
     shape = x.shape
     if ax == x.ndim - 1:
         y = x.reshape(-1, shape[-1]) @ mat.T
     else:
-        y = mat @ x.reshape(math.prod(shape[:ax]), shape[ax], -1)
+        rows = math.prod(shape[:ax])
+        front = x.reshape(rows, shape[ax], -1).transpose(1, 0, 2).reshape(shape[ax], -1)
+        y = (mat @ front).reshape(len(mat), rows, -1).transpose(1, 0, 2)
     return y.reshape(shape[:ax] + (len(mat),) + shape[ax + 1:])
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import landau
-from landau.cli import build_parser, main
+from landau.cli import build_parser, main, verify_workers
 from landau.families import DistributionSpec, generate_distribution
 from landau.grid import DiscreteDistribution, build_grid
 
@@ -246,6 +246,100 @@ class TestVerify:
         assert main(["verify", "--config", str(p), "--out-dir", str(out)]) == 1
         [row] = json.loads((out / "report.json").read_text())
         assert "must be integers" in row["error"]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+LINUX = sys.platform.startswith("linux")
+CPUS = len(os.sched_getaffinity(0)) if LINUX else 1
+
+
+class TestVerifyWorkers:
+    """One verify worker per usable CPU that BLAS leaves free."""
+
+    @pytest.fixture(autouse=True)
+    def no_blas_vars(self, monkeypatch):
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+
+    def test_unpinned_blas_runs_in_process(self):
+        assert verify_workers(9) == 1
+
+    @pytest.mark.skipif(not LINUX, reason="workers are forked on Linux only")
+    @pytest.mark.parametrize("var", BLAS_VARS)
+    def test_pinned_blas_gives_a_worker_per_cpu(self, monkeypatch, var):
+        monkeypatch.setenv(var, "1")
+        assert verify_workers(9) == min(9, CPUS)
+        assert verify_workers(1) == 1
+
+    def test_blas_on_every_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(CPUS))
+        assert verify_workers(9) == 1
+
+    @pytest.mark.skipif(not LINUX, reason="workers are forked on Linux only")
+    @pytest.mark.parametrize("value", ["x", "1.5", "", "0", "-1"])
+    def test_bad_value_counts_as_unset(self, monkeypatch, value):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert verify_workers(9) == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert verify_workers(9) == min(9, CPUS)
+
+    def run_verify(self, cfg, out, blas):
+        env = dict(CHILD_ENV)
+        for var in BLAS_VARS:
+            env.pop(var, None)
+        env["OPENBLAS_NUM_THREADS"] = str(blas)
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "landau", "verify",
+             "--config", str(cfg), "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, cwd=out.parent,
+        )
+
+    def test_reports_do_not_depend_on_worker_count(self, tmp_path):
+        # BLAS pinned to one thread forks min(6, CPUS) workers; BLAS on
+        # every CPU runs the same matrix in this process
+        if CPUS < 2:
+            pytest.skip("one usable CPU: the pooled run would not fork")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"dim": 3, "half_width": 6.0}, "resolutions": [10, 12],
+            "suites": ["sobolev", {"name": "edd_radial", "mode": "ratio"},
+                       "moment_condition", "interpolation"],
+            "families": [{"kind": "maxwellian"},
+                         {"kind": "maxwellian", "params": {"temperature": -1.0}},
+                         {"kind": "radial_shell", "params": {"radius": 2.0, "width": 0.5}}],
+        }))
+        runs = []
+        for blas in (1, CPUS):
+            out = tmp_path / "r"
+            res = self.run_verify(cfg, out, blas)
+            runs.append((res.returncode, res.stdout, res.stderr,
+                         (out / "report.json").read_bytes(), (out / "summary.csv").read_bytes()))
+            out.rename(tmp_path / f"r{blas}")
+        assert runs[0] == runs[1]
+        rc, _, err, report, _ = runs[0]
+        assert rc == 1 and "temperature" in err
+        rows = json.loads(report)
+        assert len(rows) == 3 * 3 * 2 + 2
+        assert sum("error" in r for r in rows) == 3 * 2
+
+    def test_bad_family_in_a_worker_is_usage_error(self, tmp_path):
+        if CPUS < 2:
+            pytest.skip("one usable CPU: the run would not fork")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"dim": 3, "half_width": 6.0}, "resolutions": [8, 10],
+            "suites": ["sobolev"],
+            "families": [{"kind": "maxwellian"},
+                         {"kind": "custom_file", "params": {"path": "no_such_state.json"}}],
+        }))
+        results = []
+        for blas in (1, CPUS):
+            res = self.run_verify(cfg, tmp_path / "r", blas)
+            assert res.returncode == 2, res.stderr
+            assert res.stderr.startswith("config error: ") and res.stderr.count("\n") == 1
+            assert not (tmp_path / "r").exists()
+            results.append((res.stdout, res.stderr))
+        assert results[0] == results[1]
 
 
 class TestSolve:

@@ -228,23 +228,13 @@ def _suite_rows(entry, f, psi):
 def _check_state(case, psi, entries):
     """Build one (family spec, grid) state and run the suites `entries` on
     it: one `_suite_rows` item per entry, and a state that fails to build
-    gives its error text to every entry.  An input error (`_INPUT_ERRORS`)
-    is returned, as the whole result if the build raised it, else as the
-    last item, for the caller to raise in serial order."""
+    gives its error text to every entry.  Input errors (`_INPUT_ERRORS`)
+    are raised."""
     try:
         f = generate_distribution(*case)
     except (ValidationError, DegeneracyError, NumericError) as exc:
         return [str(exc)] * len(entries)
-    except _INPUT_ERRORS as exc:
-        return exc
-    results = []
-    for entry in entries:
-        try:
-            results.append(_suite_rows(entry, f, psi))
-        except _INPUT_ERRORS as exc:
-            results.append(exc)
-            break
-    return results
+    return [_suite_rows(entry, f, psi) for entry in entries]
 
 
 _worker_job = None  # (cases, psi, entries) of a verify worker process
@@ -264,7 +254,9 @@ def _check_states(cases, psi, entries):
     """`_check_state` of every (family spec, grid) case, in the order of
     `cases`.  With `verify_workers` above 1 the cases run largest n first
     in a pool of forked workers, which read the job from the memory they
-    inherit; else they run here, one after another."""
+    inherit, and their results are read in case order, so an error a case
+    raises is raised as in a serial run; else they run here, one after
+    another."""
     workers = verify_workers(len(cases))
     if workers == 1:
         return [_check_state(case, psi, entries) for case in cases]
@@ -279,8 +271,8 @@ def _check_states(cases, psi, entries):
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                              initializer=_start_worker,
                              initargs=(cases, psi, entries)) as pool:
-        done = dict(zip(order, pool.map(_check_case, order)))
-    return [done[i] for i in range(len(cases))]
+        futures = {i: pool.submit(_check_case, i) for i in order}
+        return [futures[i].result() for i in range(len(cases))]
 
 
 def cmd_verify(args):
@@ -306,9 +298,6 @@ def cmd_verify(args):
         cases = [(fam_spec, grid) for grid in grids for fam_spec in fam_specs]
         per_state = [e for e in entries if e["name"] not in _FAMILY_FREE_SUITES]
         results = _check_states(cases, psi, per_state)
-        for result in results:
-            if isinstance(result, Exception):
-                raise result
     states = [(fam_spec.kind, grid.n, iter(result))
               for (fam_spec, grid), result in zip(cases, results)]
 
@@ -321,8 +310,6 @@ def cmd_verify(args):
             labels = states
         for fam_label, res_label, result in labels:
             reports = _suite_rows(entry, None, psi) if result is None else next(result)
-            if isinstance(reports, Exception):
-                raise reports
             if isinstance(reports, str):
                 failures.append(f"{entry['name']}[{fam_label}@{res_label}]: {reports}")
                 rows.append(

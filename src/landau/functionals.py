@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ValidationError
-from .grid import EPS_FLOOR, grad_log, gradient_sqrt, integrate
+from .grid import EPS_FLOOR, NORMALIZE_TOL, grad_log, gradient_sqrt, integrate
 from .kernels import a_column_keys, a_columns, a_pair_sum
 
 # Fixed chunk row-count: reductions are per-chunk np.sum in a fixed order,
@@ -206,15 +206,16 @@ class GammaDeterminant:
     gamma_value: float
 
 
-def check_normalized(f, tol=1e-3):
-    """Validate mass 1, zero momentum, energy-moment N within `tol`."""
+def check_normalized(f):
+    """Validate mass 1, zero momentum, energy-moment N within
+    `NORMALIZE_TOL`."""
     ms = moments(f)
     dim = f.grid.dim
     e2 = 2.0 * ms.energy  # int f |v|^2
     if (
-        abs(ms.mass - 1.0) > tol
-        or float(np.max(np.abs(ms.momentum))) > tol
-        or abs(e2 - dim) > tol * dim
+        abs(ms.mass - 1.0) > NORMALIZE_TOL
+        or float(np.max(np.abs(ms.momentum))) > NORMALIZE_TOL
+        or abs(e2 - dim) > NORMALIZE_TOL * dim
     ):
         raise ValidationError(
             "distribution is not normalized: "

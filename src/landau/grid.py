@@ -23,6 +23,12 @@ EPS_FLOOR = 1e-30
 # Guard against accidentally allocating enormous tensor grids.
 DEFAULT_MAX_NODES = 2**24
 
+# A normalized state has mass 1, zero momentum and energy moment N within
+# this tolerance (relative for the energy moment); `normalize` stops at a
+# quarter of it, or after NORMALIZE_MAX_ITER resamples.
+NORMALIZE_TOL = 1e-3
+NORMALIZE_MAX_ITER = 12
+
 
 class VelocityGrid:
     """Uniform cell-centered grid on [-L, L]^N.
@@ -311,7 +317,7 @@ def _resample(f, transform):
     return f.with_values(out)
 
 
-def normalize(f, tol=1e-3, max_iter=12):
+def normalize(f):
     """Rescale f to mass 1, zero momentum, and energy moment ∫f|v|² = N.
 
     Returns (normalized distribution, recorded transform).  Raises
@@ -325,7 +331,7 @@ def normalize(f, tol=1e-3, max_iter=12):
 
     total = NormalizationTransform(1.0, 1.0, (0.0,) * grid.dim)
     current = f
-    for _ in range(max_iter):
+    for _ in range(NORMALIZE_MAX_ITER):
         b = np.sqrt(temp)
         a = temp ** (grid.dim / 2.0) / rho
         step = NormalizationTransform(a, b, tuple(u))
@@ -347,6 +353,6 @@ def normalize(f, tol=1e-3, max_iter=12):
             float(np.max(np.abs(u))),
             abs(grid.dim * temp * rho + rho * (u @ u) - grid.dim) / grid.dim,
         )
-        if err <= 0.25 * tol:
+        if err <= 0.25 * NORMALIZE_TOL:
             break
     return current, total

@@ -259,25 +259,27 @@ def projection(z):
     return np.eye(z.size) - np.outer(z, z) / rsq
 
 
-def _difference_fields(axis, dim, spec):
-    """Per-axis z, |z|^2 (1 at z = 0), psi(|z|) (0 at z = 0) and the index
-    of z = 0 on the tensor grid with `axis` (which holds 0) on each of `dim`
-    axes; the z are an open mesh that broadcasts to the full grid."""
+def _octant_fields(grid, spec):
+    """Per-axis z, |z|^2 (1 at z = 0) and psi(|z|) (0 at z = 0) on the
+    z >= 0 octant of the node differences, entry k at z = k h on each axis,
+    so z = 0 is index 0; the z are an open mesh that broadcasts to the full
+    octant."""
+    dim = grid.dim
+    axis = np.arange(grid.n) * grid.h
     z = [axis.reshape((-1,) + (1,) * (dim - 1 - d)) for d in range(dim)]
-    origin = (int(np.flatnonzero(axis == 0)[0]),) * dim
     rsq = sum(c**2 for c in z)
-    rsq[origin] = 1.0
+    rsq.flat[0] = 1.0
     psi = np.asarray(spec.psi(np.sqrt(rsq)), dtype=float)
-    psi[origin] = 0.0
-    return z, rsq, psi, origin
+    psi.flat[0] = 0.0
+    return z, rsq, psi
 
 
-def _a_table_items(z, rsq, psi, origin):
+def _a_table_items(z, rsq, psi):
     """((i, j), a_ij table) for i <= j, made one at a time from the
-    `_difference_fields`; each table is zero at z = 0 (the source cell
-    w = v): q z_i z_j, q = -psi / |z|^2, with psi added on the diagonal.
-    z_i z_j is a small outer product of the open mesh, so each table takes
-    one full-size pass."""
+    `_octant_fields`; each table is zero at z = 0 (the source cell w = v):
+    q z_i z_j, q = -psi / |z|^2, with psi added on the diagonal.  z_i z_j is
+    a small outer product of the open mesh, so each table takes one
+    full-size pass."""
     q = -psi / rsq
     del rsq  # q takes its place
     for i in range(len(z)):
@@ -285,22 +287,8 @@ def _a_table_items(z, rsq, psi, origin):
             tab = q * (z[i] * z[j])
             if i == j:
                 tab += psi
-            tab[origin] = 0.0
+            tab.flat[0] = 0.0
             yield (i, j), tab
-
-
-def _a_tables(grid, spec):
-    """All a_ij tables for i <= j, keyed (i, j), on the (2n-1)^N grid of
-    node differences (entry d is z = (d - (n-1)) h componentwise): the
-    direct-sum oracle's tables."""
-    n = grid.n
-    axis = (np.arange(2 * n - 1) - (n - 1)) * grid.h
-    return dict(_a_table_items(*_difference_fields(axis, grid.dim, spec)))
-
-
-def _octant_fields(grid, spec):
-    """`_difference_fields` on the z >= 0 octant, entry k at z = k h."""
-    return _difference_fields(np.arange(grid.n) * grid.h, grid.dim, spec)
 
 
 def _fast_len(m):
@@ -649,32 +637,7 @@ def psi_convolve(grid, spec, g):
     return _quadrature(grid, work, lay.shape)
 
 
-def _convolve_direct(table, fvals):
-    """O(M^2) reference summation: out[i] = sum_j table[i - j + n - 1] f[j]."""
-    n = fvals.shape[0]
-    dim = fvals.ndim
-    out = np.empty_like(fvals)
-    rev = table[(slice(None, None, -1),) * dim]
-    for idx in np.ndindex(fvals.shape):
-        window = rev[tuple(slice(n - 1 - k, 2 * n - 1 - k) for k in idx)]
-        out[idx] = np.sum(window * fvals)
-    return out
-
-
-def collision_coefficients(f, spec, method="fft"):
+def collision_coefficients(f, spec):
     """The diffusion matrix A = a*f at every node by quadrature: shape
-    (size, N, N), symmetric positive semidefinite at every node.
-
-    `method="fft"` runs the convolution engine; `method="direct"` is the
-    exact-summation reference (O(M^2), for small grids and testing), which
-    the engine matches to roundoff.
-    """
-    if method not in ("direct", "fft"):
-        raise ValidationError(f"unknown method {method!r}")
-    grid, fg = f.grid, f.reshaped()
-    if method == "fft":
-        return a_convolve(grid, spec, fg)
-    out = np.empty((grid.size, grid.dim, grid.dim))
-    for (i, j), tab in _a_tables(grid, spec).items():
-        out[:, i, j] = out[:, j, i] = grid.cell_volume * _convolve_direct(tab, fg).ravel()
-    return out
+    (size, N, N), symmetric positive semidefinite at every node."""
+    return a_convolve(f.grid, spec, f.reshaped())

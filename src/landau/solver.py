@@ -323,26 +323,6 @@ def assemble_operator(f, spec, coeffs=None, conservative=True, dt=None, fluxes=N
     return out.ravel()
 
 
-def assemble_operator_nonparabolic(f, spec):
-    """Coulomb non-conservative form Q(f) = sum_ij A_ij d2_ij f + 8*pi*f^2
-    (a reference; c*f = -8*pi*f pointwise holds for the Coulomb kernel only).
-    """
-    if not spec.is_coulomb:
-        raise ValidationError("the non-parabolic form needs the Coulomb kernel")
-    grid = f.grid
-    coeffs = collision_coefficients(f, spec)
-    dim, h = grid.dim, grid.h
-    fg = f.reshaped()
-    gradf = _gradient_nd(fg, h)
-    out = 8.0 * math.pi * f.values * f.values
-    Ag = coeffs.reshape(grid.shape + (dim, dim))
-    for i in range(dim):
-        second = _gradient_nd(gradf[i], h)
-        for j in range(dim):
-            out = out + (Ag[..., i, j] * second[j]).ravel()
-    return out
-
-
 def _advance(f, spec, dt, scheme, fields):
     """One explicit step from f, whose `_face_fluxes` are `fields`; returns
     (new distribution, clipped mass fraction)."""

@@ -1,0 +1,90 @@
+"""Reference computations the tests hold the program against.
+
+The kernel tables here are made one node at a time from the definition
+a(z) = psi(|z|) Pi(z), with `projection(z)` and the kernel law, not from the
+engine's table formula, so a slip in that formula shows as a mismatch.
+They live on the (2n-1)^N grid of node differences: entry d is
+z = (d - (n-1)) h componentwise, and both tables are zero at z = 0, which
+drops the source cell w = v.  On them sit the O(M^2) direct convolution,
+the direct coefficient field A = a*f, and the Coulomb non-parabolic form
+of Q.
+"""
+
+import functools
+import math
+
+import numpy as np
+
+from landau.errors import ValidationError
+from landau.grid import _gradient_nd
+from landau.kernels import collision_coefficients, projection
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(dim, n, h, spec):
+    """Read-only (a, psi) difference tables, a of shape (N, N) + (2n-1,)*N."""
+    axis = (np.arange(2 * n - 1) - (n - 1)) * h
+    z = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+    r = np.sqrt(np.sum(z * z, axis=-1))
+    psi = np.where(r > 0, spec.psi(r), 0.0)
+    a = np.zeros((dim, dim) + psi.shape)
+    # flat entry k < M//2 holds z != 0, and entry M-1-k holds -z, where
+    # psi(|z|) Pi(z) takes the same value, bit for bit
+    flat, zs = a.reshape(dim, dim, -1), z.reshape(-1, dim)
+    for k in range(psi.size // 2):
+        flat[:, :, k] = flat[:, :, -1 - k] = psi.flat[k] * projection(zs[k])
+    a.flags.writeable = psi.flags.writeable = False
+    return a, psi
+
+
+def a_table(grid, spec):
+    """The a_ij difference tables, a_ij at [i, j], shape (N, N) + (2n-1,)*N:
+    a copy."""
+    return _tables(grid.dim, grid.n, grid.h, spec)[0].copy()
+
+
+def psi_table(grid, spec):
+    """The psi difference table, shape (2n-1,)*N: a copy."""
+    return _tables(grid.dim, grid.n, grid.h, spec)[1].copy()
+
+
+def convolve_direct(table, fvals):
+    """O(M^2) summation: out[i] = sum_j table[i - j + n - 1] f[j]."""
+    n = fvals.shape[0]
+    dim = fvals.ndim
+    out = np.empty_like(fvals)
+    rev = table[(slice(None, None, -1),) * dim]
+    for idx in np.ndindex(fvals.shape):
+        window = rev[tuple(slice(n - 1 - k, 2 * n - 1 - k) for k in idx)]
+        out[idx] = np.sum(window * fvals)
+    return out
+
+
+def coefficients_direct(f, spec):
+    """A = a*f at every node by direct summation, shape (size, N, N)."""
+    grid, fg = f.grid, f.reshaped()
+    a = a_table(grid, spec)
+    out = np.empty((grid.size, grid.dim, grid.dim))
+    for i in range(grid.dim):
+        for j in range(i, grid.dim):
+            out[:, i, j] = out[:, j, i] = (
+                grid.cell_volume * convolve_direct(a[i, j], fg).ravel())
+    return out
+
+
+def nonparabolic_operator(f, spec):
+    """The Coulomb non-conservative form Q(f) = sum_ij A_ij d2_ij f + 8 pi f^2,
+    with the engine's A and central differences; c*f = -8 pi f pointwise
+    holds for the Coulomb kernel only."""
+    if not spec.is_coulomb:
+        raise ValidationError("the non-parabolic form needs the Coulomb kernel")
+    grid = f.grid
+    dim, h = grid.dim, grid.h
+    gradf = _gradient_nd(f.reshaped(), h)
+    Ag = collision_coefficients(f, spec).reshape(grid.shape + (dim, dim))
+    out = 8.0 * math.pi * f.values * f.values
+    for i in range(dim):
+        second = _gradient_nd(gradf[i], h)
+        for j in range(dim):
+            out = out + (Ag[..., i, j] * second[j]).ravel()
+    return out

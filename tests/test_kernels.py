@@ -14,9 +14,6 @@ from landau.kernels import (
     BracketedPsi,
     CoulombPsi,
     PowerLawPsi,
-    _a_tables,
-    _convolve_direct,
-    _difference_fields,
     a_contract,
     a_convolve,
     a_pair_sum,
@@ -26,6 +23,7 @@ from landau.kernels import (
     psi_eval,
     psi_spec_from_json,
 )
+from oracles import a_table, coefficients_direct, convolve_direct, psi_table
 
 
 def maxwellian(grid, temperature=1.0):
@@ -106,17 +104,15 @@ class TestProjection:
 
 def direct_reference(name, grid, spec, g):
     """What the entry point `name` returns for the fields g, shape
-    (N,) + grid.shape, from `_convolve_direct` sums (scalar entry points
+    (N,) + grid.shape, from `convolve_direct` sums (scalar entry points
     take g[0])."""
-    N, n, cv = grid.dim, grid.n, grid.cell_volume
+    N, cv = grid.dim, grid.cell_volume
     if name == "psi_convolve":
-        axis = (np.arange(2 * n - 1) - (n - 1)) * grid.h
-        psi = _difference_fields(axis, N, spec)[2]
-        return cv * _convolve_direct(psi, g[0]).ravel()
-    tabs = _a_tables(grid, spec)
+        return cv * convolve_direct(psi_table(grid, spec), g[0]).ravel()
+    a = a_table(grid, spec)
 
     def conv(i, j, field):
-        return cv * _convolve_direct(tabs[min(i, j), max(i, j)], field).ravel()
+        return cv * convolve_direct(a[i, j], field).ravel()
 
     if name == "a_convolve":
         out = np.empty((grid.size, N, N))
@@ -260,17 +256,17 @@ class TestCollisionCoefficients:
         g = build_grid(3, 2.0, n)
         f = DiscreteDistribution(g, rng.random(g.size))
         spec = CoulombPsi()
-        cf = collision_coefficients(f, spec, method="fft")
-        cd = collision_coefficients(f, spec, method="direct")
+        cf = collision_coefficients(f, spec)
+        cd = coefficients_direct(f, spec)
         scale = np.max(np.abs(cd))
         assert np.max(np.abs(cf - cd)) / scale < 1e-12
         # the solver's drift sum_j a_ij*(d_j f) against the direct sum
         gradf = _gradient_nd(f.reshaped(), g.h)
-        tabs = _a_tables(g, spec)
+        a = a_table(g, spec)
         drift = a_contract(g, spec, gradf)
         for i in range(3):
             oracle = sum(
-                _convolve_direct(tabs[min(i, j), max(i, j)], gradf[j]) for j in range(3)
+                convolve_direct(a[i, j], gradf[j]) for j in range(3)
             ).ravel() * g.cell_volume
             assert np.max(np.abs(drift[:, i] - oracle)) / np.max(np.abs(oracle)) < 1e-12
 

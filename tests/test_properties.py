@@ -13,13 +13,12 @@ from landau.grid import DiscreteDistribution, _gradient_nd, _multilinear, build_
 from landau.kernels import (
     CoulombPsi,
     PowerLawPsi,
-    _a_tables,
-    _convolve_direct,
-    _difference_fields,
+    _a_table_items,
     _fast_len,
     _forward,
     _LAYOUT,
     _Layout,
+    _octant_fields,
     _padded_shape,
     _quadrature,
     a_column_keys,
@@ -30,6 +29,7 @@ from landau.kernels import (
     psi_convolve,
 )
 from landau.solver import assemble_operator
+from oracles import a_table, convolve_direct, psi_table
 
 SPEC = CoulombPsi()
 few = settings(derandomize=True, deadline=None, max_examples=6)
@@ -62,9 +62,9 @@ def wrapped(table, shape):
 def test_engine_matches_direct_sum(state):
     f = positive_state(*state)
     grid = f.grid
-    tabs = _a_tables(grid, SPEC)
-    direct = {ij: grid.cell_volume * _convolve_direct(tab, f.reshaped()).ravel()
-              for ij, tab in tabs.items()}
+    a = a_table(grid, SPEC)
+    direct = {(i, j): grid.cell_volume * convolve_direct(a[i, j], f.reshaped()).ravel()
+              for i in range(3) for j in range(i, 3)}
     tensor = a_convolve(grid, SPEC, f.reshaped())
     # the in-place inverse passes leave the cached table spectra intact
     assert np.array_equal(a_convolve(grid, SPEC, f.reshaped()), tensor)
@@ -77,7 +77,7 @@ def test_engine_matches_direct_sum(state):
     vector = a_contract(grid, SPEC, g)
     for i in range(3):
         ref = grid.cell_volume * sum(
-            _convolve_direct(tabs[min(i, j), max(i, j)], g[j]) for j in range(3)
+            convolve_direct(a[i, j], g[j]) for j in range(3)
         ).ravel()
         assert max_rel(vector[:, i], ref) < 1e-12
 
@@ -212,18 +212,35 @@ def test_table_spectra_are_real_parts_of_wrapped_spectra(layout, spec):
     shape = _padded_shape(grid)
     H = shape[0] // 2 + 1
     lay = _Layout(grid, spec)
-    tables = _a_tables(grid, spec)
-    psi = _difference_fields((np.arange(2 * n - 1) - (n - 1)) * grid.h, dim, spec)[2]
+    a = a_table(grid, spec)
     spectra = lay.a_spectra()
     assert len(spectra) == dim * dim
-    for key, table, spectrum in [(None, psi, lay.psi_spectrum())] + [
-            (ij, tables[ij], spectra[ij]) for ij in tables]:
+    for key, table, spectrum in [(None, psi_table(grid, spec), lay.psi_spectrum())] + [
+            ((i, j), a[i, j], spectra[(i, j)]) for i in range(dim) for j in range(i, dim)]:
         ref = scipy.fft.rfftn(wrapped(table, shape))
         assert spectrum.dtype == np.float64 and spectrum.shape == ref[:H].shape, key
         assert np.max(np.abs(spectrum - ref.real[:H])) <= 4e-15 * np.max(np.abs(ref.real)), key
         assert np.max(np.abs(ref.imag)) <= 1e-15 * np.max(np.abs(ref.real)), key
         if key is not None:
             assert spectra[key[::-1]] is spectrum
+
+
+@exact
+@given(layouts, st.sampled_from([CoulombPsi(), PowerLawPsi(-2.5), PowerLawPsi(0.0)]))
+@example((2, 5, 0), CoulombPsi())
+@example((3, 8, 1), PowerLawPsi(-2.5))
+def test_octant_tables_are_psi_times_projection(layout, spec):
+    # a(z) = psi(|z|) Pi(z) on the engine's own tables, at every octant
+    # node: sum_j a_ij(z) z_j = 0 and tr a(z) = (N-1) psi(|z|), both sides
+    # held at 0 at z = 0, where the tables and psi are zero
+    dim, n, _ = layout
+    z, rsq, psi = _octant_fields(build_grid(dim, 3.0, n), spec)
+    a = dict(_a_table_items(z, rsq, psi))
+    for i in range(dim):
+        row = sum(a[min(i, j), max(i, j)] * z[j] for j in range(dim))
+        assert np.all(np.abs(row) <= 1e-13 * psi * np.sqrt(rsq)), i
+    trace = sum(a[i, i] for i in range(dim))
+    assert np.all(np.abs(trace - (dim - 1) * psi) <= 1e-13 * psi)
 
 
 @exact

@@ -54,8 +54,9 @@ class ConfigError(Exception):
     """Malformed configuration or invocation (exit code 2)."""
 
 
-# what a bad input file or value raises while it is read
-_INPUT_ERRORS = (ValueError, ArithmeticError, ResourceError, OSError)
+# what a bad input file or value raises while it is read; a grid or state
+# too large for the machine raises MemoryError
+_INPUT_ERRORS = (ValueError, ArithmeticError, ResourceError, OSError, MemoryError)
 
 
 @contextlib.contextmanager
@@ -390,16 +391,19 @@ SOLVER_CONFIG_KEYS = ("dt", "steps", "scheme", "l_list", "k_list", "cadence", "g
 def _diagnostics_rows(series, config):
     l_list = list(config.l_list)
     k_list = list(config.k_list)
-    header = ["step", "t", "mass", "px", "py", "pz", "energy", "H", "D"]
+    # px, py, pz (pz = 0 in 2-D), then p3, p4, ... for each further axis
+    axes = max(3, len(series.records[0].momentum))
+    header = ["step", "t", "mass", "px", "py", "pz"] + [f"p{d}" for d in range(3, axes)]
+    header += ["energy", "H", "D"]
     header += [f"M_{l:g}" for l in l_list]
     header += ["fisher_w", "l3w_norm", "clipped_mass"]
     header += [f"lp_net_{k:g}" for k in k_list]
     rows = [header]
     for rec in series.records:
         mom = [float(x) for x in np.asarray(rec.momentum, dtype=float)]
-        mom = mom + [0.0] * (3 - len(mom))
+        mom = mom + [0.0] * (axes - len(mom))
         row = [rec.step, repr(rec.t), repr(rec.mass)]
-        row += [repr(m) for m in mom[:3]]
+        row += [repr(m) for m in mom]
         row += [repr(rec.energy), repr(rec.entropy), repr(rec.dissipation)]
         row += [repr(rec.moments_l.get(l, math.nan)) for l in l_list]
         row += [repr(rec.fisher_w), repr(rec.l3w_norm), repr(rec.clipped_mass)]

@@ -71,6 +71,13 @@ whose inverses then run in place.  Each call overwrites the buffers it
 reads, and every result is a fresh array; no call makes a temporary the
 size of a work buffer.
 
+The fields a*g and sum_j a_ij*g_j are stored component-major: each
+component is written by its inverse transform straight into a contiguous
+row of an (N, N, size) or (N, size) array, and the result is the (size, N,
+N) or (size, N) transposed view of it, so `[:, i, j]` and `[:, i]` are
+contiguous while the indexing and the bytes stay those of node-major
+arrays.
+
 Every transform is a sequence of NumPy 1-D passes that skips the lines
 holding only padding.  `_forward` runs a real pass along the last axis of
 the data, then complex passes along axes 0, 1, ..., N-2, each over the slab
@@ -328,8 +335,8 @@ def _forward(g, shape, out=None):
 
 def _quadrature(grid, spectrum, shape, out=None):
     """h^N times the valid slice [0, n) of the inverse transform, written
-    into the flat `out` (a strided column of the caller's result will do)
-    or a fresh array, and returned.
+    into the flat `out` (a row of the caller's component-major result) or
+    a fresh array, and returned.
 
     The complex passes run in place, so `spectrum` must be a work buffer
     the caller no longer needs.
@@ -487,9 +494,11 @@ def a_column_keys(dim):
     return sorted(keys, key=lambda ij: _odd_on_axis0(*ij))
 
 
-def a_columns(grid, spec, g):
+def a_columns(grid, spec, g, out=None):
     """(i, j, component a_ij*g, flattened) for i <= j, in the order of
-    `a_column_keys`, for a scalar field g of shape grid.shape.
+    `a_column_keys`, for a scalar field g of shape grid.shape: each
+    component a fresh array, or the contiguous row out[i, j] of a
+    component-major (N, N, size) `out`.
 
     One forward transform of g, into the first work buffer, and one
     inverse per component, in place in the second.  Before the first odd
@@ -507,16 +516,23 @@ def a_columns(grid, spec, g):
             np.negative(mirrored, out=mirrored)
             negated = True
         _times(spectra[(i, j)], g_hat, work)
-        yield i, j, _quadrature(grid, work, lay.shape)
+        row = None if out is None else out[i, j]
+        yield i, j, _quadrature(grid, work, lay.shape, out=row)
 
 
 def a_convolve(grid, spec, g):
     """The tensor field a*g for a scalar field g of shape grid.shape:
-    (size, N, N), symmetric, the components of `a_columns`."""
-    out = np.empty((grid.size, grid.dim, grid.dim))
-    for i, j, column in a_columns(grid, spec, g):
-        out[:, i, j] = out[:, j, i] = column
-    return out
+    (size, N, N), symmetric, the components of `a_columns`.
+
+    Component-major: the (size, N, N) transposed view of an (N, N, size)
+    array, whose rows a_ij*g, i <= j, the inverse transforms write, and
+    whose mirror rows a_ji*g are one contiguous copy each.
+    """
+    out = np.empty((grid.dim, grid.dim, grid.size))
+    for i, j, column in a_columns(grid, spec, g, out=out):
+        if i != j:
+            out[j, i] = column
+    return out.transpose(2, 0, 1)
 
 
 def _slabs(spectrum):
@@ -531,29 +547,39 @@ def _slabs(spectrum):
 
 
 def _add_row(acc, term, spectra, i, g_items, parts):
-    """acc += sum_j a_ij^ g_j^ over one slab, j in the order of the
-    (j, g_j^ slab) items, each product formed in `term`, and return acc.
+    """acc = sum_j a_ij^ g_j^ over one slab, whatever acc held, j in the
+    order of the (j, g_j^ slab) items, and return acc: the first product is
+    written into acc, each later one formed in `term` and added.
 
     The mirrored rows of an a_0j, j != 0, are subtracted, not negated and
-    added, so a sum started from zeros over j = 0, ..., N-1 is bit for bit
-    the sum over the whole expanded spectra.
+    added, so the sum over j = 0, ..., N-1 is bit for bit the sum over the
+    whole expanded spectra started from zeros, but for the sign of an exact
+    zero.
     """
+    first = True
     for j, g_j in g_items:
         for part, src, mirrored in parts:
-            t = np.multiply(spectra[(i, j)][src], g_j[part], out=term[part])
-            if mirrored and _odd_on_axis0(i, j):
+            negated = mirrored and _odd_on_axis0(i, j)
+            t = np.multiply(spectra[(i, j)][src], g_j[part], out=(acc if first else term)[part])
+            if first:
+                if negated:
+                    np.negative(t, out=t)
+            elif negated:
                 acc[part] -= t
             else:
                 acc[part] += t
+        first = False
     return acc
 
 
 def a_contract(grid, spec, g):
     """The vector field sum_j a_ij*g_j for g of shape (N,) + grid.shape.
 
-    Returns (size, N): one forward transform per component of g, into N
-    work buffers, the sum over j taken on the spectra slab by slab in N + 1
-    slab temporaries and written back over the g_i spectra, and one inverse
+    Returns (size, N), the transposed view of an (N, size) array whose
+    contiguous rows the inverse transforms write: one forward transform
+    per component of g, into N work buffers, the sum over j taken on the
+    spectra slab by slab in N + 1 slab temporaries, each started from its
+    first product, and written back over the g_i spectra, and one inverse
     per component i, in place there.
     """
     lay = _layout(grid, spec)
@@ -566,15 +592,14 @@ def a_contract(grid, spec, g):
         g_s = [gh[start:stop] for gh in g_hat]
         acc_s = [a[:stop - start] for a in acc]
         for i, a in enumerate(acc_s):
-            a[...] = 0
             _add_row(a, term, spectra, i, enumerate(g_s), parts)
         for dst, a in zip(g_s, acc_s):
             dst[...] = a
     del acc, term  # the slab temporaries
-    out = np.empty((grid.size, grid.dim))
+    out = np.empty((grid.dim, grid.size))
     for i, buf in enumerate(g_hat):
-        _quadrature(grid, buf, lay.shape, out=out[:, i])
-    return out
+        _quadrature(grid, buf, lay.shape, out=out[i])
+    return out.T
 
 
 def _parseval(g_hat, s_hat, edges):
@@ -611,16 +636,13 @@ def a_pair_sum(grid, spec, g):
         g_s = list(enumerate(gh[start:stop] for gh in g_hat))
         a = acc[:stop - start]
         for i, g_i in g_s:
-            a[...] = 0
             total += _parseval(g_i, _add_row(a, term, spectra, i, g_s, parts), edges)
-        a[...] = 0
         _add_row(a, term, spectra, m, g_s, parts)
         np.add(a, a, out=g_hat[0][start:stop])  # 2w, over the g_0^ rows done with
     w2 = g_hat[0]
     (g_m,) = lay.spectra_of(g[m:], first=1)
     for start, stop, parts in slabs:
         a = acc[:stop - start]
-        a[...] = 0
         _add_row(a, term, spectra, m, [(m, g_m[start:stop])], parts)
         a += w2[start:stop]
         total += _parseval(g_m[start:stop], a, edges)
@@ -639,5 +661,6 @@ def psi_convolve(grid, spec, g):
 
 def collision_coefficients(f, spec):
     """The diffusion matrix A = a*f at every node by quadrature: shape
-    (size, N, N), symmetric positive semidefinite at every node."""
+    (size, N, N), symmetric positive semidefinite at every node, stored
+    component-major (`a_convolve`)."""
     return a_convolve(f.grid, spec, f.reshaped())

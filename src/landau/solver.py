@@ -161,14 +161,18 @@ def _sides(arr, d):
     return arr[lead + (slice(0, -1),)], arr[lead + (slice(1, None),)]
 
 
-def _face_mean(arr, axis):
+def _face_mean(arr, axis, out=None):
     lo, hi = _sides(arr, axis)
-    return 0.5 * (lo + hi)
+    out = np.add(lo, hi, out=out)
+    out *= 0.5
+    return out
 
 
-def _face_diff(arr, axis, h):
+def _face_diff(arr, axis, h, out=None):
     lo, hi = _sides(arr, axis)
-    return (hi - lo) / h
+    out = np.subtract(hi, lo, out=out)
+    out /= h
+    return out
 
 
 def stability_dt(coeffs, h):
@@ -199,10 +203,10 @@ def _project_conservative(grid, fluxes, fg):
     exact linear functionals of the face fluxes (summation by parts against
     v and |v|^2/2).  The continuum flux annihilates them; the discrete one
     leaves O(h^2) defects.  Subtracting (alpha_d + beta v_face) weighted by
-    the face-mean of f, with (alpha, beta) solved from a (dim+1)-square
+    the face-min of f, with (alpha, beta) solved from a (dim+1)-square
     system, removes the defects without touching the mass telescoping.
-    The weight is the face-min of f, so corrections vanish at faces touching
-    an empty cell and cannot push those cells negative.
+    The face-min weight vanishes at faces touching an empty cell, so the
+    corrections cannot push those cells negative.
     """
     dim = grid.dim
     weights = [np.minimum(*_sides(fg, d)) for d in range(dim)]
@@ -248,8 +252,9 @@ def _limit_fluxes(grid, fluxes, fg, dt):
 
 @dataclass
 class _Fields:
-    """The coefficient field A = a*f of one state, shape (size, N, N), and
-    its unlimited face fluxes, with their diffusive part."""
+    """The coefficient field A = a*f of one state, shape (size, N, N) and
+    component-major (`kernels.a_convolve`), and its unlimited face fluxes,
+    with their diffusive part, in arrays of their own."""
 
     A: np.ndarray
     fluxes: list
@@ -270,25 +275,31 @@ def _face_fluxes(f, spec, coeffs=None):
     dim, h = grid.dim, grid.h
     fg = f.reshaped()
     gradf = _gradient_nd(fg, h)
-    Ag = coeffs.reshape(grid.shape + (dim, dim))
     # Drift B_i = sum_j a_ij*(d_j f), the identity b*f = a*grad f with the
     # discrete gradient: the flux then vanishes when grad f is parallel to
     # v f, which keeps the equilibrium residual at the quadrature level.
-    Bg = a_contract(grid, spec, gradf).reshape(grid.shape + (dim,))
+    B = a_contract(grid, spec, gradf)
     fluxes = []
     diffusive = []
     for d in range(dim):
-        flux = np.zeros(_face_mean(fg, d).shape)
+        f_face = _face_mean(fg, d)
+        diff = np.zeros(f_face.shape)
+        term, df_face = np.empty_like(diff), np.empty_like(diff)
         for j in range(dim):
-            a_face = _face_mean(Ag[..., d, j], d)
+            # A and B are component-major, so each component is contiguous
+            _face_mean(coeffs[:, d, j].reshape(grid.shape), d, out=term)
             if j == d:
-                df_face = _face_diff(fg, d, h)
+                term *= _face_diff(fg, d, h, out=df_face)
             else:
-                df_face = _face_mean(gradf[j], d)
-            flux += a_face * df_face
-        diffusive.append(flux.copy())
-        flux -= _face_mean(Bg[..., d], d) * _face_mean(fg, d)
-        fluxes.append(flux)
+                term *= _face_mean(gradf[j], d, out=df_face)
+            diff += term
+        drift = _face_mean(B[:, d].reshape(grid.shape), d, out=term)
+        drift *= f_face
+        diffusive.append(diff)
+        fluxes.append(diff - drift)
+        # the temporaries go before the next axis's arrays are made: kept
+        # alive, they leave holes in the heap that raise the peak RSS
+        del f_face, term, df_face, drift
     return _Fields(coeffs, fluxes, diffusive)
 
 
@@ -318,8 +329,9 @@ def assemble_operator(f, spec, coeffs=None, conservative=True, dt=None, fluxes=N
     for d in range(dim):
         # node k gains F_(k+1/2) - F_(k-1/2); boundary faces carry no flux
         lo, hi = _sides(out, d)
-        lo += fluxes[d] / h
-        hi -= fluxes[d] / h
+        rate = fluxes[d] / h
+        lo += rate
+        hi -= rate
     return out.ravel()
 
 

@@ -20,6 +20,8 @@ import landau
 from landau.cli import build_parser, main, verify_workers
 from landau.families import DistributionSpec, generate_distribution
 from landau.grid import DiscreteDistribution, build_grid
+from landau.kernels import PowerLawPsi
+from landau.solver import SolverConfig, run
 
 
 # child interpreters import the package from this checkout, as the tests do
@@ -210,6 +212,26 @@ class TestVerify:
                                  "suites": ["sobolev"], "families": [family]}))
         assert_usage_error(capsys, "verify", "--config", p, "--out-dir", tmp_path / "r",
                            out=tmp_path / "r")
+
+    def test_grid_too_large_for_memory_is_usage_error(self, tmp_path):
+        # 4^12 nodes pass the node budget, and the grid's meshgrid then runs
+        # out of memory; the child's address space is capped at 384 MiB, so
+        # the MemoryError comes after at most two 128 MiB arrays
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"dim": 12, "half_width": 6.0},
+                                   "resolutions": [4], "suites": ["sobolev"]}))
+        code = ("import resource, sys; cap = 384 * 2**20; "
+                "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+                "from landau.cli import main; sys.exit(main(sys.argv[1:]))")
+        res = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "r")],
+            capture_output=True, text=True, env=dict(CHILD_ENV, OPENBLAS_NUM_THREADS="1"),
+        )
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("config error: bad verify config: ")
+        assert not (tmp_path / "r").exists()
 
     def test_family_error_rows_in_every_suite(self, tmp_path):
         # a family that fails validation while it is built keeps one error
@@ -439,6 +461,27 @@ class TestSolve:
         p.write_text(json.dumps(raw))
         assert_usage_error(capsys, "solve", "--config", p, "--out-dir", tmp_path / "r",
                            out=tmp_path / "r")
+
+    def test_diagnostics_keep_every_momentum_component(self, tmp_path, capsys):
+        # a 4-D run has a p3 column after pz; a coarse 4-D Maxwellian exits 1
+        # on the flux form's entropy rise, and its files are written anyway
+        raw = {"psi": {"kind": "power_law", "gamma": -2.0},
+               "grid": {"dim": 4, "half_width": 4.0, "nodes_per_axis": 6},
+               "initial": {"kind": "maxwellian"}, "steps": 3}
+        p = tmp_path / "solve4.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "r"
+        assert main(["solve", "--config", str(p), "--out-dir", str(out)]) in (0, 1)
+        capsys.readouterr()
+        with open(out / "diagnostics.csv") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[3:8] == ["px", "py", "pz", "p3", "energy"]
+        f0 = generate_distribution(DistributionSpec("maxwellian", {}), build_grid(4, 4.0, 6))
+        config = SolverConfig(spec=PowerLawPsi(-2.0), steps=3)
+        records = run(f0, config).records
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            assert row[3:7] == [repr(float(m)) for m in rec.momentum]
 
     def custom_initial(self, tmp_path, state, normalize=False):
         """A solve config (8^3, L = 5) starting from the stored `state`."""

@@ -270,6 +270,23 @@ class TestCollisionCoefficients:
             ).ravel() * g.cell_volume
             assert np.max(np.abs(drift[:, i] - oracle)) / np.max(np.abs(oracle)) < 1e-12
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_component_major_layout(self, dim):
+        # A and the drift keep their node-major shapes and indexing, and
+        # each component is a contiguous row; the mirror A_ji is A_ij bit
+        # for bit
+        g = build_grid(dim, 2.0, 6)
+        rng = np.random.default_rng(dim)
+        spec = CoulombPsi()
+        A = collision_coefficients(DiscreteDistribution(g, rng.random(g.size)), spec)
+        drift = a_contract(g, spec, rng.standard_normal((dim,) + g.shape))
+        assert A.shape == (g.size, dim, dim) and drift.shape == (g.size, dim)
+        for i in range(dim):
+            assert drift[:, i].flags.c_contiguous
+            for j in range(dim):
+                assert A[:, i, j].flags.c_contiguous
+                assert A[:, i, j].tobytes() == A[:, j, i].tobytes()
+
     def test_table_spectra_cache_one_layout(self, monkeypatch):
         calls = []
         build = landau.kernels._Layout._build

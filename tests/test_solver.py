@@ -368,6 +368,14 @@ class TestStateFields:
             assert 0 < np.count_nonzero(s.values <= EPS_FLOOR) < grid.size
         self.assert_diagnostics_reproduced(series)
 
+    def test_fluxes_do_not_alias_their_diffusive_parts(self):
+        # lp_energy_balance reads both; a flux aliased to its diffusive part
+        # would lose its drift
+        f = random_state(build_grid(3, 3.0, 8), np.random.default_rng(29))
+        fields = landau.solver._face_fluxes(f, SPEC)
+        for flux, diffusive in zip(fields.fluxes, fields.diffusive):
+            assert not np.shares_memory(flux, diffusive)
+
     def test_one_state_fields_alive(self, monkeypatch):
         # a run drops each state's fields before it makes the next state's
         made = []

@@ -20,7 +20,8 @@ from .errors import (DegeneracyError, NumericError, ResourceError, ValidationErr
 # (consistent with f ln f -> 0 as f -> 0).
 EPS_FLOOR = 1e-30
 
-# Guard against accidentally allocating enormous tensor grids.
+# Guard against accidentally allocating enormous tensor grids; read at each
+# grid construction, so a test can monkeypatch it.
 DEFAULT_MAX_NODES = 2**24
 
 # A normalized state has mass 1, zero momentum and energy moment N within
@@ -43,7 +44,7 @@ class VelocityGrid:
         Number of cells n >= 4 per axis; spacing h = 2L/n.
     """
 
-    def __init__(self, dim, half_width, nodes_per_axis, max_nodes=DEFAULT_MAX_NODES):
+    def __init__(self, dim, half_width, nodes_per_axis):
         # read by the config rule: sizes are never truncated, and a
         # half-width is a finite number
         check_value(dim, 0, "dim")
@@ -55,11 +56,11 @@ class VelocityGrid:
             raise ValidationError(f"half_width must be > 0, got {half_width}")
         if nodes_per_axis < 4:
             raise ValidationError(f"nodes_per_axis must be >= 4, got {nodes_per_axis}")
-        # n >= 2, so n^dim > max_nodes once dim reaches its bit length; the
-        # first test spares the power of a huge dim
-        if dim >= max_nodes.bit_length() or nodes_per_axis ** dim > max_nodes:
+        # n >= 2, so n^dim > the budget once dim reaches its bit length;
+        # the first test spares the power of a huge dim
+        if dim >= DEFAULT_MAX_NODES.bit_length() or nodes_per_axis ** dim > DEFAULT_MAX_NODES:
             raise ResourceError(
-                f"{nodes_per_axis}^{dim} nodes exceed the budget of {max_nodes}"
+                f"{nodes_per_axis}^{dim} nodes exceed the budget of {DEFAULT_MAX_NODES}"
             )
         self.dim = dim
         self.half_width = float(half_width)
@@ -91,9 +92,9 @@ class VelocityGrid:
         return f"VelocityGrid(dim={self.dim}, half_width={self.half_width}, n={self.n})"
 
 
-def build_grid(dim, half_width, nodes_per_axis, max_nodes=DEFAULT_MAX_NODES):
+def build_grid(dim, half_width, nodes_per_axis):
     """Construct a :class:`VelocityGrid` (validating arguments)."""
-    return VelocityGrid(dim, half_width, nodes_per_axis, max_nodes=max_nodes)
+    return VelocityGrid(dim, half_width, nodes_per_axis)
 
 
 # the keys of a stored distribution, all required; sizes are never truncated

@@ -38,8 +38,10 @@ P^N array is made.  Along every axis the spectrum has the parity of the
 table, so only rows k_0 in [0, H), H = P//2 + 1, of the leading axis are
 kept, and of the last axis the rfft half [0, H): a float64 array of shape
 (H,) + (P,)*(N-2) + (H,).  Row k_0 >= H of the full spectrum is row P - k_0,
-negated for the a_0j, j != 0, which are odd along axis 0; a product takes
-those rows from the reversed view s[P-H:0:-1], whose rows stay contiguous.
+negated for the a_0j, j != 0, which are odd along axis 0.  Every product of
+a stored spectrum with a field spectrum runs in `_add_row`, the one place
+that applies this rule: it takes those rows from the reversed view
+s[P-H:0:-1], whose rows stay contiguous, and gives them the sign.
 
 The drift term sum_ij <g_i, a_ij*g_j> of the dissipation is a Parseval
 sum over the spectra g_i^ of the padded g_i, with no inverse transform.
@@ -63,9 +65,8 @@ asks for it and then reused: `a_columns` and `psi_convolve` take two, a
 scalar field's spectrum in the first and each product with a kernel
 spectrum formed, and inverted in place, in the second; `a_pair_sum` takes
 max(2, N - 1) and `a_contract` N, one per field component.  The sums
-sum_j a_ij^ g_j^ run slab by slab along the leading spectral axis
-(`_add_row`), in slab temporaries of about `_SLAB_BYTES`, subtracting the
-mirrored rows of the odd a_0j: two for `a_pair_sum`, N + 1 for
+sum_j a_ij^ g_j^ run slab by slab along the leading spectral axis, in slab
+temporaries of about `_SLAB_BYTES`: two for `a_pair_sum`, N + 1 for
 `a_contract`, which writes each slab's sums back over the g_i spectra,
 whose inverses then run in place.  Each call overwrites the buffers it
 reads, and every result is a fresh array; no call makes a temporary the
@@ -95,7 +96,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -132,16 +133,11 @@ class PowerLawPsi:
     K1 = K2 = property(lambda self: 1.0)
 
     def psi(self, r):
-        p = self.gamma + 2.0
+        # psi(0) is the IEEE power 0^p = inf, 1 or 0 for p <, = or > 0; a
+        # radius that is not > 0 (-0.0, say) counts as +0.0
         r = np.asarray(r, dtype=float)
         with np.errstate(divide="ignore"):
-            out = np.where(r > 0, r, 1.0) ** p
-        if p < 0:
-            out = np.where(r > 0, out, np.inf)
-        elif p == 0:
-            out = np.where(r >= 0, 1.0, out)
-        else:
-            out = np.where(r > 0, out, 0.0)
+            out = np.where(r > 0, r, 0.0) ** (self.gamma + 2.0)
         return out if out.ndim else float(out)
 
     def to_json_dict(self):
@@ -150,13 +146,10 @@ class PowerLawPsi:
 
 @dataclass(frozen=True)
 class CoulombPsi(PowerLawPsi):
-    """psi(r) = 1/r in dimension 3."""
+    """psi(r) = 1/r in dimension 3: the power law of gamma = -3, which is
+    not a parameter."""
 
-    gamma: float = -3.0
-
-    def __post_init__(self):
-        if self.gamma != -3.0:
-            raise ValidationError("Coulomb kernel has gamma = -3")
+    gamma: float = field(default=-3.0, init=False)
 
     @property
     def is_coulomb(self):
@@ -182,7 +175,6 @@ class BracketedPsi:
     gamma1: float
     gamma2: float
     psi_fn: object
-    label: str = "bracketed"
 
     def __post_init__(self):
         if not (self.K1 > 0 and self.K2 > 0 and self.K3 > 0):
@@ -223,18 +215,6 @@ class BracketedPsi:
             return float(self.psi_fn(r))
         r = np.asarray(r, dtype=float)
         return np.asarray([self.psi(x) for x in r.ravel()]).reshape(r.shape)
-
-    def to_json_dict(self):
-        return {
-            "kind": "bracketed",
-            "K1": self.K1,
-            "K2": self.K2,
-            "K3": self.K3,
-            "delta": self.delta,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "label": self.label,
-        }
 
 
 # The kernel laws a JSON object can name, with their parameters; a
@@ -399,28 +379,16 @@ def _row_parts(P, start, stop):
     return parts
 
 
-def _times(spectrum, g_hat, out):
-    """out = g_hat times the full spectrum, even along axis 0, whose rows
-    [0, H) are `spectrum`."""
-    P = len(g_hat)
-    for part, rows, _ in _row_parts(P, 0, P):
-        np.multiply(spectrum[rows], g_hat[part], out=out[part])
-    return out
-
-
 class _Layout:
     """What the engine keeps for one (grid layout, kernel).
 
     The a_ij spectra (i <= j, keyed both ways) and the psi spectrum, each
     of shape (H,) + (P,)*(N-2) + (H,), are made on first use by separable
     cosine and sine sums over the tables' z >= 0 octants, with no transform
-    and no work buffer.  A product with a full half-spectrum field takes
-    the rows k >= H of the leading axis from the mirrored rows P - k
-    (`_row_parts`), negated for the a_0j, j != 0.  The complex
-    half-spectrum work buffers `field_hat[k]` are made the first time a
-    call asks for buffer k, so a new layout holds none; they only grow in
-    number, are reused by every later call, and go with the layout.  Each
-    call overwrites what it reads.
+    and no work buffer.  The complex half-spectrum work buffers
+    `field_hat[k]` are made the first time a call asks for buffer k, so a
+    new layout holds none; they only grow in number, are reused by every
+    later call, and go with the layout.  Each call overwrites what it reads.
     """
 
     def __init__(self, grid, spec):
@@ -478,7 +446,7 @@ def _layout(grid, spec):
     key = (grid.dim, grid.half_width, grid.n, spec)
     try:
         hit = _LAYOUT.get(key)
-    except TypeError:  # unhashable spec (callable payload): never kept
+    except TypeError:  # a spec with an unhashable field: never kept
         return _Layout(grid, spec)
     if hit is None:
         _LAYOUT.clear()  # drop the old layout before the new one fills
@@ -489,7 +457,8 @@ def _layout(grid, spec):
 def a_column_keys(dim):
     """The (i, j), i <= j, of the components of a*g in the order
     `a_columns` yields them: the tables even along axis 0 first, then the
-    a_0j, j != 0, which are odd along it."""
+    a_0j, j != 0, which are odd along it.  The dissipation sums its
+    diffusion columns in this order, so its bytes depend on it."""
     keys = [(i, j) for i in range(dim) for j in range(i, dim)]
     return sorted(keys, key=lambda ij: _odd_on_axis0(*ij))
 
@@ -500,22 +469,17 @@ def a_columns(grid, spec, g, out=None):
     component a fresh array, or the contiguous row out[i, j] of a
     component-major (N, N, size) `out`.
 
-    One forward transform of g, into the first work buffer, and one
-    inverse per component, in place in the second.  Before the first odd
-    table the mirrored rows of g^ are negated, once.  The buffers are in use
-    until the generator is exhausted.
+    One forward transform of g, into the first work buffer, and per
+    component one product (`_add_row`) and one inverse, in place in the
+    second.  The buffers are in use until the generator is exhausted.
     """
     lay = _layout(grid, spec)
     spectra = lay.a_spectra()
     (g_hat,) = lay.spectra_of([g])
-    mirrored = g_hat[lay.shape[0] // 2 + 1:]
     work = lay.field_hat[1]
-    negated = False
+    whole = _row_parts(lay.shape[0], 0, lay.shape[0])
     for i, j in a_column_keys(grid.dim):
-        if _odd_on_axis0(i, j) and not negated:
-            np.negative(mirrored, out=mirrored)
-            negated = True
-        _times(spectra[(i, j)], g_hat, work)
+        _add_row(work, None, spectra, i, [(j, g_hat)], whole)
         row = None if out is None else out[i, j]
         yield i, j, _quadrature(grid, work, lay.shape, out=row)
 
@@ -547,14 +511,17 @@ def _slabs(spectrum):
 
 
 def _add_row(acc, term, spectra, i, g_items, parts):
-    """acc = sum_j a_ij^ g_j^ over one slab, whatever acc held, j in the
-    order of the (j, g_j^ slab) items, and return acc: the first product is
-    written into acc, each later one formed in `term` and added.
+    """acc = sum_j a_ij^ g_j^ over the rows of `parts` (`_row_parts`),
+    whatever acc held, j in the order of the (j, g_j^ rows) items, and
+    return acc: the first product is written into acc, each later one formed
+    in `term` and added.  Every product of a stored spectrum with a field
+    spectrum runs here: the contractions slab by slab, `a_columns` and
+    `psi_convolve` with one item over the whole leading axis.
 
-    The mirrored rows of an a_0j, j != 0, are subtracted, not negated and
-    added, so the sum over j = 0, ..., N-1 is bit for bit the sum over the
-    whole expanded spectra started from zeros, but for the sign of an exact
-    zero.
+    The mirrored rows of an a_0j, j != 0, are negated in the first product
+    and subtracted in the others, so the sum is bit for bit the sum over
+    the whole expanded spectra started from zeros, but for the sign of an
+    exact zero.
     """
     first = True
     for j, g_j in g_items:
@@ -655,7 +622,9 @@ def psi_convolve(grid, spec, g):
     lay = _layout(grid, spec)
     psi_hat = lay.psi_spectrum()
     (g_hat,) = lay.spectra_of([g])
-    work = _times(psi_hat, g_hat, lay.field_hat[1])
+    # psi is even along every axis, like a_00
+    work = _add_row(lay.field_hat[1], None, {(0, 0): psi_hat}, 0, [(0, g_hat)],
+                    _row_parts(lay.shape[0], 0, lay.shape[0]))
     return _quadrature(grid, work, lay.shape)
 
 

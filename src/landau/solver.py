@@ -348,7 +348,7 @@ def _advance(f, spec, dt, scheme, fields):
         new = f.values + 0.5 * dt * (k1 + k2)
     else:
         raise ValidationError(f"unknown scheme {scheme!r}")
-    clipped = float(-np.sum(np.minimum(new, 0.0)))
+    clipped = float(-np.sum(np.minimum(new, 0.0))) + 0.0  # + 0.0: never -0.0
     total = float(np.sum(f.values))
     frac = clipped / total if total > 0 else 0.0
     return f.with_values(np.maximum(new, 0.0)), frac

@@ -398,6 +398,18 @@ class TestSolve:
         final = DiscreteDistribution.load(str(out / "final_state.json"))
         assert float(np.min(final.values)) >= 0.0
 
+    def test_unclipped_steps_write_positive_zero(self, tmp_path):
+        # a step that clips nothing writes clipped_mass 0.0, and no cell of
+        # the file is -0.0
+        cfg, _ = self.write_config(tmp_path, steps=3, nodes=8)
+        out = tmp_path / "run"
+        res = run_cli("solve", "--config", cfg, "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        with open(out / "diagnostics.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[rows[0].index("clipped_mass")] for row in rows[1:]] == ["0.0"] * 4
+        assert not any(cell == "-0.0" for row in rows for cell in row)
+
     def test_restart_bit_identical(self, tmp_path):
         cfg12, raw = self.write_config(tmp_path, steps=12, name="a.json")
         out12 = tmp_path / "full"

@@ -56,6 +56,14 @@ class TestPsiLaws:
         # every law carries (gamma1, gamma2, K1, K2); a pure power law is its own envelope
         assert (psi.gamma1, psi.gamma2, psi.K1, psi.K2) == envelope
 
+    @pytest.mark.parametrize("gamma, at_zero", [
+        (-3.0, math.inf), (-2.5, math.inf), (-2.0, 1.0), (0.0, 0.0)])
+    def test_value_at_zero_radius(self, gamma, at_zero):
+        # psi(0) is the IEEE power 0^(gamma+2), at a radius of -0.0 too
+        spec = CoulombPsi() if gamma == -3.0 else PowerLawPsi(gamma)
+        assert spec.psi(0.0) == spec.psi(-0.0) == at_zero
+        assert np.array_equal(spec.psi(np.array([0.0, -0.0])), [at_zero] * 2)
+
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
             psi_eval(CoulombPsi(), -1.0)
@@ -171,32 +179,52 @@ class TestEngine:
         g = np.random.default_rng(n + 1).standard_normal((3,) + grid.shape)
         assert_matches_direct(name, grid, spec, g, ENTRY_POINTS[name][0](grid, spec, g))
 
-    @pytest.mark.parametrize("n", [13, 16])  # slabs of 18 + 7 and 11 + 11 + 10 rows
-    def test_contract_keeps_summation_order(self, n):
-        # slab by slab, a_contract is bit for bit the inverse of the sum over
-        # whole spectra started from zeros
+    @pytest.mark.parametrize("name", ["a_contract", "a_convolve", "psi_convolve"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [13, 16])  # odd P = 25 and even P = 32
+    def test_products_keep_summation_order(self, n, dim, name):
+        # each product of a stored half spectrum with a field spectrum is bit
+        # for bit the product with the whole expanded spectrum, whose rows
+        # k >= H are the rows P - k, negated for the a_0j; slab by slab
+        # (in 3-D, slabs of 18 + 7 and 11 + 11 + 10 rows), a_contract is the
+        # inverse of the sum over j started from zeros
         K = landau.kernels
-        grid = build_grid(3, 4.0, n)
+        grid = build_grid(dim, 4.0, n)
         spec = CoulombPsi()
-        g = np.random.default_rng(n).standard_normal((3,) + grid.shape)
+        g = np.random.default_rng(n).standard_normal((dim,) + grid.shape)
         lay = K._layout(grid, spec)
         P = lay.shape[0]
         spectra = lay.a_spectra()
 
-        def full(i, j):  # the stored rows [0, H), then rows P - k for k >= H
-            s = spectra[(i, j)]
-            sign = -1.0 if (i == 0) != (j == 0) else 1.0
+        def full(s, sign=1.0):  # the stored rows [0, H), then rows P - k for k >= H
             return np.concatenate([s, sign * s[P - len(s):0:-1]])
 
+        def a_full(i, j):
+            return full(spectra[(i, j)], -1.0 if (i == 0) != (j == 0) else 1.0)
+
+        def inverse(spectrum):
+            return K._quadrature(grid, spectrum, lay.shape)
+
         g_hat = [K._forward(comp, lay.shape) for comp in g]
-        assert len(lay.field_hat[0]) > max(1, K._SLAB_BYTES // lay.field_hat[0][0].nbytes)
-        ref = np.empty((grid.size, 3))
-        for i in range(3):
-            acc = np.zeros_like(g_hat[0])
-            for j in range(3):
-                acc += full(i, j) * g_hat[j]
-            K._quadrature(grid, acc, lay.shape, out=ref[:, i])
-        assert np.array_equal(a_contract(grid, spec, g), ref)
+        if name == "psi_convolve":
+            ref = inverse(full(lay.psi_spectrum()) * g_hat[0])
+            assert np.array_equal(psi_convolve(grid, spec, g[0]), ref)
+        elif name == "a_convolve":
+            A = a_convolve(grid, spec, g[0])
+            for i in range(dim):
+                for j in range(i, dim):
+                    assert np.array_equal(A[:, i, j], inverse(a_full(i, j) * g_hat[0]))
+        else:
+            if dim == 3:
+                slab_rows = max(1, K._SLAB_BYTES // lay.field_hat[0][0].nbytes)
+                assert len(lay.field_hat[0]) > slab_rows
+            ref = np.empty((grid.size, dim))
+            for i in range(dim):
+                acc = np.zeros_like(g_hat[0])
+                for j in range(dim):
+                    acc += a_full(i, j) * g_hat[j]
+                K._quadrature(grid, acc, lay.shape, out=ref[:, i])
+            assert np.array_equal(a_contract(grid, spec, g), ref)
 
     def test_layout_makes_work_buffers_on_demand(self, monkeypatch, traced_peak):
         # a new layout holds no buffer; D takes two, and only a_contract N
@@ -318,6 +346,35 @@ class TestCollisionCoefficients:
         spec = Unhashable(-2.5)
         assert builds(fa, spec) == 1
         assert builds(fa, spec) == 1  # never cached
+
+    def test_unhashable_law_runs_uncached(self, monkeypatch):
+        # a law whose psi_fn cannot be hashed gets a layout of its own on
+        # every call and leaves the cached one in place; a plain function
+        # is hashable, so its law is cached
+        def inverse(r):
+            return r ** -1.0
+
+        class Unhashable:  # a callable instance
+            __hash__ = None
+            __call__ = staticmethod(inverse)
+
+        def law(psi_fn):
+            return BracketedPsi(K1=1.0, K2=1.0, K3=0.5, delta=1.0, gamma1=-3.0,
+                                gamma2=-3.0, psi_fn=psi_fn)
+
+        monkeypatch.setattr(landau.kernels, "_LAYOUT", {})
+        grid = build_grid(3, 2.0, 6)
+        g = np.random.default_rng(6).standard_normal(grid.shape)
+        entry_points = (a_convolve, psi_convolve)
+        twin = law(inverse)
+        expected = [fn(grid, twin, g).tobytes() for fn in entry_points]
+        cached = dict(landau.kernels._LAYOUT)
+        assert [key[-1] for key in cached] == [twin]
+        spec = law(Unhashable())
+        with pytest.raises(TypeError):
+            hash(spec)
+        assert [fn(grid, spec, g).tobytes() for fn in entry_points] == expected
+        assert landau.kernels._LAYOUT == cached
 
     def test_cold_table_spectra_peak_memory(self, traced_peak, engine_bytes):
         # the six half spectra, built by matrix products, with a margin of

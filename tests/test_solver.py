@@ -165,15 +165,20 @@ class TestConsistency:
         with pytest.raises(ValidationError):
             nonparabolic_operator(f, PowerLawPsi(-2.5))
 
-    def test_limited_step_preserves_positivity(self):
+    @staticmethod
+    def truncated_ball():
+        # a state with exactly-empty cells outside a ball
         grid = build_grid(3, 5.0, 12)
-        # truncated state with exactly-empty cells outside a ball
         base = maxwellian(grid, temperature=0.4)
         vals = np.where(
             np.sum(grid.coords**2, axis=1) < 4.0, base.values, 0.0
         )
         vals /= np.sum(vals) * grid.cell_volume
-        f = DiscreteDistribution(grid, vals)
+        return DiscreteDistribution(grid, vals)
+
+    def test_limited_step_preserves_positivity(self):
+        f = self.truncated_ball()
+        grid = f.grid
         coeffs = collision_coefficients(f, SPEC)
         dt = stability_dt(coeffs, grid.h)
 
@@ -185,6 +190,18 @@ class TestConsistency:
         limited = undershoot(assemble_operator(f, SPEC, coeffs=coeffs, dt=dt))
         assert raw > 1e-9  # the unlimited update does overdraw empty cells
         assert limited < 1e-3 * raw
+
+    def test_clipped_fraction_is_never_negative_zero(self):
+        # a step that clips nothing reports +0.0; a step ten times the
+        # stable one still overdraws some empty cells, and reports what it
+        # clips
+        f = self.truncated_ball()
+        fields = landau.solver._face_fluxes(f, SPEC)
+        dt = stability_dt(fields.A, f.grid.h)
+        for scheme in ("euler", "heun"):
+            clipped = landau.solver._advance(f, SPEC, dt, scheme, fields)[1]
+            assert math.copysign(1.0, clipped) == 1.0 and clipped == 0.0
+        assert landau.solver._advance(f, SPEC, 10 * dt, "euler", fields)[1] > 0
 
     def test_equilibrium_residual_second_order(self):
         errs = []

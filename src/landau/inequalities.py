@@ -13,7 +13,7 @@ constant_used = "ratio-only" instead of asserting a bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .functionals import (
     entropy_dissipation,
     gamma_floor,
     lambda0,
-    moments,
     weighted_fisher,
     weighted_lp,
 )
@@ -54,15 +53,7 @@ class InequalityReport:
     inputs: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "constant_used": self.constant_used,
-            "holds": self.holds,
-            "slack": self.slack,
-            "inputs": self.inputs,
-        }
+        return asdict(self)
 
 
 def _report(name, lhs, rhs, constant, inputs):

@@ -232,7 +232,7 @@ def psi_spec_from_json(obj):
 
 def psi_eval(spec, r):
     """Kernel value psi(r); +inf at r = 0 for negative exponents."""
-    if r < 0:
+    if not r >= 0:  # NaN fails too
         raise ValidationError(f"radius must be >= 0, got {r}")
     return spec.psi(r)
 

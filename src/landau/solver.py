@@ -1,6 +1,9 @@
 """Conservative time integration of the spatially homogeneous Landau
 equation in flux form, the symmetrized weak form, and diagnostic identities.
 
+The weak form is tested against `TestFunction`s; each radial kind is a
+profile F(rho) of rho = 1 + |v|^2 and gets its derivatives by one chain rule.
+
 The collision operator is assembled as
 
     Q(f) = div_v ( A grad f - B f ),    A = a*f,  B_i = sum_j a_ij*(d_j f),
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError, check_value, fits
 from .functionals import entropy_dissipation, moments, weighted_fisher, weighted_lp
-from .grid import EPS_FLOOR, _gradient_nd
+from .grid import _gradient_nd
 from .kernels import a_contract, collision_coefficients
 
 CFL_SAFETY = 0.4
@@ -30,124 +33,82 @@ CFL_SAFETY = 0.4
 # test functions
 
 
-def _smoothstep(u):
-    """Quintic smoothstep S with S(0)=0, S(1)=1, S'=S''=0 at both ends."""
-    u = np.clip(u, 0.0, 1.0)
-    return u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
-
-
-def _smoothstep_d1(u):
-    inside = (u > 0.0) & (u < 1.0)
-    u = np.clip(u, 0.0, 1.0)
-    return np.where(inside, 30.0 * u**2 * (1.0 - u) ** 2, 0.0)
-
-
-def _smoothstep_d2(u):
-    inside = (u > 0.0) & (u < 1.0)
-    u = np.clip(u, 0.0, 1.0)
-    return np.where(inside, 60.0 * u * (1.0 - 3.0 * u + 2.0 * u**2), 0.0)
-
-
 def _chi(s):
-    """Cutoff profile: 1 on [0,1], 0 on [2,inf), quintic smoothstep between."""
-    return 1.0 - _smoothstep(s - 1.0)
-
-
-def _chi_d1(s):
-    return -_smoothstep_d1(s - 1.0)
-
-
-def _chi_d2(s):
-    return -_smoothstep_d2(s - 1.0)
+    """Cutoff profile chi(s) and its first two derivatives: 1 on [0, 1],
+    0 on [2, inf), and 1 - S(s - 1) between, with S(u) = u^3 (10 - 15u + 6u^2)
+    the quintic smoothstep, whose first two derivatives vanish at both ends."""
+    u = np.clip(s - 1.0, 0.0, 1.0)
+    return (1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2),
+            -30.0 * u**2 * (1.0 - u) ** 2,
+            -60.0 * u * (1.0 - 3.0 * u + 2.0 * u**2))
 
 
 class TestFunction:
     """Twice-differentiable test function with analytic derivatives.
 
     Kinds: "one", ("v", i), "energy" (= |v|^2/2), "log_f", or
-    ("cutoff_power", k, eta) realizing (1+|v|^2)^k chi(eta (1+|v|^2)^(1/2)).
+    ("cutoff_power", k, eta) = rho^k chi(eta sqrt(rho)), rho = 1 + |v|^2.
+    Every kind but ("v", i) and "log_f" is a profile F(rho), so
+    grad phi = 2 F'(rho) v and hess phi = 2 F'(rho) I + 4 F''(rho) v v^T.
+    "log_f" has no values: it selects the dissipation form of `weak_form_rhs`.
     """
 
     __test__ = False  # not a test case, despite the name
 
-    def __init__(self, kind, index=0, k=1.0, eta=0.5):
-        if isinstance(kind, tuple):
-            if kind[0] == "v":
-                kind, index = "v", kind[1]
-            elif kind[0] == "cutoff_power":
-                kind, k, eta = "cutoff_power", kind[1], kind[2]
-        if kind not in ("one", "v", "energy", "log_f", "cutoff_power"):
-            raise ValidationError(f"unknown test-function kind {kind!r}")
-        if kind == "cutoff_power" and not (0 < eta < 1):
-            raise ValidationError(f"eta must lie in (0, 1), got {eta}")
-        self.kind = kind
-        self.index = int(index)
-        self.k = float(k)
-        self.eta = float(eta)
+    _ARITY = {"one": 0, "energy": 0, "log_f": 0, "v": 1, "cutoff_power": 2}
+
+    def __init__(self, kind):
+        name, *params = kind if isinstance(kind, tuple) and kind else (kind,)
+        if not isinstance(name, str) or self._ARITY.get(name) != len(params):
+            raise ValidationError(f"unknown test-function kind or arity {kind!r}")
+        self.kind = name
+        if name == "v":
+            self.index = int(params[0])
+        elif name == "cutoff_power":
+            self.k, self.eta = map(float, params)
+            if not 0 < self.eta < 1:
+                raise ValidationError(f"eta must lie in (0, 1), got {self.eta}")
+
+    def _profile(self, coords):
+        """(F, F', F'') of a radial kind at each row of coords; F of "energy"
+        is taken from |v|^2 itself, not from rho - 1, which rounds differently."""
+        rsq = np.sum(coords**2, axis=1)
+        zero = np.zeros_like(rsq)
+        if self.kind == "one":
+            return zero + 1.0, zero, zero
+        if self.kind == "energy":
+            return 0.5 * rsq, zero + 0.5, zero
+        if self.kind == "log_f":
+            raise ValidationError("log_f has no free-standing value or derivatives")
+        k, eta = self.k, self.eta
+        rho = 1.0 + rsq
+        root = np.sqrt(rho)
+        chi, dchi, d2chi = _chi(eta * root)
+        ds = 0.5 * eta / root  # d(eta sqrt(rho))/d rho
+        d2s = -0.5 * ds / rho
+        p, dp, d2p = rho**k, k * rho ** (k - 1.0), k * (k - 1.0) * rho ** (k - 2.0)
+        return (p * chi,
+                dp * chi + p * dchi * ds,
+                d2p * chi + 2.0 * dp * dchi * ds + p * (d2chi * ds**2 + dchi * d2s))
+
+    def value(self, coords):
+        if self.kind == "v":
+            return coords[:, self.index].copy()
+        return self._profile(coords)[0]
 
     def grad(self, coords):
-        n, dim = coords.shape
-        if self.kind == "one":
-            return np.zeros((n, dim))
         if self.kind == "v":
-            g = np.zeros((n, dim))
-            g[:, self.index] = 1.0
-            return g
-        if self.kind == "energy":
-            return coords.copy()
-        if self.kind == "cutoff_power":
-            return self._cutoff_grad_hess(coords)[0]
-        raise ValidationError("log_f has no free-standing derivative")
+            return np.eye(coords.shape[1])[np.full(len(coords), self.index)]
+        return 2.0 * self._profile(coords)[1][:, None] * coords
 
     def hess(self, coords):
         n, dim = coords.shape
-        if self.kind in ("one", "v"):
-            return np.zeros((n, dim, dim))
-        if self.kind == "energy":
-            return np.broadcast_to(np.eye(dim), (n, dim, dim)).copy()
-        if self.kind == "cutoff_power":
-            return self._cutoff_grad_hess(coords)[1]
-        raise ValidationError("log_f has no free-standing derivative")
-
-    def value(self, coords):
-        if self.kind == "one":
-            return np.ones(coords.shape[0])
         if self.kind == "v":
-            return coords[:, self.index].copy()
-        if self.kind == "energy":
-            return 0.5 * np.sum(coords**2, axis=1)
-        if self.kind == "cutoff_power":
-            rsq = np.sum(coords**2, axis=1)
-            return (1.0 + rsq) ** self.k * _chi(self.eta * np.sqrt(1.0 + rsq))
-        raise ValidationError("log_f has no free-standing value")
-
-    def _cutoff_grad_hess(self, coords):
-        k, eta = self.k, self.eta
-        rsq = np.sum(coords**2, axis=1)
-        one = 1.0 + rsq
-        root = np.sqrt(one)
-        s = eta * root
-        p = one**k
-        dp = 2.0 * k * one ** (k - 1.0)  # dP/d(v_i) = dp * v_i
-        chi, dchi, d2chi = _chi(s), _chi_d1(s), _chi_d2(s)
-        ds = eta / root  # d s / d v_i = ds * v_i
-        g = (dp * chi + p * dchi * ds)[:, None] * coords
-        n, dim = coords.shape
-        hess = np.empty((n, dim, dim))
-        # second-derivative building blocks
-        d2p_iso = dp  # delta_ij part of Hess P
-        d2p_vv = 4.0 * k * (k - 1.0) * one ** (k - 2.0)
-        d2s_iso = ds
-        d2s_vv = -eta * one**-1.5
-        coef_vv = (
-            d2p_vv * chi
-            + 2.0 * dp * dchi * ds
-            + p * (d2chi * ds**2 + dchi * d2s_vv)
-        )
-        coef_iso = d2p_iso * chi + p * dchi * d2s_iso
-        hess[:] = coef_vv[:, None, None] * coords[:, :, None] * coords[:, None, :]
-        hess[:, range(dim), range(dim)] += coef_iso[:, None]
-        return g, hess
+            return np.zeros((n, dim, dim))
+        _, d1, d2 = self._profile(coords)
+        hess = 4.0 * d2[:, None, None] * coords[:, :, None] * coords[:, None, :]
+        hess[:, range(dim), range(dim)] += 2.0 * d1[:, None]
+        return hess
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +498,10 @@ def weak_form_rhs(f, spec, phi, with_scale=False):
         val = -entropy_dissipation(f, spec, form="pairdiff")
         return (val, abs(val)) if with_scale else val
     grid = f.grid
-    coords = grid.coords
-    fv = f.values
-    live = np.flatnonzero(fv > 0)
-    coords, fv = coords[live], fv[live]
-    gphi = phi.grad(grid.coords)[live]
-    hphi = phi.hess(grid.coords)[live]
+    live = np.flatnonzero(f.values > 0)
+    coords, fv = grid.coords[live], f.values[live]
+    gphi = phi.grad(coords)
+    hphi = phi.hess(coords)
     dim = grid.dim
     h2n = grid.cell_volume**2
     total = 0.0
@@ -592,7 +551,7 @@ def lp_energy_balance(f, spec, k, fields=None):
     fg = f.reshaped()
     fluxes = _project_conservative(grid, list(fields.fluxes), fg)
     diffusive = fields.diffusive
-    fk = np.where(fg > EPS_FLOOR, fg, 0.0) ** k if k != 1.0 else fg
+    fk = fg**k
     cv = grid.cell_volume
     diss = 0.0
     net = 0.0

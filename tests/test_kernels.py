@@ -68,6 +68,11 @@ class TestPsiLaws:
         with pytest.raises(ValidationError):
             psi_eval(CoulombPsi(), -1.0)
 
+    @pytest.mark.parametrize("spec", [CoulombPsi(), PowerLawPsi(0.0)], ids=["coulomb", "gamma0"])
+    def test_nan_radius_rejected(self, spec):
+        with pytest.raises(ValidationError):
+            psi_eval(spec, math.nan)
+
     def test_bracketed_sandwich_validated(self):
         psi = BracketedPsi(
             K1=1.0, K2=1.0, K3=0.5, delta=1.0, gamma1=-3.0, gamma2=-3.0,

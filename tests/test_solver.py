@@ -226,15 +226,30 @@ class TestWeakForm:
                 assert abs(v) <= 1e-8 * max(gross, 1e-30)
 
     def test_log_f_gives_minus_dissipation(self):
+        # log f is tested through the pair-difference form by definition;
+        # the projected engine form is computed independently of it
         rng = np.random.default_rng(11)
         grid = build_grid(3, 3.0, 6)
         f = random_state(grid, rng)
         lhs = weak_form_rhs(f, SPEC, TestFunction("log_f"))
-        d = entropy_dissipation(f, SPEC, form="pairdiff")
+        d = entropy_dissipation(f, SPEC, form="projected")
         assert lhs == pytest.approx(-d, rel=1e-10)
 
-    def test_cutoff_power_derivatives_match_finite_differences(self):
-        phi = TestFunction(("cutoff_power", 1.5, 0.4))
+    def test_cutoff_power_conserved_where_the_cutoff_is_flat(self):
+        # eta sqrt(1 + |v|^2) <= 0.2 sqrt(1 + 3 * 2.5^2) < 1 on every node, so
+        # chi = 1 and phi = 1 + |v|^2, a conserved quantity
+        rng = np.random.default_rng(13)
+        grid = build_grid(3, 3.0, 6)
+        phi = TestFunction(("cutoff_power", 1.0, 0.2))
+        for _ in range(10):
+            val, gross = weak_form_rhs(random_state(grid, rng), SPEC, phi, with_scale=True)
+            assert gross > 0 and abs(val) <= 1e-8 * gross
+
+    @pytest.mark.parametrize("kind", [
+        "one", "energy", ("cutoff_power", 1.5, 0.4), ("cutoff_power", 2.0, 0.9)],
+        ids=lambda kind: "-".join(map(str, kind)) if isinstance(kind, tuple) else kind)
+    def test_derivatives_match_finite_differences(self, kind):
+        phi = TestFunction(kind)
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(12, 3))
         g = phi.grad(pts)
@@ -251,6 +266,12 @@ class TestWeakForm:
     def test_cutoff_eta_validated(self):
         with pytest.raises(ValidationError):
             TestFunction(("cutoff_power", 1.0, 1.5))
+
+    @pytest.mark.parametrize("kind", [
+        "v", ("v", 0, 1), ("cutoff_power", 1.0), "two", ("two", 1), ()])
+    def test_kind_and_arity_validated(self, kind):
+        with pytest.raises(ValidationError):
+            TestFunction(kind)
 
 
 class TestLpBalance:
@@ -271,6 +292,20 @@ class TestLpBalance:
         f = maxwellian(grid)
         diss, drift, net = lp_energy_balance(f, SPEC, 1.0)
         assert abs(net) < 0.05 * max(diss, abs(drift))
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_net_is_the_rate_of_the_scheme(self, k):
+        # d/dt int f^(k+1)/(k+1) = int f^k Q(f), with Q the conservative scheme
+        grid = build_grid(3, 4.0, 8)
+        f = random_state(grid, np.random.default_rng(17))
+        vals = f.values.copy()
+        vals[::7] = EPS_FLOOR * 0.5
+        vals[3::11] = 0.0
+        for state in (f, DiscreteDistribution(grid, vals)):
+            fq = state.values**k * assemble_operator(state, SPEC)
+            net = lp_energy_balance(state, SPEC, k)[2]
+            expected = grid.cell_volume * float(np.sum(fq))
+            assert abs(net - expected) <= 1e-12 * grid.cell_volume * float(np.sum(np.abs(fq)))
 
     def test_k_validation(self):
         grid = build_grid(3, 4.0, 6)

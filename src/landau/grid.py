@@ -256,14 +256,16 @@ def grad_log(f):
 
 
 def raw_moments(f):
-    """(mass, mean-velocity vector, scalar temperature) of f."""
-    rho = integrate(f)
+    """(mass, mean-velocity vector, scalar temperature) of f from its per-axis marginals
+    m_d, the temperature as sum_d sum_k (v_k - u_d)^2 m_d[k]: >= 0, with no cancellation."""
+    grid, dims = f.grid, range(f.grid.dim)
+    m = grid.cell_volume * np.array(
+        [f.reshaped().sum(axis=tuple(k for k in dims if k != d)) for d in dims])
+    rho = float(np.sum(m[0]))
     if rho <= 0:
         raise ValidationError("distribution has zero mass")
-    u = np.array([integrate(f, f.grid.coords[:, d]) for d in range(f.grid.dim)]) / rho
-    centered = f.grid.sq_norm - 2 * (f.grid.coords @ u) + u @ u
-    temp = integrate(f, centered) / (f.grid.dim * rho)
-    return rho, u, temp
+    u = m @ grid.axis / rho
+    return rho, u, float(np.sum((grid.axis - u[:, None]) ** 2 * m)) / (grid.dim * rho)
 
 
 def _multilinear(values, axes):
@@ -271,43 +273,30 @@ def _multilinear(values, axes):
     product of the per-axis fractional indices `axes` (N 1-D arrays); zero
     at a point outside [0, n-1] on some axis.
 
-    Matches scipy.ndimage.map_coordinates(order=1, mode="constant", cval=0)
-    at the same points bit for bit: weights w0 = 1 - frac and w1 = 1 - w0,
-    each corner formed as ((f w_0) w_1) ... w_{N-1}, corners summed in C
-    order.
+    Separable: one two-point pass per axis, gathering `lo` and `lo + 1`
+    with weights w0 = 1 - frac and w1 = 1 - w0.  A point outside [0, n-1]
+    gets both weights 0, and at n - 1 the upper index clamps with weight 0,
+    so an integer coordinate returns the gathered value exactly.
     """
-    n, dim = values.shape[0], len(axes)
-    # the zero layer at index n serves the upper corner of a point at n - 1
-    terms = [np.pad(values, (0, 1))]
-    inside = []
+    n = values.shape[0]
     for d, x in enumerate(axes):
         ok = (x >= 0) & (x <= n - 1)
-        x = np.where(ok, x, 0.0)
-        lo = np.floor(x)
-        w0 = (1.0 - (x - lo)).reshape((-1,) + (1,) * (dim - 1 - d))
+        lo = np.floor(np.where(ok, x, 0.0))
+        w0 = np.where(ok, 1.0 - (x - lo), 0.0)
+        w0, w1 = (w.reshape((-1,) + (1,) * (values.ndim - 1 - d))
+                  for w in (w0, np.where(ok, 1.0 - w0, 0.0)))
         lo = lo.astype(np.intp)
-        # a gather commutes with the elementwise product, so weighting one
-        # axis at a time keeps each corner's product order; the list stays
-        # in C order of the corners
-        corners = []
-        for t in terms:
-            for c, w in ((0, w0), (1, 1.0 - w0)):
-                corners.append(t.take(lo + c, axis=d))
-                corners[-1] *= w
-        terms = corners
-        inside.append(ok)
-    out = np.zeros(terms[0].shape)
-    for t in terms:
-        out += t
-    for d, ok in enumerate(inside):
-        out[(slice(None),) * d + (~ok,)] = 0.0
-    return out
+        upper = values.take(np.minimum(lo + 1, n - 1), axis=d)
+        upper *= w1
+        values = values.take(lo, axis=d)
+        values *= w0
+        values += upper
+    return values
 
 
 def _resample(f, transform):
     """Sample a f(b v + c) back onto the grid by multilinear interpolation
-    (`_multilinear`, which matches scipy.ndimage.map_coordinates with
-    order=1, mode="constant", cval=0 bit for bit)."""
+    (`_multilinear`, one pass per axis)."""
     grid = f.grid
     a, b = transform.amplitude, transform.dilation
     # node v maps to source point b v + c, one axis at a time; convert to

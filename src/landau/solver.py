@@ -63,7 +63,9 @@ class TestFunction:
             raise ValidationError(f"unknown test-function kind or arity {kind!r}")
         self.kind = name
         if name == "v":
-            self.index = int(params[0])
+            self.index = params[0]
+            if not fits(self.index, 0) or self.index < 0:
+                raise ValidationError(f"test-function axis must be an integer >= 0, got {kind!r}")
         elif name == "cutoff_power":
             self.k, self.eta = map(float, params)
             if not 0 < self.eta < 1:
@@ -91,19 +93,25 @@ class TestFunction:
                 dp * chi + p * dchi * ds,
                 d2p * chi + 2.0 * dp * dchi * ds + p * (d2chi * ds**2 + dchi * d2s))
 
+    def _axis(self, coords):
+        if self.index >= coords.shape[1]:
+            raise ValidationError(f"test-function axis {self.index} on a {coords.shape[1]}-D grid")
+        return self.index
+
     def value(self, coords):
         if self.kind == "v":
-            return coords[:, self.index].copy()
+            return coords[:, self._axis(coords)].copy()
         return self._profile(coords)[0]
 
     def grad(self, coords):
         if self.kind == "v":
-            return np.eye(coords.shape[1])[np.full(len(coords), self.index)]
+            return np.eye(coords.shape[1])[np.full(len(coords), self._axis(coords))]
         return 2.0 * self._profile(coords)[1][:, None] * coords
 
     def hess(self, coords):
         n, dim = coords.shape
         if self.kind == "v":
+            self._axis(coords)
             return np.zeros((n, dim, dim))
         _, d1, d2 = self._profile(coords)
         hess = 4.0 * d2[:, None, None] * coords[:, :, None] * coords[:, None, :]

@@ -7,7 +7,9 @@ They live on the (2n-1)^N grid of node differences: entry d is
 z = (d - (n-1)) h componentwise, and both tables are zero at z = 0, which
 drops the source cell w = v.  On them sit the O(M^2) direct convolution,
 the direct coefficient field A = a*f, and the Coulomb non-parabolic form
-of Q.
+of Q.  Beside them sit the per-corner multilinear interpolation and the
+moments as `integrate` sums over full-length weights, which the separable
+forms in `landau.grid` replace.
 """
 
 import functools
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from landau.errors import ValidationError
-from landau.grid import _gradient_nd
+from landau.grid import _gradient_nd, integrate
 from landau.kernels import collision_coefficients, projection
 
 
@@ -88,3 +90,46 @@ def nonparabolic_operator(f, spec):
         for j in range(dim):
             out = out + (Ag[..., i, j] * second[j]).ravel()
     return out
+
+
+def multilinear_corners(values, axes):
+    """`landau.grid._multilinear` as a sum over the 2^N corners: weights
+    w0 = 1 - frac and w1 = 1 - w0, each corner formed as
+    ((f w_0) w_1) ... w_{N-1} and the corners summed in C order, which
+    matches scipy.ndimage.map_coordinates(order=1, mode="constant", cval=0)
+    bit for bit."""
+    n, dim = values.shape[0], len(axes)
+    # the zero layer at index n serves the upper corner of a point at n - 1
+    terms = [np.pad(values, (0, 1))]
+    inside = []
+    for d, x in enumerate(axes):
+        ok = (x >= 0) & (x <= n - 1)
+        x = np.where(ok, x, 0.0)
+        lo = np.floor(x)
+        w0 = (1.0 - (x - lo)).reshape((-1,) + (1,) * (dim - 1 - d))
+        lo = lo.astype(np.intp)
+        corners = []
+        for t in terms:
+            for c, w in ((0, w0), (1, 1.0 - w0)):
+                corners.append(t.take(lo + c, axis=d))
+                corners[-1] *= w
+        terms = corners
+        inside.append(ok)
+    out = np.zeros(terms[0].shape)
+    for t in terms:
+        out += t
+    for d, ok in enumerate(inside):
+        out[(slice(None),) * d + (~ok,)] = 0.0
+    return out
+
+
+def moments_by_integrate(f):
+    """`landau.grid.raw_moments` from `integrate` over full-length weights:
+    mass, mean and temperature from |v|^2 - 2 v.u + |u|^2."""
+    grid = f.grid
+    rho = integrate(f)
+    if rho <= 0:
+        raise ValidationError("distribution has zero mass")
+    u = np.array([integrate(f, grid.coords[:, d]) for d in range(grid.dim)]) / rho
+    centered = grid.sq_norm - 2 * (grid.coords @ u) + u @ u
+    return rho, u, integrate(f, centered) / (grid.dim * rho)

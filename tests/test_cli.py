@@ -567,8 +567,9 @@ class TestTopLevel:
             )
 
     def test_import_loads_no_scipy(self):
-        code = ("import sys, landau.cli; "
-                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        # nor the process pool, which only a forking verify run imports
+        code = ("import sys, landau.cli; print([m for m in sys.modules if m.split('.')[0] "
+                "in ('scipy', 'multiprocessing') or m.startswith('concurrent.futures')])")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=CHILD_ENV)
         assert res.returncode == 0, res.stderr

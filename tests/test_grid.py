@@ -16,7 +16,9 @@ from landau.grid import (
     grad_log,
     integrate,
     normalize,
+    raw_moments,
 )
+from oracles import moments_by_integrate, multilinear_corners
 
 
 def maxwellian(grid, temperature=1.0, mean=None):
@@ -273,6 +275,57 @@ class TestNormalize:
         g = build_grid(2, 1.0, 4)
         with pytest.raises(ValidationError):
             normalize(DiscreteDistribution(g, np.zeros(16)))
+        with pytest.raises(ValidationError):
+            raw_moments(DiscreteDistribution(g, np.zeros(16)))
+
+    @pytest.mark.parametrize("dim, n", [(2, 12), (3, 10), (4, 6)])
+    def test_moments_from_marginals_match_integrate(self, dim, n):
+        rng = np.random.default_rng(dim)
+        g = build_grid(dim, 4.0, n)
+        for mean in (np.zeros(dim), rng.uniform(-1.0, 1.0, dim)):
+            f = maxwellian(g, temperature=0.8, mean=mean)
+            f = f.with_values(f.values * (0.5 + rng.random(g.size)))
+            rho, u, temp = raw_moments(f)
+            ref_rho, ref_u, ref_temp = moments_by_integrate(f)
+            assert abs(rho - ref_rho) <= 1e-13 * ref_rho
+            # the mean is relative to the velocity scale, not to itself
+            assert np.max(np.abs(u - ref_u)) <= 1e-13 * max(1.0, np.max(np.abs(ref_u)))
+            assert abs(temp - ref_temp) <= 1e-13 * ref_temp
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_verify_families_normalize_as_with_corner_forms(self, n, monkeypatch):
+        # the separable interpolation and marginal moments take the steps
+        # the corner sum and the integrate moments take, to round-off
+        from landau import grid as grid_module
+        from landau.cli import VERIFY_KEYS
+        from landau.families import DistributionSpec, generate_distribution
+
+        resample = grid_module._resample
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return resample(*args)
+
+        monkeypatch.setattr(grid_module, "_resample", counted)
+        g = build_grid(3, 6.0, n)
+        for family in VERIFY_KEYS["families"]:
+            spec = DistributionSpec.from_json_dict({**family, "normalize": False})
+            f = generate_distribution(spec, g)
+            runs = []
+            for forms in ((grid_module._multilinear, raw_moments),
+                          (multilinear_corners, moments_by_integrate)):
+                with monkeypatch.context() as m:
+                    m.setattr(grid_module, "_multilinear", forms[0])
+                    m.setattr(grid_module, "raw_moments", forms[1])
+                    count[0] = 0
+                    _, tr = normalize(f)
+                    runs.append((count[0], tr))
+            (steps, tr), (ref_steps, ref) = runs
+            assert steps == ref_steps > 0, family["kind"]
+            assert tr.amplitude == pytest.approx(ref.amplitude, rel=1e-12, abs=0)
+            assert tr.dilation == pytest.approx(ref.dilation, rel=1e-12, abs=0)
+            assert np.max(np.abs(np.subtract(tr.shift, ref.shift))) <= 1e-12
 
     def test_degenerate_covariance_raises(self):
         g = build_grid(2, 1.0, 8)

@@ -1,7 +1,9 @@
 """Exact discrete identities of the convolution engine, the flux-form
 operator and the log-gradient reconstruction, checked on random positive
-states of small grids, and the bit-identity of the NumPy transforms,
-interpolation and log gradient against their references."""
+states of small grids, and the bit-identity of the NumPy transforms and log
+gradient against their references.  The separable multilinear
+interpolation sums in another order than SciPy and the corner form, so it
+matches them to a few ulp, and bit for bit at nodes and outside the box."""
 
 import numpy as np
 import scipy.fft
@@ -29,7 +31,7 @@ from landau.kernels import (
     psi_convolve,
 )
 from landau.solver import assemble_operator
-from oracles import a_table, convolve_direct, psi_table
+from oracles import a_table, convolve_direct, multilinear_corners, psi_table
 
 SPEC = CoulombPsi()
 few = settings(derandomize=True, deadline=None, max_examples=6)
@@ -298,12 +300,8 @@ def test_engine_results_do_not_depend_on_earlier_calls(layout):
         assert np.array_equal(again[name], ref) and np.array_equal(fresh[name], ref), name
 
 
-@exact
-@given(layouts)
-@example((2, 5, 0))
-@example((3, 8, 1))
-def test_multilinear_is_map_coordinates(layout):
-    dim, n, seed = layout
+def interpolation_points(dim, n, seed):
+    """Random values on (n,)*dim nodes and 16 coordinates per axis."""
     rng = np.random.default_rng(seed)
     values = rng.random((n,) * dim)
     axes = []
@@ -316,9 +314,51 @@ def test_multilinear_is_map_coordinates(layout):
         axes.append(np.select([pick == 0, pick == 1, pick == 2, pick == 3],
                               [np.round(x), 0.0, n - 1.0, rng.random(x.size) / 3],
                               default=x))
+    return values, axes
+
+
+def assert_round_off(got, ref, values):
+    # one two-point pass per axis sums in another order than the 2^N
+    # corners: at most 4 N eps max|values| apart
+    bound = 4 * values.ndim * np.finfo(float).eps * np.max(np.abs(values))
+    assert np.max(np.abs(got - ref)) <= bound
+
+
+@exact
+@given(layouts)
+@example((2, 5, 0))
+@example((3, 8, 1))
+def test_multilinear_is_map_coordinates(layout):
+    values, axes = interpolation_points(*layout)
     points = np.stack(np.meshgrid(*axes, indexing="ij"))
     ref = map_coordinates(values, points, order=1, mode="constant", cval=0.0)
-    assert np.array_equal(_multilinear(values, axes), ref)
+    assert_round_off(_multilinear(values, axes), ref, values)
+
+
+@exact
+@given(st.tuples(st.integers(2, 4), st.integers(4, 8), st.integers(0, 2**32 - 1)))
+@example((4, 4, 0))
+def test_multilinear_is_corner_sum(layout):
+    values, axes = interpolation_points(*layout)
+    assert_round_off(_multilinear(values, axes), multilinear_corners(values, axes), values)
+
+
+@exact
+@given(st.tuples(st.integers(2, 4), st.integers(4, 8), st.integers(0, 2**32 - 1)))
+def test_multilinear_is_exact_at_nodes_and_zero_outside(layout):
+    dim, n, seed = layout
+    rng = np.random.default_rng(seed)
+    values = rng.random((n,) * dim)
+    nodes = [np.r_[0, n - 1, rng.integers(0, n, 4)] for _ in range(dim)]
+    got = _multilinear(values, [k.astype(float) for k in nodes])
+    assert np.array_equal(got, values[np.ix_(*nodes)])
+    # one coordinate just outside [0, n-1], or far out, zeroes its point
+    outside = np.array([-1e-12, -0.5, -1.5, n - 1 + 1e-9, n - 0.5, n + 0.5])
+    for d in range(dim):
+        axes = [rng.uniform(0, n - 1, 3) for _ in range(dim)]
+        axes[d] = np.r_[axes[d], outside]
+        got = _multilinear(values, axes)
+        assert np.all(np.moveaxis(got, d, 0)[3:] == 0.0)
 
 
 def test_fast_len_is_next_fast_len():

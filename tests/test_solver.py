@@ -273,6 +273,19 @@ class TestWeakForm:
         with pytest.raises(ValidationError):
             TestFunction(kind)
 
+    @pytest.mark.parametrize("axis", [1.7, True, -1, "0", None])
+    def test_v_axis_must_be_an_integer_at_least_zero(self, axis):
+        with pytest.raises(ValidationError):
+            TestFunction(("v", axis))
+
+    def test_v_axis_beyond_the_grid_raises(self):
+        phi = TestFunction(("v", 5))
+        coords = np.zeros((2, 3))
+        for call in (phi.value, phi.grad, phi.hess):
+            with pytest.raises(ValidationError):
+                call(coords)
+        assert np.array_equal(TestFunction(("v", 2)).grad(coords), [[0, 0, 1]] * 2)
+
 
 class TestLpBalance:
     def test_dissipation_nonnegative(self):

@@ -217,33 +217,34 @@ def verify_workers(states):
     return max(1, min(states, cpus // blas))
 
 
-def _suite_rows(entry, f, psi):
-    """Report rows of the suite `entry` on the state f, or the text of its
-    error row."""
-    try:
-        return [rep.to_json_dict() for rep in SUITES[entry["name"]][1](f, psi, entry)]
-    except (ValidationError, DegeneracyError, NumericError) as exc:
-        return str(exc)
+def _suite_rows(entry, f, psi, family, resolution):
+    """Report rows of the suite `entry` on the state f, each labelled with
+    its suite, family and resolution, or its one error row when the checker
+    fails or f is the error that stopped the state from being built."""
+    labels = {"suite": entry["name"], "family": family, "resolution": resolution}
+    if not isinstance(f, Exception):
+        try:
+            reports = SUITES[entry["name"]][1](f, psi, entry)
+            return [{**rep.to_json_dict(), **labels} for rep in reports]
+        except (ValidationError, DegeneracyError, NumericError) as exc:
+            f = exc
+    return [{**labels, "name": entry["name"], "lhs": math.nan, "rhs": math.nan,
+             "slack": math.nan, "holds": False, "error": str(f)}]
 
 
 def _check_state(case, psi, entries):
     """Build one (family spec, grid) state and run the suites `entries` on
-    it: one `_suite_rows` item per entry, and a state that fails to build
-    gives its error text to every entry.  Input errors (`_INPUT_ERRORS`)
+    it: one list of `_suite_rows` per entry.  Input errors (`_INPUT_ERRORS`)
     are raised."""
+    fam_spec, grid = case
     try:
-        f = generate_distribution(*case)
+        f = generate_distribution(fam_spec, grid)
     except (ValidationError, DegeneracyError, NumericError) as exc:
-        return [str(exc)] * len(entries)
-    return [_suite_rows(entry, f, psi) for entry in entries]
+        f = exc
+    return [_suite_rows(entry, f, psi, fam_spec.kind, grid.n) for entry in entries]
 
 
-_worker_job = None  # (cases, psi, entries) of a verify worker process
-
-
-def _start_worker(*job):
-    global _worker_job
-    _worker_job = job
+_worker_job = None  # (cases, psi, entries) while a verify pool runs
 
 
 def _check_case(index):
@@ -258,6 +259,7 @@ def _check_states(cases, psi, entries):
     inherit, and their results are read in case order, so an error a case
     raises is raised as in a serial run; else they run here, one after
     another."""
+    global _worker_job
     workers = verify_workers(len(cases))
     if workers == 1:
         return [_check_state(case, psi, entries) for case in cases]
@@ -268,12 +270,13 @@ def _check_states(cases, psi, entries):
     # fork, not spawn: a spawned worker would import the package again.
     # Forking is safe because BLAS runs one thread whenever workers > 1,
     # and the pool forks every worker before it starts its own threads.
+    _worker_job = (cases, psi, entries)
     order = sorted(range(len(cases)), key=lambda i: -cases[i][1].n)
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_start_worker,
-                             initargs=(cases, psi, entries)) as pool:
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
         futures = {i: pool.submit(_check_case, i) for i in order}
-        return [futures[i].result() for i in range(len(cases))]
+        results = [futures[i].result() for i in range(len(cases))]
+    _worker_job = None
+    return results
 
 
 def cmd_verify(args):
@@ -297,47 +300,22 @@ def cmd_verify(args):
             raise ValidationError("'families' must be a nonempty list")
         fam_specs = [DistributionSpec.from_json_dict(item) for item in cfg["families"]]
         cases = [(fam_spec, grid) for grid in grids for fam_spec in fam_specs]
-        per_state = [e for e in entries if e["name"] not in _FAMILY_FREE_SUITES]
-        results = _check_states(cases, psi, per_state)
-    states = [(fam_spec.kind, grid.n, iter(result))
-              for (fam_spec, grid), result in zip(cases, results)]
-
+        per_state = [i for i, e in enumerate(entries) if e["name"] not in _FAMILY_FREE_SUITES]
+        results = _check_states(cases, psi, [entries[i] for i in per_state])
+    # the rows of each per-state entry, one list per case
+    columns = dict(zip(per_state, zip(*results)))
     rows = []
-    failures = []
-    for entry in entries:
-        if entry["name"] in _FAMILY_FREE_SUITES:
-            labels = [("-", "-", None)]
+    for i, entry in enumerate(entries):
+        if i in columns:
+            rows += [row for case_rows in columns[i] for row in case_rows]
         else:
-            labels = states
-        for fam_label, res_label, result in labels:
-            reports = _suite_rows(entry, None, psi) if result is None else next(result)
-            if isinstance(reports, str):
-                failures.append(f"{entry['name']}[{fam_label}@{res_label}]: {reports}")
-                rows.append(
-                    {
-                        "suite": entry["name"],
-                        "family": fam_label,
-                        "resolution": res_label,
-                        "name": entry["name"],
-                        "lhs": math.nan,
-                        "rhs": math.nan,
-                        "slack": math.nan,
-                        "holds": False,
-                        "error": reports,
-                    }
-                )
-                continue
-            for row in reports:
-                row["suite"] = entry["name"]
-                row["family"] = fam_label
-                row["resolution"] = res_label
-                rows.append(row)
-                gated = row["constant_used"] != "ratio-only"
-                if gated and not row["holds"]:
-                    failures.append(
-                        f"{entry['name']}[{fam_label}@{res_label}]: "
-                        f"lhs={row['lhs']} > rhs={row['rhs']}"
-                    )
+            rows += _suite_rows(entry, None, psi, "-", "-")
+    failures = [
+        f"{row['suite']}[{row['family']}@{row['resolution']}]: "
+        + (row["error"] if "error" in row else f"lhs={row['lhs']} > rhs={row['rhs']}")
+        for row in rows
+        if "error" in row or (row["constant_used"] != "ratio-only" and not row["holds"])
+    ]
     _write_suite_reports(rows, args.out_dir)
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)
@@ -426,6 +404,8 @@ def cmd_solve(args):
         n = grid_cfg["nodes_per_axis"] if args.resolution is None else args.resolution
         grid = build_grid(grid_cfg["dim"], grid_cfg["half_width"], n)
         f0 = generate_distribution(DistributionSpec.from_json_dict(cfg.get("initial")), grid)
+        if not f0.values.any():
+            raise ValidationError("initial state has zero mass")
 
     try:
         series = run(f0, config)

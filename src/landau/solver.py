@@ -325,9 +325,12 @@ def _advance(f, spec, dt, scheme, fields):
 
 def _step_size(dt, A, h):
     """The step from a state with coefficient field A: the stability bound
-    for dt = "auto", else dt, which must not exceed that bound."""
+    for dt = "auto", else dt, which must not exceed that bound.  A state
+    with no diffusion (max tr A <= 0, as at zero mass) has no "auto" step."""
     bound = stability_dt(A, h)
     if dt == "auto":
+        if bound == math.inf:
+            raise ValidationError("dt = 'auto' needs a state with max tr A > 0")
         return bound
     if dt > bound * (1.0 + 1e-9):
         raise ValidationError(
@@ -345,7 +348,7 @@ def step(f, spec, dt, scheme="euler"):
 
 
 def _check_dt(dt):
-    if not (fits(dt, 0.0) and dt > 0):
+    if not (dt == "auto" or fits(dt, 0.0) and dt > 0):
         raise ValidationError(f"dt must be 'auto' or a finite number > 0, got {dt!r}")
 
 
@@ -363,8 +366,7 @@ class SolverConfig:
 
     def __post_init__(self):
         # values are read by the config rule, then stored as floats
-        if self.dt != "auto":
-            _check_dt(self.dt)
+        _check_dt(self.dt)
         for name, default in (("steps", 0), ("cadence", 0), ("l_list", [0.0]),
                               ("k_list", [0.0]), ("gamma1", None)):
             check_value(getattr(self, name), default, name)

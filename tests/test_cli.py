@@ -465,6 +465,10 @@ class TestSolve:
         {"psi": {"kind": "power_law", "gamma": True}},
         {"initial": {"kind": "maxwellian", "params": {"temprature": 2.0}}},
         {"grid": {"dim": 3, "half_width": 5.0, "nodes": 8}},
+        # zero mass: weights all 0, or every value underflows to 0
+        {"initial": {"kind": "mixture", "params": {"components": [{"kind": "maxwellian"}],
+                                                   "weights": [0]}}},
+        {"initial": {"kind": "maxwellian", "params": {"temperature": 1e300}}},
     ])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, override):
         _, raw = self.write_config(tmp_path, nodes=8)

@@ -8,13 +8,25 @@ covariance Sigma_h = h^N sum f (w - u)(w - u)^T / rho_h,
     A(v) = rho_h [(|v - u|^2 + tr Sigma_h) I - (v - u)(v - u)^T - Sigma_h],
 
 exactly.  The engine's spectral convolution must reproduce it to round-off.
+
+The moment hierarchy closes too.  With B = div a * f = -(N - 1) rho v at
+zero mean and <Q, phi> = int f (A : grad^2 phi + 2 B . grad phi),
+
+    d(rho Sigma)/dt = 4 rho^2 (tr Sigma I - N Sigma),
+    dM_4/dt = rho [-4 (N - 1) M_4 + 4 (N + 1) rho (tr Sigma)^2 - 8 rho tr Sigma^2],
+
+with M_4 = int f |v|^4.  The solver's operator Q_h meets these rates at
+second order in h.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from landau.grid import DiscreteDistribution, build_grid
 from landau.kernels import PowerLawPsi, collision_coefficients
+from landau.solver import assemble_operator
 
 SPEC = PowerLawPsi(0.0)
 
@@ -51,3 +63,40 @@ def test_coefficients_are_moment_formula(dim, n, seed):
     ref = closed_form(f)
     assert A.shape == ref.shape
     assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def two_bump_state(grid):
+    """Two anisotropic Gaussians at +-c: non-Gaussian, mean zero on the grid."""
+    c = np.array([1.5, 0.3, 0.0])
+    precision = np.linalg.inv([[0.4, 0.1, 0.0], [0.1, 1.0, -0.1], [0.0, -0.1, 1.6]])
+
+    def bump(d):
+        return np.exp(-0.5 * np.einsum("ki,ij,kj->k", d, precision, d))
+
+    return DiscreteDistribution(grid, bump(grid.coords - c) + bump(grid.coords + c))
+
+
+def rate_errors(n):
+    """Relative errors of <v v^T, Q_h> h^3 (largest entry) and of
+    <|v|^4, Q_h> h^3 against the closed forms at the discrete moments."""
+    grid = build_grid(3, 6.0, n)
+    f = two_bump_state(grid)
+    v, dim = grid.coords, grid.dim
+    w = grid.cell_volume * f.values
+    q = grid.cell_volume * assemble_operator(f, SPEC)
+    rho = float(np.sum(w))
+    sigma = (v * w[:, None]).T @ v / rho
+    v4 = np.sum(v * v, axis=1) ** 2
+    tr = np.trace(sigma)
+    d_sigma = 4.0 * rho**2 * (tr * np.eye(dim) - dim * sigma)
+    d_m4 = rho * (-4.0 * (dim - 1) * (w @ v4) + 4.0 * (dim + 1) * rho * tr**2
+                  - 8.0 * rho * np.trace(sigma @ sigma))
+    return (np.max(np.abs((v * q[:, None]).T @ v - d_sigma)) / np.max(np.abs(d_sigma)),
+            abs(q @ v4 - d_m4) / abs(d_m4))
+
+
+def test_moment_rates_converge_at_second_order():
+    errors = {n: rate_errors(n) for n in (12, 16, 24)}
+    for k, rate in enumerate(("d(rho Sigma)/dt", "dM_4/dt")):
+        order = math.log(errors[16][k] / errors[24][k]) / math.log(24 / 16)
+        assert order >= 1.7, (rate, {n: e[k] for n, e in errors.items()})

@@ -366,6 +366,19 @@ class TestConfig:
         with pytest.raises(ValidationError, match="finite number > 0"):
             step(f, SPEC, dt)
 
+    def test_step_auto_is_the_first_run_step(self):
+        f = maxwellian(build_grid(3, 4.0, 8))
+        expected = run(f, SolverConfig(spec=SPEC, steps=1)).final_state
+        assert np.array_equal(step(f, SPEC, "auto").values, expected.values)
+
+    def test_zero_mass_has_no_auto_step(self):
+        # max tr A = 0 bounds no step; an infinite one would make 0 * inf = NaN
+        zero = DiscreteDistribution(build_grid(3, 4.0, 8), np.zeros(8**3))
+        with pytest.raises(ValidationError, match="'auto'"):
+            step(zero, SPEC, "auto")
+        with pytest.raises(ValidationError, match="'auto'"):
+            run(zero, SolverConfig(spec=SPEC, steps=2))
+
 
 class TestRun:
 

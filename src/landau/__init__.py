@@ -18,12 +18,10 @@ from .grid import (
     normalize,
 )
 from .kernels import (
-    BracketedPsi,
     CoulombPsi,
     PowerLawPsi,
     collision_coefficients,
     projection,
-    psi_eval,
     psi_spec_from_json,
 )
 from .functionals import (
@@ -32,7 +30,6 @@ from .functionals import (
     entropy_dissipation,
     gamma_determinant,
     moments,
-    reconstruct_log_gradient,
     reconstruct_log_gradient_field,
     weighted_fisher,
     weighted_lp,
@@ -42,7 +39,6 @@ from .inequalities import (
     check_edd_theorem,
     check_gamma_lower_bound,
     check_interpolation,
-    check_interpolation_time,
     check_sobolev,
     check_young,
     moment_condition,

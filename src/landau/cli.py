@@ -117,11 +117,25 @@ GRID_KEYS = {"dim": 3, "half_width": 6.0}
 # checkers up by their names in this module when they run.
 
 
-def _sobolev(f, psi, opts):
-    gamma1 = psi.gamma1 if opts["gamma1"] is None else opts["gamma1"]
+def _sobolev_variant(opts, dim, psi):
+    """The variant the sobolev entry `opts` runs on a `dim`-D grid, "auto"
+    being coulomb_explicit for the 3-D Coulomb kernel and general otherwise.
+    An option the variant ignores raises ValidationError: q is read only by
+    general in 2-D, and gamma1 by every variant but coulomb_explicit."""
     variant = opts["variant"]
     if variant == "auto":
-        variant = "coulomb_explicit" if f.grid.dim == 3 and psi.is_coulomb else "general"
+        variant = "coulomb_explicit" if dim == 3 and psi.is_coulomb else "general"
+    if opts["q"] is not None and (variant, dim) != ("general", 2):
+        raise ValidationError(f"sobolev 'q' is read only by the general variant in 2-D, "
+                              f"not by {variant!r} in {dim}-D")
+    if opts["gamma1"] is not None and variant == "coulomb_explicit":
+        raise ValidationError("sobolev 'gamma1' is not read by the coulomb_explicit variant")
+    return variant
+
+
+def _sobolev(f, psi, opts):
+    gamma1 = psi.gamma if opts["gamma1"] is None else opts["gamma1"]
+    variant = _sobolev_variant(opts, f.grid.dim, psi)
     return [check_sobolev(f, gamma1, variant=variant, q=opts["q"])]
 
 
@@ -296,6 +310,9 @@ def cmd_verify(args):
         options = {name: defaults for name, (defaults, _) in SUITES.items()}
         entries = [read_tagged({"name": item} if isinstance(item, str) else item,
                                "name", options, "suite") for item in cfg["suites"]]
+        for entry in entries:
+            if entry["name"] == "sobolev":
+                _sobolev_variant(entry, grid_cfg["dim"], psi)
         if not cfg["families"]:
             raise ValidationError("'families' must be a nonempty list")
         fam_specs = [DistributionSpec.from_json_dict(item) for item in cfg["families"]]
@@ -333,7 +350,7 @@ def cmd_functional(args):
     with _reading(args.input):
         f = DiscreteDistribution.load(args.input)
     psi = _parse_psi(args.psi)
-    gamma1 = psi.gamma1
+    gamma1 = psi.gamma
     summary = moments(f, l_list=(1.0, 2.0))
     report = {
         "input": args.input,

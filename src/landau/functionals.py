@@ -307,10 +307,3 @@ def reconstruct_log_gradient_field(f, lam=None):
         out[mask, i] = np.linalg.solve(_gamma_matrix(m0, m1, m2, i, j), (c @ B).T)[1]
     return out, mask
 
-
-def reconstruct_log_gradient(f, lam=None, node=0):
-    """Reconstructed grad(log f) at one flat node index (see field variant)."""
-    field, mask = reconstruct_log_gradient_field(f, lam)
-    if not mask[node]:
-        raise ValidationError(f"node {node} is below the positivity floor")
-    return field[node]

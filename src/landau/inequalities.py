@@ -96,7 +96,7 @@ def check_edd_theorem(f, spec, mode="radial_explicit"):
         raise ValidationError(f"unknown mode {mode!r}")
     dissipation = entropy_dissipation(f, spec, form="projected")
     if mode == "ratio":
-        g1 = spec.gamma1
+        g1 = spec.gamma
         lhs = weighted_fisher(f, g1)
         rhs = 1.0 + dissipation
         rep = _report(
@@ -206,15 +206,16 @@ def check_young(f, spec, R, r):
         int_{R^N} int_{|w| <= R} f(v) f(w) psi(|v-w|) dv dw
             <= C ||f||_1 ( ||f||_{L^1_2} + ||f 1_{|.| <= R}||_{r'} ),
 
-    with psi <= K1 |z|^2 + K2 |z|^(gamma2+2), gamma2 in (-4,-2), and C
+    for psi <= K1 |z|^2 + K2 |z|^(gamma2+2), gamma2 in (-4,-2), with C
     assembled from the proof chain (splitting at |v-w| = 1, Young's
     convolution inequality, and ||f||_1 <= ||f||_{L^1_2}):
-    C = max(5 K1 + K2, K2 || |x|^(gamma2+2) 1_{<=1} ||_r).
+    C = max(5 K1 + K2, K2 || |x|^(gamma2+2) 1_{<=1} ||_r).  A power law is
+    its own envelope: gamma2 = gamma and K1 = K2 = 1.
 
     The node double sum on the left, diagonal w = v excluded, is the
     psi-table convolution h^N sum_v f(v) (psi * f 1_{|.| <= R})(v).
     """
-    gamma2, k1, k2 = spec.gamma2, spec.K1, spec.K2
+    gamma2, k1, k2 = spec.gamma, 1.0, 1.0
     if not (-4.0 < gamma2 < -2.0):
         raise ValidationError(f"gamma2 must lie in (-4, -2), got {gamma2}")
     dim = f.grid.dim
@@ -240,28 +241,18 @@ def check_young(f, spec, R, r):
     )
 
 
-def _validate_interp(q1, q2, beta):
-    for q in (q1, q2):
-        if not (q >= 1.0):
-            raise ValidationError(f"exponents must be >= 1, got {q}")
-    if not (0.0 <= beta <= 1.0):
-        raise ValidationError(f"beta must lie in [0, 1], got {beta}")
-
-
-def _interp_target(q1, q2, beta):
-    inv = (beta / q1 if not math.isinf(q1) else 0.0) + (
-        (1.0 - beta) / q2 if not math.isinf(q2) else 0.0
-    )
-    return math.inf if inv == 0.0 else 1.0 / inv
-
-
 def check_interpolation(f, q1, l1, q2, l2, beta):
     """Weighted-norm interpolation  ||f||_{q,l} <= ||f||_{q1,l1}^beta
     ||f||_{q2,l2}^(1-beta)  with 1/q = beta/q1 + (1-beta)/q2 and
     l = beta l1 + (1-beta) l2.
     """
-    _validate_interp(q1, q2, beta)
-    q = _interp_target(q1, q2, beta)
+    for q in (q1, q2):
+        if not (q >= 1.0):
+            raise ValidationError(f"exponents must be >= 1, got {q}")
+    if not (0.0 <= beta <= 1.0):
+        raise ValidationError(f"beta must lie in [0, 1], got {beta}")
+    inv = beta / q1 + (1.0 - beta) / q2  # an infinite exponent adds +0.0
+    q = math.inf if inv == 0.0 else 1.0 / inv
     l = beta * l1 + (1.0 - beta) * l2
     lhs = weighted_lp(f, q, l)
     n1 = weighted_lp(f, q1, l1)
@@ -270,37 +261,6 @@ def check_interpolation(f, q1, l1, q2, l2, beta):
     return _report(
         "interpolation", lhs, rhs, 1.0,
         {"q": q, "l": l, "q1": q1, "l1": l1, "q2": q2, "l2": l2, "beta": beta},
-    )
-
-
-def _time_lp(times, values, p):
-    values = np.asarray(values, dtype=float)
-    if math.isinf(p):
-        return float(np.max(values))
-    return float(np.trapezoid(values**p, times)) ** (1.0 / p)
-
-
-def check_interpolation_time(snapshots, p1, q1, l1, p2, q2, l2, beta):
-    """Mixed time/velocity interpolation on a sampled trajectory.
-
-    `snapshots` is a sequence of (t, distribution) pairs; time norms are
-    trapezoid quadratures over the common sample times.
-    """
-    if len(snapshots) < 2:
-        raise ValidationError("need at least two snapshots")
-    _validate_interp(q1, q2, beta)
-    _validate_interp(p1, p2, beta)
-    p = _interp_target(p1, p2, beta)
-    q = _interp_target(q1, q2, beta)
-    l = beta * l1 + (1.0 - beta) * l2
-    times = [t for t, _ in snapshots]
-    lhs = _time_lp(times, [weighted_lp(g, q, l) for _, g in snapshots], p)
-    n1 = _time_lp(times, [weighted_lp(g, q1, l1) for _, g in snapshots], p1)
-    n2 = _time_lp(times, [weighted_lp(g, q2, l2) for _, g in snapshots], p2)
-    rhs = n1**beta * n2 ** (1.0 - beta)
-    return _report(
-        "interpolation_time", lhs, rhs, 1.0,
-        {"p": p, "q": q, "l": l, "beta": beta, "samples": len(snapshots)},
     )
 
 

@@ -1,9 +1,10 @@
 """Collision-kernel laws, the perpendicular projection, and the kernel
 convolution engine behind the coefficient field a*f.
 
-A kernel law is the one place that evaluates psi and knows its power-law
-envelope (gamma1, gamma2, K1, K2).  For an isotropic kernel psi(|z|) the
-coefficient function of the pair difference z = v - w is
+A kernel law is the one place that evaluates psi, and every law is a power
+law psi(r) = r^(gamma+2), Coulomb the case gamma = -3 in dimension 3.  For
+an isotropic kernel psi(|z|) the coefficient function of the pair
+difference z = v - w is
 
     a_ij(z) = psi(r) (delta_ij - z_i z_j / r^2),         r = |z|,
 
@@ -84,12 +85,12 @@ holding only padding.  `_forward` runs a real pass along the last axis of
 the data, then complex passes along axes 0, 1, ..., N-2, each over the slab
 whose lines still hold data.  `_quadrature` runs unscaled inverse complex
 passes along axes 0, ..., N-2 in place, keeping only the valid slice
-[0, n) after each, then the unscaled inverse real pass on the last
-axis, then the factor 1/P^N.  This is the pass order, axis order and
-scaling of pocketfft's n-D real transforms (as in scipy.fft.rfftn and
-irfftn), each line goes through the same 1-D plan, and a line is
-transformed the same way whether or not its neighbours are, so the
-results are bit-identical to the full n-D transforms.
+[0, n) after each, then the unscaled inverse real pass on the last axis,
+slab by slab along the leading axis, then the factor 1/P^N.  This is the
+pass order, axis order and scaling of pocketfft's n-D real transforms (as
+in scipy.fft.rfftn and irfftn), each line goes through the same 1-D plan,
+and a line is transformed the same way whether or not its neighbours are,
+so the results are bit-identical to the full n-D transforms.
 """
 
 from __future__ import annotations
@@ -103,10 +104,9 @@ import numpy as np
 
 from .errors import ValidationError, read_tagged
 
-_SANDWICH_RADII = np.logspace(-3.0, 3.0, 1000)
-
-# Bytes of one slab of the spectral contraction, rounded down to whole rows
-# of the leading spectral axis (at least one, at most all).  The slab
+# Bytes of one slab of the spectral contraction, or of the output of an
+# inverse transform's last-axis pass, rounded down to whole rows of the
+# leading axis (at least one, at most all).  The slab
 # temporaries then stay in cache; 96 KiB was the fastest size of a measured
 # sweep at P = 32, 48 and 64.
 _SLAB_BYTES = 96 * 1024
@@ -127,10 +127,6 @@ class PowerLawPsi:
     @property
     def is_coulomb(self):
         return False
-
-    # a pure power law is its own envelope
-    gamma1 = gamma2 = property(lambda self: self.gamma)
-    K1 = K2 = property(lambda self: 1.0)
 
     def psi(self, r):
         # psi(0) is the IEEE power 0^p = inf, 1 or 0 for p <, = or > 0; a
@@ -159,66 +155,7 @@ class CoulombPsi(PowerLawPsi):
         return {"kind": "coulomb"}
 
 
-@dataclass(frozen=True)
-class BracketedPsi:
-    """A user-supplied psi sandwiched between explicit power-law envelopes.
-
-    Asserts, on a log-spaced sample of radii,
-
-        K3 * min(1, r^(gamma1+2))  <=  psi(r)  <=  K1 * r^(2-delta) + K2 * r^(gamma2+2).
-    """
-
-    K1: float
-    K2: float
-    K3: float
-    delta: float
-    gamma1: float
-    gamma2: float
-    psi_fn: object
-
-    def __post_init__(self):
-        if not (self.K1 > 0 and self.K2 > 0 and self.K3 > 0):
-            raise ValidationError("K1, K2, K3 must be positive")
-        if not (0 < self.delta <= 2):
-            raise ValidationError(f"delta must be in (0, 2], got {self.delta}")
-        if self.gamma1 > 0:
-            raise ValidationError(f"gamma1 must be <= 0, got {self.gamma1}")
-        g2 = self.gamma2
-        if not (-4 < g2 < 0) or g2 == -2:
-            raise ValidationError(
-                f"gamma2 must lie in (-4,-2) or (-2,0), got {g2}"
-            )
-        r = _SANDWICH_RADII
-        vals = np.asarray([self.psi_fn(x) for x in r], dtype=float)
-        if np.any(vals < 0):
-            raise ValidationError("psi must be nonnegative")
-        lower = self.K3 * np.minimum(1.0, r ** (self.gamma1 + 2.0))
-        upper = self.K1 * r ** (2.0 - self.delta) + self.K2 * r ** (g2 + 2.0)
-        slack = 1.0 + 1e-12
-        if np.any(vals * slack < lower) or np.any(vals > upper * slack):
-            k = int(
-                np.argmax((vals * slack < lower) | (vals > upper * slack))
-            )
-            raise ValidationError(
-                f"sandwich bound violated at r = {r[k]}: "
-                f"{lower[k]} <= {vals[k]} <= {upper[k]} fails"
-            )
-
-    @property
-    def is_coulomb(self):
-        return False
-
-    def psi(self, r):
-        if np.ndim(r) == 0:
-            if r == 0:
-                return math.inf if self.gamma1 + 2.0 < 0 else float(self.psi_fn(0.0))
-            return float(self.psi_fn(r))
-        r = np.asarray(r, dtype=float)
-        return np.asarray([self.psi(x) for x in r.ravel()]).reshape(r.shape)
-
-
-# The kernel laws a JSON object can name, with their parameters; a
-# bracketed law needs a callable psi and has no JSON form.
+# The kernel laws a JSON object can name, with their parameters.
 KERNELS = {"coulomb": {}, "power_law": {"gamma": float}}
 
 
@@ -228,13 +165,6 @@ def psi_spec_from_json(obj):
     if params["kind"] == "coulomb":
         return CoulombPsi()
     return PowerLawPsi(params["gamma"])
-
-
-def psi_eval(spec, r):
-    """Kernel value psi(r); +inf at r = 0 for negative exponents."""
-    if not r >= 0:  # NaN fails too
-        raise ValidationError(f"radius must be >= 0, got {r}")
-    return spec.psi(r)
 
 
 def projection(z):
@@ -319,18 +249,23 @@ def _quadrature(grid, spectrum, shape, out=None):
     a fresh array, and returned.
 
     The complex passes run in place, so `spectrum` must be a work buffer
-    the caller no longer needs.
+    the caller no longer needs.  The real pass runs slab by slab along the
+    leading axis, each slab's output about `_SLAB_BYTES`, and only its
+    [0, n) is scaled into `out`.
     """
     valid = slice(grid.n)
     x = spectrum
     for ax in range(grid.dim - 1):
         np.fft.ifft(x, axis=ax, norm="forward", out=x)
         x = x[(slice(None),) * ax + (valid,)]
-    x = np.fft.irfft(x, shape[-1], axis=-1, norm="forward")[..., valid]
     if out is None:
         out = np.empty(grid.size)
     block = out.reshape(grid.shape)  # a view: out is 1-D with one stride
-    np.multiply(x, 1.0 / math.prod(shape), out=block)
+    P, scale = shape[-1], 1.0 / math.prod(shape)
+    rows = max(1, _SLAB_BYTES // (math.prod(x.shape[1:-1]) * P * 8))
+    for start in range(0, grid.n, rows):
+        part = np.fft.irfft(x[start:start + rows], P, axis=-1, norm="forward")
+        np.multiply(part[..., valid], scale, out=block[start:start + rows])
     block *= grid.cell_volume
     return out
 

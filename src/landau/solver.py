@@ -389,7 +389,7 @@ class SolverConfig:
     def resolved_gamma1(self):
         if self.gamma1 is not None:
             return self.gamma1
-        return self.spec.gamma1
+        return self.spec.gamma
 
 
 @dataclass

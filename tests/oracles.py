@@ -9,7 +9,9 @@ drops the source cell w = v.  On them sit the O(M^2) direct convolution,
 the direct coefficient field A = a*f, and the Coulomb non-parabolic form
 of Q.  Beside them sit the per-corner multilinear interpolation and the
 moments as `integrate` sums over full-length weights, which the separable
-forms in `landau.grid` replace.
+forms in `landau.grid` replace, and the continuum truth of A, D and the
+weighted Fisher information for radial states under the 3-D Coulomb
+kernel, by 1-D integrals.
 """
 
 import functools
@@ -133,3 +135,45 @@ def moments_by_integrate(f):
     u = np.array([integrate(f, grid.coords[:, d]) for d in range(grid.dim)]) / rho
     centered = grid.sq_norm - 2 * (grid.coords @ u) + u @ u
     return rho, u, integrate(f, centered) / (grid.dim * rho)
+
+
+def _cumulative(y, s):
+    """The cumulative trapezoid of y over the points s, 0 at s[0]."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(s))])
+
+
+def radial_coulomb(f, df, radii, R=12.0, points=200_001):
+    """The 3-D Coulomb truth for a radial density f(r) with derivative
+    df(r), both vectorized, by cumulative trapezoids on `points` radii in
+    [0, R], f taken as 0 beyond R.
+
+    a(z) = Hess |z|, so A = a*f = Hess g with g = |.|*f; a*grad f =
+    grad(2/|.|) * f, and Delta(1/|z|) = -4 pi delta.  For radial f,
+
+        g'(r)  = 4 pi [ int_0^r s^2 f (1 - s^2/(3r^2)) ds + (2r/3) int_r^R s f ds ]
+        g''(r) = 4 pi [ (2/(3r^3)) int_0^r s^4 f ds + (2/3) int_r^R s f ds ]
+        A(v)   = g''(r) vv^T/r^2 + (g'(r)/r) (I - vv^T/r^2)
+        D      = 4 pi int r^2 f'^2 g''/f dr - 32 pi^2 int r^2 f^2 dr
+        Fisher_w (gamma = -3) = pi int r^2 (f'^2/f) (1 + r^2)^(-3/2) dr
+
+    Returns {"A": (g'', g'/r) at `radii`, "D", "D_first": D's first term,
+    "fisher_w"}; at r = 0 both eigenvalues of A are their limit
+    (8 pi/3) int_0^R s f ds.
+    """
+    s = np.linspace(0.0, R, points)
+    fs, dfs = f(s), df(s)
+    tail = _cumulative(s * fs, s)
+    tail = tail[-1] - tail  # int_s^R
+    m2, m4 = _cumulative(s**2 * fs, s), _cumulative(s**4 * fs, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = 4 * math.pi * (2 * m4 / (3 * s**3) + 2 * tail / 3)
+        g1_r = 4 * math.pi * (m2 / s - m4 / (3 * s**3) + 2 * tail / 3)
+    g2[0] = g1_r[0] = 8 * math.pi / 3 * tail[0]
+    score = dfs**2 / fs
+    first = 4 * math.pi * float(_cumulative(s**2 * score * g2, s)[-1])
+    return {
+        "A": (np.interp(radii, s, g2), np.interp(radii, s, g1_r)),
+        "D": first - 32 * math.pi**2 * float(_cumulative(s**2 * fs**2, s)[-1]),
+        "D_first": first,
+        "fisher_w": math.pi * float(_cumulative(s**2 * score * (1 + s**2) ** -1.5, s)[-1]),
+    }

@@ -182,6 +182,11 @@ class TestVerify:
         {"suites": [{"name": "gamma_floor", "hbr": 8.0}]},
         {"resolution": [12]}, {"grid": {"dim": 3, "half_width": 6.0, "nodes": 12}},
         {"grid": {"dim": 10**400}},  # refused by the node budget without forming 12^dim
+        # a sobolev option its variant ignores: q outside 2-D general, gamma1
+        # under coulomb_explicit
+        {"suites": [{"name": "sobolev", "q": 2.0}]},
+        {"suites": [{"name": "sobolev", "variant": "general", "q": 8.0}]},
+        {"suites": [{"name": "sobolev", "variant": "coulomb_explicit", "gamma1": -2.5}]},
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, override):
         cfg = {"grid": {"dim": 3, "half_width": 6.0}, "resolutions": [12], "suites": ["sobolev"]}
@@ -190,6 +195,20 @@ class TestVerify:
         p.write_text(json.dumps(cfg))
         assert_usage_error(capsys, "verify", "--config", p, "--out-dir", tmp_path / "r",
                            out=tmp_path / "r")
+
+    def test_sobolev_q_runs_in_2d_general(self, tmp_path, capsys):
+        # in 2-D, N/(N-2) is undefined and the general variant reads q instead
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "grid": {"dim": 2, "half_width": 6.0}, "resolutions": [12],
+            "families": [{"kind": "maxwellian", "params": {"temperature": 1.0}}],
+            "suites": [{"name": "sobolev", "variant": "general", "q": 8.0}],
+        }))
+        out = tmp_path / "r"
+        assert main(["verify", "--config", str(p), "--out-dir", str(out)]) == 0, \
+            capsys.readouterr().err
+        rows = json.loads((out / "report.json").read_text())
+        assert [(r["name"], r["inputs"]["exponent"]) for r in rows] == [("sobolev_general", 8.0)]
 
     def test_non_object_config_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
-"""Every name a library module imports is used in that module, and every
-name the benchmark traces in `landau` exists."""
+"""Every name a library module imports is used in that module, every name
+the benchmark traces in `landau` exists, and every top-level function and
+class of `landau` is reached by the library, the benchmark, the acceptance
+tests or the test oracles."""
 
 import ast
 import importlib
@@ -14,6 +16,10 @@ import landau
 MODULES = sorted(
     p for p in Path(landau.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+ROOT = Path(__file__).resolve().parents[1]
+# what may reach a library name; the package's own exports do not count
+REACHING = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "oracles.py"]
 
 
 def _unused_imports(source):
@@ -54,3 +60,42 @@ def test_benchmark_trace_targets_exist():
         except AttributeError:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def _defined(source):
+    """The names of the top-level functions and classes of `source`."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in ast.parse(source).body if isinstance(node, kinds)}
+
+
+def _appearances(source):
+    """The names `source` mentions: names, attributes, imported names, and
+    the last dotted part of each string, as perfbench names its trace
+    targets."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value.rsplit(".", 1)[-1])
+    return names
+
+
+def test_finds_an_unreached_name():
+    source = "".join(f"def {name}():\n    pass\n" for name in
+                     ("by_name", "by_attr", "by_import", "by_string", "alone"))
+    source += "class Kept:\n    pass\n"
+    user = ("by_name()\nmod.by_attr\nfrom pkg.mod import by_import\nimport pkg.Kept\n"
+            "TARGET = 'pkg.mod.by_string'\n")
+    assert _defined(source) - _appearances(user) == {"alone"}
+
+
+def test_every_top_level_name_is_reached():
+    reached = set().union(*(_appearances(p.read_text()) for p in REACHING))
+    unreached = [f"{p.stem}.{name}" for p in MODULES for name in sorted(_defined(p.read_text()))
+                 if name not in reached]
+    assert unreached == []

@@ -15,13 +15,12 @@ from landau.inequalities import (
     check_edd_theorem,
     check_gamma_lower_bound,
     check_interpolation,
-    check_interpolation_time,
     check_sobolev,
     check_young,
     moment_condition,
     radial_deviation,
 )
-from landau.kernels import BracketedPsi, CoulombPsi, PowerLawPsi
+from landau.kernels import CoulombPsi, PowerLawPsi
 
 
 def radial_family(grid, kind="maxwellian"):
@@ -124,19 +123,10 @@ def young_direct(f, spec, R):
     return lhs
 
 
-def soft_bracketed():
-    # K3 min(1, 1/r) <= r^-0.7/2 + r/2 <= r + r^-0.7
-    return BracketedPsi(
-        K1=1.0, K2=1.0, K3=0.5, delta=1.0, gamma1=-3.0, gamma2=-2.7,
-        psi_fn=lambda r: 0.5 * r**-0.7 + 0.5 * r,
-    )
-
-
 class TestYoung:
     @pytest.mark.parametrize("n", [5, 8])
     @pytest.mark.parametrize(
-        "make_spec", [CoulombPsi, lambda: PowerLawPsi(-2.7), soft_bracketed],
-        ids=["coulomb", "power_law", "bracketed"],
+        "make_spec", [CoulombPsi, lambda: PowerLawPsi(-2.7)], ids=["coulomb", "power_law"],
     )
     def test_lhs_matches_direct_pair_sum(self, n, make_spec):
         grid = build_grid(3, 2.0, n)
@@ -197,16 +187,6 @@ class TestInterpolation:
         f = DiscreteDistribution(grid, rng.random(grid.size))
         rep = check_interpolation(f, 2.0, 1.0, 3.0, 0.0, 1.0)
         assert rep.lhs == pytest.approx(rep.rhs, rel=1e-14)
-
-    def test_time_version(self):
-        rng = np.random.default_rng(9)
-        grid = build_grid(2, 2.0, 8)
-        snapshots = [
-            (0.1 * k, DiscreteDistribution(grid, rng.random(grid.size) + 0.1))
-            for k in range(5)
-        ]
-        rep = check_interpolation_time(snapshots, 2.0, 1.0, 0.5, 4.0, 3.0, 0.0, 0.5)
-        assert rep.holds
 
 
 class TestMomentCondition:

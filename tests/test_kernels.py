@@ -10,8 +10,8 @@ import landau.kernels
 from landau.errors import ValidationError
 from landau.functionals import entropy_dissipation
 from landau.grid import DiscreteDistribution, _gradient_nd, build_grid
+from landau.inequalities import check_young
 from landau.kernels import (
-    BracketedPsi,
     CoulombPsi,
     PowerLawPsi,
     a_contract,
@@ -20,7 +20,6 @@ from landau.kernels import (
     collision_coefficients,
     projection,
     psi_convolve,
-    psi_eval,
     psi_spec_from_json,
 )
 from oracles import a_table, coefficients_direct, convolve_direct, psi_table
@@ -37,8 +36,8 @@ class TestPsiLaws:
     def test_coulomb_values(self):
         psi = CoulombPsi()
         assert psi.gamma == -3.0
-        assert psi_eval(psi, 2.0) == pytest.approx(0.5)
-        assert psi_eval(psi, 0.0) == math.inf
+        assert psi.psi(2.0) == pytest.approx(0.5)
+        assert psi.psi(0.0) == math.inf
 
     def test_power_law_values(self):
         psi = PowerLawPsi(-2.5)
@@ -48,13 +47,16 @@ class TestPsiLaws:
     @pytest.mark.parametrize("psi, envelope", [
         (PowerLawPsi(-2.5), (-2.5, -2.5, 1.0, 1.0)),
         (CoulombPsi(), (-3.0, -3.0, 1.0, 1.0)),
-        (BracketedPsi(K1=2.0, K2=3.0, K3=0.5, delta=1.0, gamma1=-3.0, gamma2=-2.7,
-                      psi_fn=lambda r: min(1.0, r ** -0.7)),
-         (-3.0, -2.7, 2.0, 3.0)),
     ])
     def test_envelope_exponents(self, psi, envelope):
-        # every law carries (gamma1, gamma2, K1, K2); a pure power law is its own envelope
-        assert (psi.gamma1, psi.gamma2, psi.K1, psi.K2) == envelope
+        # a pure power law is its own envelope (gamma1, gamma2, K1, K2): the
+        # Young check reads gamma2 = gamma and C = max(5 K1 + K2, K2 c_psi)
+        gamma1, gamma2, k1, k2 = envelope
+        assert psi.gamma == gamma1 == gamma2
+        grid = build_grid(3, 2.0, 5)
+        rep = check_young(maxwellian(grid), psi, R=1.0, r=1.2)
+        assert rep.inputs["gamma2"] == gamma2
+        assert rep.constant_used == max(5.0 * k1 + k2, k2 * rep.inputs["kernel_tail_norm"])
 
     @pytest.mark.parametrize("gamma, at_zero", [
         (-3.0, math.inf), (-2.5, math.inf), (-2.0, 1.0), (0.0, 0.0)])
@@ -63,29 +65,6 @@ class TestPsiLaws:
         spec = CoulombPsi() if gamma == -3.0 else PowerLawPsi(gamma)
         assert spec.psi(0.0) == spec.psi(-0.0) == at_zero
         assert np.array_equal(spec.psi(np.array([0.0, -0.0])), [at_zero] * 2)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValidationError):
-            psi_eval(CoulombPsi(), -1.0)
-
-    @pytest.mark.parametrize("spec", [CoulombPsi(), PowerLawPsi(0.0)], ids=["coulomb", "gamma0"])
-    def test_nan_radius_rejected(self, spec):
-        with pytest.raises(ValidationError):
-            psi_eval(spec, math.nan)
-
-    def test_bracketed_sandwich_validated(self):
-        psi = BracketedPsi(
-            K1=1.0, K2=1.0, K3=0.5, delta=1.0, gamma1=-3.0, gamma2=-3.0,
-            psi_fn=lambda r: np.asarray(r, dtype=float) ** -1.0,
-        )
-        assert psi.psi(2.0) == pytest.approx(0.5)
-
-    def test_bracketed_rejects_violating_function(self):
-        with pytest.raises(ValidationError):
-            BracketedPsi(
-                K1=1.0, K2=1.0, K3=1.0, delta=1.0, gamma1=-3.0, gamma2=-3.0,
-                psi_fn=lambda r: 100.0 + 0.0 * np.asarray(r, dtype=float),
-            )
 
     def test_json_round_trip(self):
         psi = psi_spec_from_json({"kind": "coulomb"})
@@ -281,6 +260,23 @@ class TestEngine:
         assert traced_peak(lambda: fn(grid, CoulombPsi(), g[0] if scalar else g)) < budget
 
 
+    def test_inverse_runs_in_slabs(self, traced_peak):
+        # the last-axis real pass runs slab by slab, six rows of 32 at 32^3:
+        # bit for bit the valid slice of the n-D inverse, at a peak of the
+        # result, two slabs of irfft output and 8 KiB; the whole
+        # n^(N-1) P output of one pass (512 KiB here) does not fit
+        K = landau.kernels
+        grid = build_grid(3, 2.0, 32)
+        shape = K._padded_shape(grid)
+        spectrum = K._forward(np.random.default_rng(2).standard_normal(grid.shape), shape)
+        whole = np.fft.irfftn(spectrum, shape, axes=(0, 1, 2), norm="forward")[:32, :32, :32]
+        ref = whole * (1.0 / math.prod(shape)) * grid.cell_volume
+        budget = grid.size * 8 + 2 * K._SLAB_BYTES + 8 * 1024
+        out = []
+        assert traced_peak(lambda: out.append(K._quadrature(grid, spectrum, shape))) <= budget
+        assert np.array_equal(out[0], ref.ravel())
+
+
 class TestCollisionCoefficients:
     # n = 5 and n = 8 pad to exactly 2n - 1 (9, 15), where an off-by-one alias would show
     @pytest.mark.parametrize("n", [5, 6, 8])
@@ -353,29 +349,20 @@ class TestCollisionCoefficients:
         assert builds(fa, spec) == 1  # never cached
 
     def test_unhashable_law_runs_uncached(self, monkeypatch):
-        # a law whose psi_fn cannot be hashed gets a layout of its own on
-        # every call and leaves the cached one in place; a plain function
-        # is hashable, so its law is cached
-        def inverse(r):
-            return r ** -1.0
-
-        class Unhashable:  # a callable instance
+        # a law that cannot be hashed gets a layout of its own on every call
+        # and leaves the cached one in place; its hashable twin is cached
+        class Unhashable(PowerLawPsi):
             __hash__ = None
-            __call__ = staticmethod(inverse)
-
-        def law(psi_fn):
-            return BracketedPsi(K1=1.0, K2=1.0, K3=0.5, delta=1.0, gamma1=-3.0,
-                                gamma2=-3.0, psi_fn=psi_fn)
 
         monkeypatch.setattr(landau.kernels, "_LAYOUT", {})
         grid = build_grid(3, 2.0, 6)
         g = np.random.default_rng(6).standard_normal(grid.shape)
         entry_points = (a_convolve, psi_convolve)
-        twin = law(inverse)
+        twin = PowerLawPsi(-2.5)
         expected = [fn(grid, twin, g).tobytes() for fn in entry_points]
         cached = dict(landau.kernels._LAYOUT)
         assert [key[-1] for key in cached] == [twin]
-        spec = law(Unhashable())
+        spec = Unhashable(-2.5)
         with pytest.raises(TypeError):
             hash(spec)
         assert [fn(grid, spec, g).tobytes() for fn in entry_points] == expected

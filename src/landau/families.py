@@ -55,13 +55,6 @@ class DistributionSpec:
             obj, {"kind": str, "params": {}, "normalize": False}, "distribution spec"
         ))
 
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "normalize": self.normalize,
-            "params": dict(self.params),
-        }
-
 
 def _maxwellian_values(grid, temperature, mean):
     if temperature <= 0:

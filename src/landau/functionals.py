@@ -123,12 +123,51 @@ def weighted_fisher(f, gamma1):
     return float(f.grid.cell_volume * np.sum(np.sum(gs**2, axis=1) * w))
 
 
+def _shifted_log_gradient(f):
+    """(eta, mask): eta = xi - c - lam v on the mask of `grad_log`, 0 off it,
+    with (c, lam) the f-weighted least-squares fit of xi = grad(log f).
+
+    The shift changes each pair's xi(v) - xi(w) by lam (v - w), which
+    a(v - w) annihilates, so both forms of D are unchanged in exact
+    arithmetic.  Near equilibrium xi is nearly affine (-v/T for a
+    Maxwellian), and D of eta does not take a small difference of two large
+    sums.
+    """
+    grid = f.grid
+    xi, mask = grad_log(f)
+    # weighted by f on every node: off the mask f <= EPS_FLOOR and xi = 0;
+    # einsum, not BLAS, for the same bytes at every BLAS thread count
+    fv, v, dim = f.values, grid.coords, grid.dim
+    mat = np.zeros((dim + 1, dim + 1))
+    mat[:dim, :dim] = np.sum(fv) * np.eye(dim)
+    mat[:dim, dim] = mat[dim, :dim] = np.einsum("k,kd->d", fv, v)
+    mat[dim, dim] = np.einsum("k,k->", fv, grid.sq_norm)
+    rhs = np.append(np.einsum("k,kd->d", fv, xi), np.einsum("k,kd,kd->", fv, v, xi))
+    try:
+        c, lam = np.split(np.linalg.solve(mat, rhs), [dim])
+    except np.linalg.LinAlgError:  # no mass, or all of it on one node: no pairs
+        return xi, mask
+    # c_d + lam v_d depends on v_d alone, which runs over grid.axis: made
+    # there in extended precision and split as hi + lo in float64, it is
+    # taken off xi in two steps, each rounded relative to its result, so eta,
+    # small where xi is nearly affine, keeps its own relative accuracy
+    for d in range(dim):
+        t = (c[d] + np.longdouble(lam[0]) * grid.axis).reshape((-1,) + (1,) * (dim - 1 - d))
+        hi = t.astype(float)
+        col = xi[:, d].reshape(grid.shape)  # a view: xi's column d
+        col -= hi
+        col -= (t - hi).astype(float)
+    xi[~mask] = 0.0
+    return xi, mask
+
+
 def _dissipation_projected_conv(f, spec, coeffs=None):
     """Projected-form pair quadrature via kernel convolutions.
 
     Expanding the projected quadratic in the log-gradient differences turns
     the double sum into a_ij-kernel convolutions against the masked fields
-    F = f, G_i = f xi_i, H_ij = f xi_i xi_j (the w = v cell is excluded):
+    F = f, G_i = f xi_i, H_ij = f xi_i xi_j, with xi the log-gradient less
+    its affine part (`_shifted_log_gradient`; the w = v cell is excluded):
 
         D = h^N [ sum_ij <H_ij, a_ij*F> - sum_i <G_i, (sum_j a_ij*G_j)_i> ],
 
@@ -141,7 +180,7 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
     same components, and they are summed in the same order.
     """
     grid = f.grid
-    xi, mask = grad_log(f)
+    xi, mask = _shifted_log_gradient(f)
     G = np.where(mask, f.values * xi.T, 0.0)  # (N, size)
     if coeffs is not None and mask.all():
         columns = ((i, j, coeffs[:, i, j]) for i, j in a_column_keys(grid.dim))
@@ -159,7 +198,8 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
 
 
 def entropy_dissipation(f, spec, form="projected", coeffs=None):
-    """Entropy-dissipation pair quadrature in either equivalent form.
+    """Entropy-dissipation pair quadrature in either equivalent form, both
+    of the log-gradient less its affine part (`_shifted_log_gradient`).
 
     `coeffs`, the (size, N, N) coefficient field A = a*f of f when already
     made, can spare the projected form one convolution.
@@ -168,7 +208,7 @@ def entropy_dissipation(f, spec, form="projected", coeffs=None):
         raise ValidationError(f"unknown form {form!r}")
     if form == "projected":
         return _dissipation_projected_conv(f, spec, coeffs)
-    xi, mask = grad_log(f)
+    xi, mask = _shifted_log_gradient(f)
     coords, fv, xi = f.grid.coords[mask], f.values[mask], xi[mask]
     m = coords.shape[0]
     if m == 0:

@@ -185,17 +185,9 @@ class NormalizationTransform:
 
 
 def integrate(f, weight=None):
-    """Midpoint quadrature h^N * sum_k w(v_k) f_k.
-
-    `weight` is None (constant 1), an array of per-node values, or a callable
-    taking the (size, dim) coordinate array.
-    """
-    if weight is None:
-        w = 1.0
-    elif callable(weight):
-        w = np.asarray(weight(f.grid.coords), dtype=float)
-    else:
-        w = np.asarray(weight, dtype=float)
+    """Midpoint quadrature h^N * sum_k w_k f_k, with `weight` None (w = 1)
+    or an array of per-node values."""
+    w = 1.0 if weight is None else np.asarray(weight, dtype=float)
     prod = f.values * w
     if not np.all(np.isfinite(prod[f.values > 0])):
         raise NumericError("non-finite weight value on the support of f")
@@ -208,10 +200,7 @@ def _gradient_nd(field, h):
 
     Returns an array of shape (dim,) + field.shape.
     """
-    grads = np.gradient(field, h, edge_order=2)
-    if field.ndim == 1:
-        grads = [grads]
-    return np.stack(grads, axis=0)
+    return np.stack(np.gradient(field, h, edge_order=2), axis=0)
 
 
 def gradient_sqrt(f):

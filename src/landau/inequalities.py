@@ -206,16 +206,16 @@ def check_young(f, spec, R, r):
         int_{R^N} int_{|w| <= R} f(v) f(w) psi(|v-w|) dv dw
             <= C ||f||_1 ( ||f||_{L^1_2} + ||f 1_{|.| <= R}||_{r'} ),
 
-    for psi <= K1 |z|^2 + K2 |z|^(gamma2+2), gamma2 in (-4,-2), with C
-    assembled from the proof chain (splitting at |v-w| = 1, Young's
-    convolution inequality, and ||f||_1 <= ||f||_{L^1_2}):
-    C = max(5 K1 + K2, K2 || |x|^(gamma2+2) 1_{<=1} ||_r).  A power law is
-    its own envelope: gamma2 = gamma and K1 = K2 = 1.
+    for psi = |z|^(gamma2+2), gamma2 in (-4,-2), with C assembled from the
+    proof chain (splitting at |v-w| = 1, Young's convolution inequality, and
+    ||f||_1 <= ||f||_{L^1_2}): C = max(6, || |x|^(gamma2+2) 1_{<=1} ||_r),
+    the chain's max(5 K1 + K2, K2 || . ||_r) for the envelope
+    psi <= K1 |z|^2 + K2 |z|^(gamma2+2), with K1 = K2 = 1.
 
     The node double sum on the left, diagonal w = v excluded, is the
     psi-table convolution h^N sum_v f(v) (psi * f 1_{|.| <= R})(v).
     """
-    gamma2, k1, k2 = spec.gamma, 1.0, 1.0
+    gamma2 = spec.gamma
     if not (-4.0 < gamma2 < -2.0):
         raise ValidationError(f"gamma2 must lie in (-4, -2), got {gamma2}")
     dim = f.grid.dim
@@ -232,7 +232,7 @@ def check_young(f, spec, R, r):
     norm12 = weighted_lp(f, 1.0, 2.0)
     normrp = weighted_lp(fball, rprime, 0.0)
     cpsi = _unit_ball_power_norm(gamma2 + 2.0, r, dim)
-    constant = max(5.0 * k1 + k2, k2 * cpsi)
+    constant = max(6.0, cpsi)
     rhs = constant * norm1 * (norm12 + normrp)
     return _report(
         "young_convolution", lhs, rhs, constant,

@@ -379,10 +379,7 @@ _LAYOUT = {}
 
 def _layout(grid, spec):
     key = (grid.dim, grid.half_width, grid.n, spec)
-    try:
-        hit = _LAYOUT.get(key)
-    except TypeError:  # a spec with an unhashable field: never kept
-        return _Layout(grid, spec)
+    hit = _LAYOUT.get(key)
     if hit is None:
         _LAYOUT.clear()  # drop the old layout before the new one fills
         hit = _LAYOUT[key] = _Layout(grid, spec)

@@ -33,29 +33,18 @@ CFL_SAFETY = 0.4
 # test functions
 
 
-def _chi(s):
-    """Cutoff profile chi(s) and its first two derivatives: 1 on [0, 1],
-    0 on [2, inf), and 1 - S(s - 1) between, with S(u) = u^3 (10 - 15u + 6u^2)
-    the quintic smoothstep, whose first two derivatives vanish at both ends."""
-    u = np.clip(s - 1.0, 0.0, 1.0)
-    return (1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2),
-            -30.0 * u**2 * (1.0 - u) ** 2,
-            -60.0 * u * (1.0 - 3.0 * u + 2.0 * u**2))
-
-
 class TestFunction:
     """Twice-differentiable test function with analytic derivatives.
 
-    Kinds: "one", ("v", i), "energy" (= |v|^2/2), "log_f", or
-    ("cutoff_power", k, eta) = rho^k chi(eta sqrt(rho)), rho = 1 + |v|^2.
-    Every kind but ("v", i) and "log_f" is a profile F(rho), so
+    Kinds: "one", ("v", i), "energy" (= |v|^2/2) and "log_f".  "one" and
+    "energy" are profiles F(rho) of rho = 1 + |v|^2, so
     grad phi = 2 F'(rho) v and hess phi = 2 F'(rho) I + 4 F''(rho) v v^T.
     "log_f" has no values: it selects the dissipation form of `weak_form_rhs`.
     """
 
     __test__ = False  # not a test case, despite the name
 
-    _ARITY = {"one": 0, "energy": 0, "log_f": 0, "v": 1, "cutoff_power": 2}
+    _ARITY = {"one": 0, "energy": 0, "log_f": 0, "v": 1}
 
     def __init__(self, kind):
         name, *params = kind if isinstance(kind, tuple) and kind else (kind,)
@@ -66,10 +55,6 @@ class TestFunction:
             self.index = params[0]
             if not fits(self.index, 0) or self.index < 0:
                 raise ValidationError(f"test-function axis must be an integer >= 0, got {kind!r}")
-        elif name == "cutoff_power":
-            self.k, self.eta = map(float, params)
-            if not 0 < self.eta < 1:
-                raise ValidationError(f"eta must lie in (0, 1), got {self.eta}")
 
     def _profile(self, coords):
         """(F, F', F'') of a radial kind at each row of coords; F of "energy"
@@ -80,18 +65,7 @@ class TestFunction:
             return zero + 1.0, zero, zero
         if self.kind == "energy":
             return 0.5 * rsq, zero + 0.5, zero
-        if self.kind == "log_f":
-            raise ValidationError("log_f has no free-standing value or derivatives")
-        k, eta = self.k, self.eta
-        rho = 1.0 + rsq
-        root = np.sqrt(rho)
-        chi, dchi, d2chi = _chi(eta * root)
-        ds = 0.5 * eta / root  # d(eta sqrt(rho))/d rho
-        d2s = -0.5 * ds / rho
-        p, dp, d2p = rho**k, k * rho ** (k - 1.0), k * (k - 1.0) * rho ** (k - 2.0)
-        return (p * chi,
-                dp * chi + p * dchi * ds,
-                d2p * chi + 2.0 * dp * dchi * ds + p * (d2chi * ds**2 + dchi * d2s))
+        raise ValidationError("log_f has no free-standing value or derivatives")
 
     def _axis(self, coords):
         if self.index >= coords.shape[1]:

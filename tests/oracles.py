@@ -11,16 +11,19 @@ of Q.  Beside them sit the per-corner multilinear interpolation and the
 moments as `integrate` sums over full-length weights, which the separable
 forms in `landau.grid` replace, and the continuum truth of A, D and the
 weighted Fisher information for radial states under the 3-D Coulomb
-kernel, by 1-D integrals.
+kernel, by 1-D integrals, and the radial trajectories of that equation.
+Last, D summed exactly by `math.fsum` from a log-gradient without its
+affine part, the reference near equilibrium.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from landau.errors import ValidationError
-from landau.grid import _gradient_nd, integrate
+from landau.grid import _gradient_nd, grad_log, integrate
 from landau.kernels import collision_coefficients, projection
 
 
@@ -177,3 +180,124 @@ def radial_coulomb(f, df, radii, R=12.0, points=200_001):
         "D_first": first,
         "fisher_w": math.pi * float(_cumulative(s**2 * score * (1 + s**2) ** -1.5, s)[-1]),
     }
+
+
+def _shifted_log_gradient(f):
+    """(eta, mask): xi = `grad_log(f)` less its f-weighted least-squares
+    affine part c + lam v over the mask, fitted by `np.linalg.lstsq` on the
+    sqrt(f)-scaled design [I, v] and subtracted in extended precision:
+    eta on the mask, as np.longdouble."""
+    xi, mask = grad_log(f)
+    v, sw = f.grid.coords[mask], np.sqrt(f.values[mask])
+    m, dim = v.shape
+    design = np.zeros((m, dim, dim + 1))
+    design[:, range(dim), range(dim)] = 1.0
+    design[:, :, dim] = v
+    fit = np.linalg.lstsq((design * sw[:, None, None]).reshape(m * dim, dim + 1),
+                          (xi[mask] * sw[:, None]).ravel(), rcond=None)[0]
+    return xi[mask] - np.longdouble(fit[dim]) * v - fit[:dim], mask
+
+
+def dissipation_fsum(f, spec):
+    """The pair-difference D = h^2N sum_{v < w} f(v) f(w) psi/|z|^2
+    sum_{i < j} q_ij^2 of `_shifted_log_gradient`'s eta.  D does not change
+    when c + lam v is added to xi (a(z) z = 0), and eta is small near
+    equilibrium, so the terms, all >= 0 and each made in extended
+    precision, carry D to about 1e-16 relative; `math.fsum` adds them."""
+    eta, mask = _shifted_log_gradient(f)
+    coords, fv = f.grid.coords[mask], f.values[mask]
+    dim = coords.shape[1]
+
+    def rows():
+        for v in range(len(fv) - 1):
+            z = coords[v] - coords[v + 1:]
+            d = eta[v] - eta[v + 1:]
+            rsq = np.sum(z * z, axis=1)
+            qsq = sum((z[:, i] * d[:, j] - z[:, j] * d[:, i]) ** 2
+                      for i in range(dim) for j in range(i + 1, dim))
+            yield (fv[v] * fv[v + 1:] * spec.psi(np.sqrt(rsq)) / rsq * qsq).astype(float).tolist()
+
+    return f.grid.cell_volume**2 * math.fsum(itertools.chain.from_iterable(rows()))
+
+
+def radial_landau(profile, R, m, times, points=20_001):
+    """The isotropic 3-D Coulomb Landau equation for a radial density,
+
+        d_t f = r^-2 d_r (r^2 J),   J = g''(r) f' + 8 pi M(r) f / r^2,
+        M(r) = int_0^r s^2 f ds,
+
+    with g'' of `radial_coulomb` (A = Hess g, g = |.|*f) and the drift
+    a*grad f = 2 grad phi, phi = |.|^-1 * f, phi' = -4 pi M / r^2.
+
+    A finite volume on m cells of [0, R], zero flux at both ends: face
+    fluxes take the compact difference of f and the mean of f at the face,
+    and M, int s^4 f and int s f by exact per-cell weights, so the mass
+    4 pi sum f_k int_cell s^2 telescopes.  `profile(r)` is sampled at the
+    cell centres and scaled to mass 1.  Time is `solve_ivp`'s BDF with a
+    tridiagonal Jacobian pattern and dense output.
+
+    Returns a dict of arrays over `times`: "H" and "abs_entropy" (int f ln f,
+    int f |ln f|), "dH_dt" and "residual" = max |d_t f| / max f of the
+    semi-discrete system, "D" and "fisher_w" (gamma = -3) by
+    `radial_coulomb` on a cubic spline of ln f, "l3w" = ||<v>^-3 f||_3,
+    "mass", "energy" (int f |v|^2), "moments" {l: int f (1 + |v|^2)^l} for
+    l = 2, 3, 4, and "f": per time the density as a vectorized function of
+    r, 0 beyond R.
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
+    from scipy.sparse import diags
+
+    edges = np.linspace(0.0, R, m + 1)
+    lo, hi, faces = edges[:-1], edges[1:], edges[1:-1]
+    centres, dr = 0.5 * (lo + hi), R / m
+    w1, w2, w4 = (hi**2 - lo**2) / 2, (hi**3 - lo**3) / 3, (hi**5 - lo**5) / 5
+
+    def rate(t, f):
+        inner = np.cumsum(f * w2)[:-1]  # M at the interior faces
+        g2 = 4 * math.pi * (2 * np.cumsum(f * w4)[:-1] / (3 * faces**3)
+                            + 2 * np.cumsum((f * w1)[::-1])[::-1][1:] / 3)
+        J = g2 * np.diff(f) / dr + 8 * math.pi * inner * 0.5 * (f[:-1] + f[1:]) / faces**2
+        return np.diff(np.concatenate([[0.0], faces**2 * J, [0.0]])) / w2
+
+    f0 = profile(centres)
+    f0 = f0 / (4 * math.pi * np.sum(f0 * w2))
+    sol = solve_ivp(rate, (0.0, max(times)), f0, method="BDF", rtol=1e-10, atol=1e-14,
+                    jac_sparsity=diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(m, m)),
+                    dense_output=True)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    out = {key: [] for key in ("H", "abs_entropy", "dH_dt", "residual", "D", "fisher_w",
+                               "l3w", "mass", "energy", "f")}
+    out["moments"] = {l: [] for l in (2, 3, 4)}
+    for t in times:
+        f = sol.sol(t) if t > 0 else f0
+        if np.min(f) <= 0:
+            raise RuntimeError(f"the 1-D density reaches {np.min(f)} at t = {t}")
+        logf = np.log(f)
+        spline = CubicSpline(centres, logf)
+
+        def density(r, spline=spline):
+            r = np.asarray(r, dtype=float)
+            return np.where(r <= R, np.exp(spline(np.minimum(r, R))), 0.0)
+
+        def derivative(r, spline=spline):
+            return spline(r, 1) * np.exp(spline(r))
+
+        truth = radial_coulomb(density, derivative, np.zeros(1), R=R, points=points)
+        cell = 4 * math.pi * w2 * f
+        out["H"].append(float(np.sum(cell * logf)))
+        out["abs_entropy"].append(float(np.sum(cell * np.abs(logf))))
+        dfdt = rate(t, f)
+        out["dH_dt"].append(4 * math.pi * float(np.sum(w2 * logf * dfdt)))
+        out["residual"].append(float(np.max(np.abs(dfdt)) / np.max(f)))
+        out["D"].append(truth["D"])
+        out["fisher_w"].append(truth["fisher_w"])
+        weight = (1 + centres**2) ** -1.5
+        out["l3w"].append(float(4 * math.pi * np.sum(w2 * (weight * f) ** 3)) ** (1 / 3))
+        out["mass"].append(float(np.sum(cell)))
+        out["energy"].append(4 * math.pi * float(np.sum(w4 * f)))
+        for l, vals in out["moments"].items():
+            vals.append(float(np.sum(cell * (1 + centres**2) ** l)))
+        out["f"].append(density)
+    return {key: val if key in ("f", "moments") else np.array(val) for key, val in out.items()}

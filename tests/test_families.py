@@ -1,7 +1,5 @@
 """Distribution generators and their invariants."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -120,10 +118,3 @@ class TestGenerators:
             generate_distribution(
                 DistributionSpec("custom_file", {"path": str(path)}), other
             )
-
-    def test_spec_json_round_trip(self):
-        spec = DistributionSpec(
-            "bimaxwellian", {"separation": 1.5, "temperature": 0.9}, normalize=True
-        )
-        back = DistributionSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
-        assert back == spec

@@ -23,6 +23,7 @@ from landau.functionals import (
 )
 from landau.grid import DiscreteDistribution, build_grid
 from landau.kernels import CoulombPsi, PowerLawPsi, collision_coefficients
+from oracles import dissipation_fsum
 
 
 def maxwellian(grid, temperature=1.0, mean=None):
@@ -150,6 +151,21 @@ class TestEntropyDissipation:
         d_eq = entropy_dissipation(maxwellian(g), spec)
         d_bi = entropy_dissipation(bimodal(g, eps=0.1), spec)
         assert d_eq <= 1e-3 * d_bi
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_near_equilibrium_matches_fsum_reference(self, eps):
+        # f = M (1 + eps p), p a smooth field with max |p| = 1: D ~ eps^2,
+        # while xi ~ -v; before xi lost its affine part, the projected form
+        # was off by 2e-11 at eps = 1e-2 and by 3e-6 at eps = 1e-5
+        g = build_grid(3, 5.0, 12)
+        rng = np.random.default_rng(9)
+        p = sum(rng.normal() * np.cos(g.coords @ rng.normal(size=3) + rng.uniform(0, 2 * math.pi))
+                for _ in range(6))
+        m = maxwellian(g)
+        f = m.with_values(m.values * (1.0 + eps * p / np.max(np.abs(p))))
+        ref = dissipation_fsum(f, CoulombPsi())
+        for form in ("projected", "pairdiff"):
+            assert abs(entropy_dissipation(f, CoulombPsi(), form=form) / ref - 1) <= 1e-12
 
     def test_python_float_in_every_form(self):
         # np.float64 would print as "np.float64(...)" in diagnostics.csv

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every name
-the benchmark traces in `landau` exists, and every top-level function and
+the benchmark traces in `landau` exists, every top-level function and
 class of `landau` is reached by the library, the benchmark, the acceptance
-tests or the test oracles."""
+tests or the test oracles, and every public oracle is named by a test, so
+an oracle no test calls cannot keep a library name alive."""
 
 import ast
 import importlib
@@ -18,8 +19,9 @@ MODULES = sorted(
 )
 ROOT = Path(__file__).resolve().parents[1]
 # what may reach a library name; the package's own exports do not count
+ORACLES = ROOT / "tests" / "oracles.py"
 REACHING = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + [
-    ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "oracles.py"]
+    ROOT / "tests" / "test_acceptance.py", ORACLES]
 
 
 def _unused_imports(source):
@@ -99,3 +101,21 @@ def test_every_top_level_name_is_reached():
     unreached = [f"{p.stem}.{name}" for p in MODULES for name in sorted(_defined(p.read_text()))
                  if name not in reached]
     assert unreached == []
+
+
+def _unnamed_oracles(oracles, tests):
+    """The public top-level names of the source `oracles` that none of the
+    sources `tests` mentions."""
+    named = set().union(*map(_appearances, tests))
+    return {name for name in _defined(oracles) if not name.startswith("_")} - named
+
+
+def test_finds_an_unnamed_oracle():
+    oracles = "".join(f"def {name}():\n    pass\n" for name in ("called", "_helper", "unused"))
+    tests = ["from oracles import called\n", "def test_it():\n    called()\n"]
+    assert _unnamed_oracles(oracles, tests) == {"unused"}
+
+
+def test_every_oracle_is_named_by_a_test():
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("test_*.py"))]
+    assert _unnamed_oracles(ORACLES.read_text(), tests) == set()

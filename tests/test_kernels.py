@@ -330,9 +330,9 @@ class TestCollisionCoefficients:
         fa = DiscreteDistribution(build_grid(3, 2.375, 5), rng.random(125))
         fb = DiscreteDistribution(build_grid(3, 2.625, 5), rng.random(125))
 
-        def builds(f, spec=CoulombPsi()):
+        def builds(f):
             calls.clear()
-            collision_coefficients(f, spec)
+            collision_coefficients(f, CoulombPsi())
             return len(calls)
 
         assert builds(fa) == 1  # the six a_ij tables
@@ -340,33 +340,6 @@ class TestCollisionCoefficients:
         assert builds(fa) == 0
         assert builds(fb) == 1
         assert builds(fa) == 1  # fb's layout evicted fa's
-
-        class Unhashable(PowerLawPsi):
-            __hash__ = None
-
-        spec = Unhashable(-2.5)
-        assert builds(fa, spec) == 1
-        assert builds(fa, spec) == 1  # never cached
-
-    def test_unhashable_law_runs_uncached(self, monkeypatch):
-        # a law that cannot be hashed gets a layout of its own on every call
-        # and leaves the cached one in place; its hashable twin is cached
-        class Unhashable(PowerLawPsi):
-            __hash__ = None
-
-        monkeypatch.setattr(landau.kernels, "_LAYOUT", {})
-        grid = build_grid(3, 2.0, 6)
-        g = np.random.default_rng(6).standard_normal(grid.shape)
-        entry_points = (a_convolve, psi_convolve)
-        twin = PowerLawPsi(-2.5)
-        expected = [fn(grid, twin, g).tobytes() for fn in entry_points]
-        cached = dict(landau.kernels._LAYOUT)
-        assert [key[-1] for key in cached] == [twin]
-        spec = Unhashable(-2.5)
-        with pytest.raises(TypeError):
-            hash(spec)
-        assert [fn(grid, spec, g).tobytes() for fn in entry_points] == expected
-        assert landau.kernels._LAYOUT == cached
 
     def test_cold_table_spectra_peak_memory(self, traced_peak, engine_bytes):
         # the six half spectra, built by matrix products, with a margin of

@@ -235,19 +235,7 @@ class TestWeakForm:
         d = entropy_dissipation(f, SPEC, form="projected")
         assert lhs == pytest.approx(-d, rel=1e-10)
 
-    def test_cutoff_power_conserved_where_the_cutoff_is_flat(self):
-        # eta sqrt(1 + |v|^2) <= 0.2 sqrt(1 + 3 * 2.5^2) < 1 on every node, so
-        # chi = 1 and phi = 1 + |v|^2, a conserved quantity
-        rng = np.random.default_rng(13)
-        grid = build_grid(3, 3.0, 6)
-        phi = TestFunction(("cutoff_power", 1.0, 0.2))
-        for _ in range(10):
-            val, gross = weak_form_rhs(random_state(grid, rng), SPEC, phi, with_scale=True)
-            assert gross > 0 and abs(val) <= 1e-8 * gross
-
-    @pytest.mark.parametrize("kind", [
-        "one", "energy", ("cutoff_power", 1.5, 0.4), ("cutoff_power", 2.0, 0.9)],
-        ids=lambda kind: "-".join(map(str, kind)) if isinstance(kind, tuple) else kind)
+    @pytest.mark.parametrize("kind", ["one", "energy"])
     def test_derivatives_match_finite_differences(self, kind):
         phi = TestFunction(kind)
         rng = np.random.default_rng(5)
@@ -262,10 +250,6 @@ class TestWeakForm:
             assert np.max(np.abs(fd_g - g[:, d])) < 1e-6
             fd_h = (phi.grad(pts + e) - phi.grad(pts - e)) / (2 * eps)
             assert np.max(np.abs(fd_h - hess[:, :, d])) < 1e-5
-
-    def test_cutoff_eta_validated(self):
-        with pytest.raises(ValidationError):
-            TestFunction(("cutoff_power", 1.0, 1.5))
 
     @pytest.mark.parametrize("kind", [
         "v", ("v", 0, 1), ("cutoff_power", 1.0), "two", ("two", 1), ()])

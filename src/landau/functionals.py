@@ -114,13 +114,17 @@ def weighted_lp(f, p, l):
     return float(f.grid.cell_volume * np.sum(g**p)) ** (1.0 / p)
 
 
+def fisher_sum(f, m):
+    """int |grad sqrt(f)|^2 (1+|v|^2)^m dv."""
+    w = (1.0 + f.grid.sq_norm) ** m
+    return float(f.grid.cell_volume * np.sum(np.sum(gradient_sqrt(f) ** 2, axis=1) * w))
+
+
 def weighted_fisher(f, gamma1):
     """int |grad sqrt(f)|^2 (1+|v|^2)^{min(gamma1/2, -1)} dv."""
     if not math.isfinite(gamma1):
         raise ValidationError(f"gamma1 must be finite, got {gamma1}")
-    gs = gradient_sqrt(f)
-    w = (1.0 + f.grid.sq_norm) ** min(gamma1 / 2.0, -1.0)
-    return float(f.grid.cell_volume * np.sum(np.sum(gs**2, axis=1) * w))
+    return fisher_sum(f, min(gamma1 / 2.0, -1.0))
 
 
 def _shifted_log_gradient(f):
@@ -197,6 +201,25 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
     return grid.cell_volume * (diffusion - drift)
 
 
+def pair_chunks(f, spec, mask):
+    """(rows, cols, z, rsq, ff, psi) per chunk of `_PAIR_CHUNK` rows of the
+    masked nodes: z = v - w, rsq = |z|^2, ff = f(v) f(w), psi(|z|) on the
+    (rows, cols) slices, which cover the strictly upper triangle, each
+    unordered pair once; below it, rsq is 1 and ff is 0."""
+    coords, fv = f.grid.coords[mask], f.values[mask]
+    m = coords.shape[0]
+    for start in range(0, m, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, m)
+        rows, cols = slice(start, stop), slice(start + 1, m)
+        z = coords[rows, None, :] - coords[None, cols, :]
+        rsq = np.einsum("pqi,pqi->pq", z, z)
+        tri = np.arange(start, stop)[:, None] >= np.arange(start + 1, m)[None, :]
+        rsq[tri] = 1.0
+        ff = fv[rows, None] * fv[None, cols]
+        ff[tri] = 0.0
+        yield rows, cols, z, rsq, ff, spec.psi(np.sqrt(rsq))
+
+
 def entropy_dissipation(f, spec, form="projected", coeffs=None):
     """Entropy-dissipation pair quadrature in either equivalent form, both
     of the log-gradient less its affine part (`_shifted_log_gradient`).
@@ -209,26 +232,14 @@ def entropy_dissipation(f, spec, form="projected", coeffs=None):
     if form == "projected":
         return _dissipation_projected_conv(f, spec, coeffs)
     xi, mask = _shifted_log_gradient(f)
-    coords, fv, xi = f.grid.coords[mask], f.values[mask], xi[mask]
-    m = coords.shape[0]
-    if m == 0:
-        return 0.0
+    xi = xi[mask]
     dim = f.grid.dim
     h2n = f.grid.cell_volume**2
     total = 0.0
     # The integrand is symmetric under (v, w) exchange: sum strictly-upper
     # pairs once and double.
-    for start in range(0, m, _PAIR_CHUNK):
-        stop = min(start + _PAIR_CHUNK, m)
-        cols = slice(start + 1, m)
-        z = coords[start:stop, None, :] - coords[None, cols, :]
-        rsq = np.einsum("pqi,pqi->pq", z, z)
-        tri = np.arange(start, stop)[:, None] >= np.arange(start + 1, m)[None, :]
-        rsq[tri] = 1.0
-        ff = fv[start:stop, None] * fv[None, cols]
-        ff[tri] = 0.0
-        psi = spec.psi(np.sqrt(rsq))
-        dxi = xi[start:stop, None, :] - xi[None, cols, :]
+    for rows, cols, z, rsq, ff, psi in pair_chunks(f, spec, mask):
+        dxi = xi[rows, None, :] - xi[None, cols, :]
         qsum = np.zeros_like(rsq)
         for i in range(dim):
             for j in range(i + 1, dim):

@@ -319,19 +319,12 @@ def normalize(f):
             break
         current = _resample(current, step)
         rho, u, temp = raw_moments(current)
-        if rho > 0:
-            # interpolation perturbs the mass; a scalar rescale fixes it
-            # exactly without another resample
-            current = current.with_values(current.values / rho)
-            total = total.compose(
-                NormalizationTransform(1.0 / rho, 1.0, (0.0,) * grid.dim)
-            )
-            rho, u, temp = 1.0, u, temp
-        err = max(
-            abs(rho - 1.0),
-            float(np.max(np.abs(u))),
-            abs(grid.dim * temp * rho + rho * (u @ u) - grid.dim) / grid.dim,
-        )
+        # interpolation perturbs the mass; a scalar rescale fixes it
+        # exactly without another resample
+        current = current.with_values(current.values / rho)
+        total = total.compose(NormalizationTransform(1.0 / rho, 1.0, (0.0,) * grid.dim))
+        rho = 1.0
+        err = max(float(np.max(np.abs(u))), abs(grid.dim * temp + u @ u - grid.dim) / grid.dim)
         if err <= 0.25 * NORMALIZE_TOL:
             break
     return current, total

@@ -1,8 +1,8 @@
 """Conservative time integration of the spatially homogeneous Landau
 equation in flux form, the symmetrized weak form, and diagnostic identities.
 
-The weak form is tested against `TestFunction`s; each radial kind is a
-profile F(rho) of rho = 1 + |v|^2 and gets its derivatives by one chain rule.
+The weak form is a direct pair sum (`functionals.pair_chunks`) against
+`TestFunction`s whose derivatives are closed forms.
 
 The collision operator is assembled as
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, check_value, fits
-from .functionals import entropy_dissipation, moments, weighted_fisher, weighted_lp
+from .functionals import entropy_dissipation, moments, pair_chunks, weighted_fisher, weighted_lp
 from .grid import _gradient_nd
 from .kernels import a_contract, collision_coefficients
 
@@ -36,10 +36,8 @@ CFL_SAFETY = 0.4
 class TestFunction:
     """Twice-differentiable test function with analytic derivatives.
 
-    Kinds: "one", ("v", i), "energy" (= |v|^2/2) and "log_f".  "one" and
-    "energy" are profiles F(rho) of rho = 1 + |v|^2, so
-    grad phi = 2 F'(rho) v and hess phi = 2 F'(rho) I + 4 F''(rho) v v^T.
-    "log_f" has no values: it selects the dissipation form of `weak_form_rhs`.
+    Kinds: "one", ("v", i), "energy" (= |v|^2/2) and "log_f".  "log_f" has
+    no values: it selects the dissipation form of `weak_form_rhs`.
     """
 
     __test__ = False  # not a test case, despite the name
@@ -56,41 +54,30 @@ class TestFunction:
             if not fits(self.index, 0) or self.index < 0:
                 raise ValidationError(f"test-function axis must be an integer >= 0, got {kind!r}")
 
-    def _profile(self, coords):
-        """(F, F', F'') of a radial kind at each row of coords; F of "energy"
-        is taken from |v|^2 itself, not from rho - 1, which rounds differently."""
-        rsq = np.sum(coords**2, axis=1)
-        zero = np.zeros_like(rsq)
+    def _derivatives(self, coords):
+        """(value, grad, hess) at each row of coords, in closed form: (1, 0, 0)
+        for "one", (|v|^2/2, v, I) for "energy" and (v_i, e_i, 0) for ("v", i)."""
+        n, dim = coords.shape
+        hess = np.zeros((n, dim, dim))
         if self.kind == "one":
-            return zero + 1.0, zero, zero
+            return np.ones(n), np.zeros((n, dim)), hess
         if self.kind == "energy":
-            return 0.5 * rsq, zero + 0.5, zero
-        raise ValidationError("log_f has no free-standing value or derivatives")
-
-    def _axis(self, coords):
-        if self.index >= coords.shape[1]:
-            raise ValidationError(f"test-function axis {self.index} on a {coords.shape[1]}-D grid")
-        return self.index
+            hess[:, range(dim), range(dim)] = 1.0
+            return 0.5 * np.sum(coords**2, axis=1), coords.copy(), hess
+        if self.kind == "log_f":
+            raise ValidationError("log_f has no free-standing value or derivatives")
+        if self.index >= dim:
+            raise ValidationError(f"test-function axis {self.index} on a {dim}-D grid")
+        return coords[:, self.index].copy(), np.eye(dim)[np.full(n, self.index)], hess
 
     def value(self, coords):
-        if self.kind == "v":
-            return coords[:, self._axis(coords)].copy()
-        return self._profile(coords)[0]
+        return self._derivatives(coords)[0]
 
     def grad(self, coords):
-        if self.kind == "v":
-            return np.eye(coords.shape[1])[np.full(len(coords), self._axis(coords))]
-        return 2.0 * self._profile(coords)[1][:, None] * coords
+        return self._derivatives(coords)[1]
 
     def hess(self, coords):
-        n, dim = coords.shape
-        if self.kind == "v":
-            self._axis(coords)
-            return np.zeros((n, dim, dim))
-        _, d1, d2 = self._profile(coords)
-        hess = 4.0 * d2[:, None, None] * coords[:, :, None] * coords[:, None, :]
-        hess[:, range(dim), range(dim)] += 2.0 * d1[:, None]
-        return hess
+        return self._derivatives(coords)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +459,8 @@ def weak_form_rhs(f, spec, phi, with_scale=False):
         int Q(f,f) phi = 1/2 sum_ij iint f f a_ij(v-w) (d2_ij phi(v) + d2_ij phi(w))
                         + sum_i  iint f f b_i(v-w) (d_i phi(v) - d_i phi(w)),
 
-    by direct double sum over node pairs, with the diagonal skipped.  For
+    by direct double sum over node pairs: the integrand is symmetric in
+    (v, w), so each unordered pair (`functionals.pair_chunks`) counts twice.  For
     phi = log f the gradient-difference (pair-difference) representation is
     used instead, which is the same quantity after integrating by parts in
     the pair variables and stays well defined near vacuum: the result is
@@ -481,36 +469,22 @@ def weak_form_rhs(f, spec, phi, with_scale=False):
     if phi.kind == "log_f":
         val = -entropy_dissipation(f, spec, form="pairdiff")
         return (val, abs(val)) if with_scale else val
-    grid = f.grid
-    live = np.flatnonzero(f.values > 0)
-    coords, fv = grid.coords[live], f.values[live]
-    gphi = phi.grad(coords)
-    hphi = phi.hess(coords)
-    dim = grid.dim
-    h2n = grid.cell_volume**2
-    total = 0.0
-    gross = 0.0
-    chunk = 64
-    m = coords.shape[0]
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        z = coords[start:stop, None, :] - coords[None, :, :]
-        rsq = np.sum(z**2, axis=-1)
-        diag = rsq == 0.0
-        rsq[diag] = 1.0
-        ff = fv[start:stop, None] * fv[None, :]
-        ff[diag] = 0.0
-        psi = np.asarray(spec.psi(np.sqrt(rsq)), dtype=float)
+    live = f.values > 0
+    coords = f.grid.coords[live]
+    gphi, hphi = phi.grad(coords), phi.hess(coords)
+    total = gross = 0.0
+    for rows, cols, z, rsq, ff, psi in pair_chunks(f, spec, live):
         # a_ij = psi (delta_ij - z_i z_j / r^2);  b_i = -(N-1) psi z_i / r^2
-        hsum = hphi[start:stop, None, :, :] + hphi[None, :, :, :]
+        hsum = hphi[rows, None] + hphi[None, cols]
         tr = np.trace(hsum, axis1=-2, axis2=-1)
         zhz = np.einsum("pqi,pqij,pqj->pq", z, hsum, z)
         a_term = 0.5 * psi * (tr - zhz / rsq)
-        gdiff = gphi[start:stop, None, :] - gphi[None, :, :]
-        b_term = -(dim - 1) * psi / rsq * np.sum(z * gdiff, axis=-1)
-        total += h2n * float(np.sum(ff * (a_term + b_term)))
-        gross += h2n * float(np.sum(ff * (np.abs(a_term) + np.abs(b_term))))
-    return (total, gross) if with_scale else total
+        gdiff = gphi[rows, None] - gphi[None, cols]
+        b_term = -(f.grid.dim - 1) * psi / rsq * np.sum(z * gdiff, axis=-1)
+        total += float(np.sum(ff * (a_term + b_term)))
+        gross += float(np.sum(ff * (np.abs(a_term) + np.abs(b_term))))
+    scale = 2.0 * f.grid.cell_volume**2  # each unordered pair stands for two
+    return (scale * total, scale * gross) if with_scale else scale * total
 
 
 def lp_energy_balance(f, spec, k, fields=None):

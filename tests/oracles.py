@@ -158,9 +158,10 @@ def radial_coulomb(f, df, radii, R=12.0, points=200_001):
         A(v)   = g''(r) vv^T/r^2 + (g'(r)/r) (I - vv^T/r^2)
         D      = 4 pi int r^2 f'^2 g''/f dr - 32 pi^2 int r^2 f^2 dr
         Fisher_w (gamma = -3) = pi int r^2 (f'^2/f) (1 + r^2)^(-3/2) dr
+        Hbar   = 4 pi int r^2 f |log f| dr   (0 where f = 0)
 
     Returns {"A": (g'', g'/r) at `radii`, "D", "D_first": D's first term,
-    "fisher_w"}; at r = 0 both eigenvalues of A are their limit
+    "fisher_w", "hbar"}; at r = 0 both eigenvalues of A are their limit
     (8 pi/3) int_0^R s f ds.
     """
     s = np.linspace(0.0, R, points)
@@ -173,12 +174,14 @@ def radial_coulomb(f, df, radii, R=12.0, points=200_001):
         g1_r = 4 * math.pi * (m2 / s - m4 / (3 * s**3) + 2 * tail / 3)
     g2[0] = g1_r[0] = 8 * math.pi / 3 * tail[0]
     score = dfs**2 / fs
+    abs_log = np.abs(np.log(np.where(fs > 0, fs, 1.0)))
     first = 4 * math.pi * float(_cumulative(s**2 * score * g2, s)[-1])
     return {
         "A": (np.interp(radii, s, g2), np.interp(radii, s, g1_r)),
         "D": first - 32 * math.pi**2 * float(_cumulative(s**2 * fs**2, s)[-1]),
         "D_first": first,
         "fisher_w": math.pi * float(_cumulative(s**2 * score * (1 + s**2) ** -1.5, s)[-1]),
+        "hbar": 4 * math.pi * float(_cumulative(s**2 * fs * abs_log, s)[-1]),
     }
 
 

@@ -17,6 +17,14 @@ zero mean and <Q, phi> = int f (A : grad^2 phi + 2 B . grad phi),
 
 with M_4 = int f |v|^4.  The solver's operator Q_h meets these rates at
 second order in h.
+
+At zero mean, rho is constant and so is tr Sigma: the first rate has
+trace 4 rho^2 (N tr Sigma - N tr Sigma) = 0.  The traceless part
+S = Sigma - T I, T = tr Sigma / N, then obeys dS/dt = -4 N rho S, so
+
+    Sigma(t) = T I + (Sigma_0 - T I) exp(-4 N rho t),
+
+which a short run of the scheme follows at second order in h.
 """
 
 import math
@@ -24,9 +32,10 @@ import math
 import numpy as np
 import pytest
 
+from landau.families import DistributionSpec, generate_distribution
 from landau.grid import DiscreteDistribution, build_grid
 from landau.kernels import PowerLawPsi, collision_coefficients
-from landau.solver import assemble_operator
+from landau.solver import assemble_operator, stability_dt, step
 
 SPEC = PowerLawPsi(0.0)
 
@@ -100,3 +109,47 @@ def test_moment_rates_converge_at_second_order():
     for k, rate in enumerate(("d(rho Sigma)/dt", "dM_4/dt")):
         order = math.log(errors[16][k] / errors[24][k]) / math.log(24 / 16)
         assert order >= 1.7, (rate, {n: e[k] for n, e in errors.items()})
+
+
+def covariance(f):
+    """(rho_h, Sigma_h) of f about the origin."""
+    w = f.grid.cell_volume * f.values
+    rho = float(np.sum(w))
+    return rho, (f.grid.coords * w[:, None]).T @ f.grid.coords / rho
+
+
+def traceless(m):
+    return m - np.trace(m) / len(m) * np.eye(len(m))
+
+
+def covariance_run(n, t_end=0.06):
+    """Heun from the anisotropic Gaussian of variances (0.6, 1.0, 1.4) to
+    t_end, at the "auto" step cut to the time left; returns the error of
+    Sigma_h(t_end) (largest traceless entry of Sigma_h - Sigma, relative to
+    that of Sigma), the relative move of tr Sigma_h and the step count."""
+    grid = build_grid(3, 6.0, n)
+    spec = DistributionSpec("anisotropic_gaussian", {"variances": [0.6, 1.0, 1.4]})
+    f = generate_distribution(spec, grid)
+    f = f.with_values(f.values / (np.sum(f.values) * grid.cell_volume))
+    rho, sigma0 = covariance(f)
+    t, steps = 0.0, 0
+    while t < t_end:
+        dt = min(stability_dt(collision_coefficients(f, SPEC), grid.h), t_end - t)
+        f = step(f, SPEC, dt, scheme="heun")
+        t += dt
+        steps += 1
+    temp = np.trace(sigma0) / 3
+    exact = temp * np.eye(3) + traceless(sigma0) * math.exp(-4 * 3 * rho * t_end)
+    _, sigma = covariance(f)
+    error = np.max(np.abs(traceless(sigma - exact))) / np.max(np.abs(traceless(exact)))
+    return error, abs(np.trace(sigma) / np.trace(sigma0) - 1), steps
+
+
+def test_covariance_follows_its_closed_form():
+    # margins fixed before the first run: the error falls from n = 12 to
+    # 16 at an observed order >= 1.7, and tr Sigma holds to 1e-12 (it
+    # reads 20.4% and 10.4%, order 2.35, in 29 and 53 steps)
+    (e12, tr12, _), (e16, tr16, _) = covariance_run(12), covariance_run(16)
+    assert e16 < e12
+    assert math.log(e12 / e16) / math.log(16 / 12) >= 1.7
+    assert max(tr12, tr16) <= 1e-12

@@ -6,10 +6,12 @@ interpolation sums in another order than SciPy and the corner form, so it
 matches them to a few ulp, and bit for bit at nodes and outside the box."""
 
 import numpy as np
+import pytest
 import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 from scipy.ndimage import map_coordinates
 
+from landau import functionals
 from landau.functionals import _pair_factors, entropy_dissipation
 from landau.grid import DiscreteDistribution, _gradient_nd, _multilinear, build_grid, grad_log
 from landau.kernels import (
@@ -124,6 +126,34 @@ def test_projected_dissipation_equals_pair_difference(state):
     projected = entropy_dissipation(f, SPEC, form="projected")
     pairdiff = entropy_dissipation(f, SPEC, form="pairdiff")
     assert abs(projected - pairdiff) <= 1e-10 * abs(pairdiff)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(5, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from([CoulombPsi(), PowerLawPsi(-2.5)]),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.booleans())
+def test_dissipation_ignores_an_affine_log_gradient(n, seed, spec, log_c, log_lam, negative):
+    # a(z) z = 0, so adding c + lam v to xi = grad log f on the mask leaves
+    # each pair's term, and D in both forms, unchanged; |c| and |lam| run
+    # from 1e-2 to 1e2, on states with about a fifth of the nodes zeroed
+    rng = np.random.default_rng([seed, 1])
+    f = positive_state(n, 4.0, seed)
+    f = f.with_values(np.where(rng.random(f.grid.size) < 0.2, 0.0, f.values))
+    direction = rng.standard_normal(3)
+    c = 10.0**log_c * direction / np.linalg.norm(direction)
+    lam = (-1.0 if negative else 1.0) * 10.0**log_lam
+    forms = ("projected", "pairdiff")
+    plain = [entropy_dissipation(f, spec, form=form) for form in forms]
+
+    def shifted(g):
+        xi, mask = grad_log(g)
+        return np.where(mask[:, None], xi + c + lam * g.grid.coords, 0.0), mask
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(functionals, "grad_log", shifted)
+        moved = [entropy_dissipation(f, spec, form=form) for form in forms]
+    for form, d, d_shifted in zip(forms, plain, moved):
+        assert abs(d_shifted - d) <= 1e-12 * d, form
 
 
 @few

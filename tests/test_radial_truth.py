@@ -4,9 +4,10 @@ and the program's D and today's scheme against radial trajectories of the
 equation itself (`oracles.radial_landau`), along which the paper's
 time-integrated bounds are checked.
 
-The state is the shell f = exp(-(r - 2)^2 / (2 * 0.5^2)), not normalized, on
-[-6, 6]^3.  Its 1-D D is 2292.944953543; the 1-D integrals agree to 2e-10
-between (R, points) = (12, 2e5) and (14, 4e5).
+The snapshot states are table H's shells f = exp(-(r - c)^2 / (2 w^2)), not
+normalized, on [-6, 6]^3: (c, w) = (2, 0.5) and (1.5, 0.6).  The first one's
+1-D D is 2292.944953543, and the 1-D integrals agree to 2e-10 between
+(R, points) = (12, 2e5) and (14, 4e5); the second one's is 614.03627178.
 """
 
 import math
@@ -26,31 +27,43 @@ from landau.solver import SolverConfig, run, stability_dt
 from oracles import radial_coulomb, radial_landau
 
 RESOLUTIONS = (16, 24, 32)
+SHELLS = ((2.0, 0.5), (1.5, 0.6))  # table H's (centre, width)
 
 
-def shell(r):
-    return np.exp(-((r - 2.0) ** 2) / (2 * 0.5**2))
+def gaussian_shell(centre, width, scale=1.0, beta=1.0):
+    """(f, f') of r -> scale exp(-(beta r - centre)^2 / (2 width^2))."""
+    def f(r):
+        return scale * np.exp(-((beta * r - centre) ** 2) / (2 * width**2))
+
+    def df(r):
+        return -beta * (beta * r - centre) / width**2 * f(r)
+
+    return f, df
 
 
-def shell_derivative(r):
-    return -(r - 2.0) / 0.5**2 * shell(r)
+shell, shell_derivative = gaussian_shell(*SHELLS[0])
 
 
 @pytest.fixture(scope="module")
 def errors():
-    """{quantity: [error at each n of RESOLUTIONS]}: A as max|A - A_true| /
-    max|A_true| over |v| < 4.5, D and Fisher_w relative to the truth."""
+    """{(centre, width): {quantity: [error at each n of RESOLUTIONS]}} for
+    each of SHELLS: A as max|A - A_true| / max|A_true| over |v| < 4.5, D and
+    Fisher_w relative to the truth."""
+    return {pair: shell_errors(*gaussian_shell(*pair)) for pair in SHELLS}
+
+
+def shell_errors(profile, derivative):
     out = {"A": [], "D": [], "fisher_w": []}
     spec = CoulombPsi()
     for n in RESOLUTIONS:
         grid = build_grid(3, 6.0, n)
         r = np.sqrt(grid.sq_norm)
-        truth = radial_coulomb(shell, shell_derivative, r)
+        truth = radial_coulomb(profile, derivative, r)
         along, across = truth["A"]
         u = grid.coords / r[:, None]
         uu = u[:, :, None] * u[:, None, :]
         exact = along[:, None, None] * uu + across[:, None, None] * (np.eye(3) - uu)
-        f = DiscreteDistribution(grid, shell(r))
+        f = DiscreteDistribution(grid, profile(r))
         inner = r < 4.5
         A = collision_coefficients(f, spec)
         out["A"].append(np.max(np.abs(A - exact)[inner]) / np.max(np.abs(exact[inner])))
@@ -67,10 +80,57 @@ def test_shell_dissipation_reference():
 @pytest.mark.parametrize("quantity", ["A", "D", "fisher_w"])
 def test_program_converges_to_truth(errors, quantity):
     # second order in h = 2L/n, read between n = 24 and 32 with the margin
-    # 1.5 fixed in advance (D reads -17.96%, -8.42%, -4.85%: order 1.92)
-    e16, e24, e32 = (abs(e) for e in errors[quantity])
-    assert e16 > e24 > e32
-    assert math.log(e24 / e32) / math.log(32 / 24) >= 1.5
+    # 1.5 fixed in advance (D reads -17.96%, -8.42%, -4.85%: order 1.92;
+    # on the second shell -31.5%, -15.5%, -9.15%: order 1.84)
+    for pair in SHELLS:
+        e16, e24, e32 = (abs(e) for e in errors[pair][quantity])
+        assert e16 > e24 > e32, pair
+        assert math.log(e24 / e32) / math.log(32 / 24) >= 1.5, pair
+
+
+def test_second_shell_dissipation_reference():
+    truth = radial_coulomb(*gaussian_shell(*SHELLS[1]), np.zeros(1))
+    assert truth["D"] == pytest.approx(614.03627178, rel=1e-8)
+
+
+def test_maxwellian_abs_entropy():
+    # Hbar of the unit Maxwellian, whose log is negative everywhere:
+    # int f (3/2 ln 2 pi + r^2/2) = (3/2)(ln 2 pi + 1)
+    truth = radial_coulomb(*gaussian_shell(0.0, 1.0, (2 * math.pi) ** -1.5), np.zeros(1))
+    assert abs(truth["hbar"] - 1.5 * (math.log(2 * math.pi) + 1)) <= 1e-9
+
+
+def _half_line_moment(k, centre, width):
+    """int_0^inf s^k exp(-(s - centre)^2 / (2 width^2)) ds, by s = centre +
+    width t and J_j = int_a^inf t^j e^(-t^2/2) dt, a = -centre/width:
+    J_0 = sqrt(pi/2) erfc(a/sqrt 2), J_1 = e^(-a^2/2) and
+    J_j = a^(j-1) e^(-a^2/2) + (j - 1) J_(j-2)."""
+    a = -centre / width
+    J = [math.sqrt(math.pi / 2) * math.erfc(a / math.sqrt(2)), math.exp(-a * a / 2)]
+    for j in range(2, k + 1):
+        J.append(a ** (j - 1) * math.exp(-a * a / 2) + (j - 1) * J[j - 2])
+    return width * sum(math.comb(k, j) * centre ** (k - j) * width**j * J[j]
+                       for j in range(k + 1))
+
+
+# Gaussian shells of width 1 fixed before the run; a dilated shell's shape
+# depends on centre/width alone, and past centre 5.75 it underflows on [0, 12]
+CONSTANT_SHELLS = tuple(0.25 * k for k in range(24))
+
+
+def test_radial_constant_is_far_below_the_explicit_one():
+    # K = Fisher_w / (e^(16 Hbar / 3) (2 + (128/3) D)) of each shell dilated
+    # to mass 1 and int f |v|^2 = 3: the paper's constant bounds it; the
+    # largest K reads 9.6e-12, 2.3e16 times below EDD_RADIAL_CONSTANT
+    s = np.linspace(0.0, 12.0, 200_001)
+    for centre in CONSTANT_SHELLS:
+        m2, m4 = (_half_line_moment(k, centre, 1.0) for k in (2, 4))
+        beta = math.sqrt(m4 / (3 * m2))
+        f, df = gaussian_shell(centre, 1.0, beta**3 / (4 * math.pi * m2), beta)
+        assert np.min(f(s)) > 1e-300, centre
+        truth = radial_coulomb(f, df, np.zeros(1))
+        k = truth["fisher_w"] / (math.exp(16 * truth["hbar"] / 3) * (2 + 128 / 3 * truth["D"]))
+        assert k <= EDD_RADIAL_CONSTANT, centre
 
 
 def test_maxwellian_dissipation_vanishes():

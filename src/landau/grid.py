@@ -62,6 +62,15 @@ class VelocityGrid:
             raise ResourceError(
                 f"{nodes_per_axis}^{dim} nodes exceed the budget of {DEFAULT_MAX_NODES}"
             )
+        # the (size, dim) coordinates, and the meshgrid they are stacked
+        # from, are no larger than those of the largest admitted 3-D grid
+        coord_bytes = nodes_per_axis ** dim * dim * 8
+        coord_budget = 3 * DEFAULT_MAX_NODES * 8
+        if coord_bytes > coord_budget:
+            raise ResourceError(
+                f"the {nodes_per_axis}^{dim} node coordinates take {coord_bytes} bytes, over "
+                f"the {coord_budget} bytes of the largest admitted 3-D grid"
+            )
         self.dim = dim
         self.half_width = float(half_width)
         self.n = nodes_per_axis

@@ -225,15 +225,13 @@ def _padded_shape(grid):
     return (_fast_len(2 * grid.n - 1),) * grid.dim
 
 
-def _forward(g, shape, out=None):
+def _forward(g, shape, out):
     """Real spectrum of g zero-padded to `shape`, shape[:-1] + (P//2+1,).
 
-    Written into `out` when given, whatever it held, or a fresh array: only
-    the padding the passes read is zeroed, since the passes overwrite the rest.
+    Written into `out`, whatever it held, and returned: only the padding
+    the passes read is zeroed, since the passes overwrite the rest.
     """
     data = tuple(slice(m) for m in g.shape[:-1])
-    if out is None:
-        out = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
     for ax in range(g.ndim - 1):
         out[(slice(None),) * ax + (slice(g.shape[ax], None),) + data[ax + 1:]] = 0
     np.fft.rfft(g, shape[-1], axis=-1, out=out[data])

@@ -242,7 +242,9 @@ def radial_landau(profile, R, m, times, points=20_001):
     Returns a dict of arrays over `times`: "H" and "abs_entropy" (int f ln f,
     int f |ln f|), "dH_dt" and "residual" = max |d_t f| / max f of the
     semi-discrete system, "D" and "fisher_w" (gamma = -3) by
-    `radial_coulomb` on a cubic spline of ln f, "l3w" = ||<v>^-3 f||_3,
+    `radial_coulomb` on a cubic spline of ln f, "fisher" = int |grad f|^2 / f
+    = 4 pi int_0^R r^2 f (ln f)'^2 dr by the trapezoid rule on `points`
+    nodes of the same spline, "l3w" = ||<v>^-3 f||_3,
     "mass", "energy" (int f |v|^2), "moments" {l: int f (1 + |v|^2)^l} for
     l = 2, 3, 4, and "f": per time the density as a vectorized function of
     r, 0 beyond R.
@@ -271,7 +273,8 @@ def radial_landau(profile, R, m, times, points=20_001):
     if not sol.success:
         raise RuntimeError(sol.message)
     out = {key: [] for key in ("H", "abs_entropy", "dH_dt", "residual", "D", "fisher_w",
-                               "l3w", "mass", "energy", "f")}
+                               "fisher", "l3w", "mass", "energy", "f")}
+    nodes = np.linspace(0.0, R, points)
     out["moments"] = {l: [] for l in (2, 3, 4)}
     for t in times:
         f = sol.sol(t) if t > 0 else f0
@@ -296,6 +299,8 @@ def radial_landau(profile, R, m, times, points=20_001):
         out["residual"].append(float(np.max(np.abs(dfdt)) / np.max(f)))
         out["D"].append(truth["D"])
         out["fisher_w"].append(truth["fisher_w"])
+        out["fisher"].append(4 * math.pi * float(np.trapezoid(
+            nodes**2 * density(nodes) * spline(nodes, 1) ** 2, nodes)))
         weight = (1 + centres**2) ** -1.5
         out["l3w"].append(float(4 * math.pi * np.sum(w2 * (weight * f) ** 3)) ** (1 / 3))
         out["mass"].append(float(np.sum(cell)))

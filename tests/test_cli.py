@@ -216,6 +216,18 @@ class TestVerify:
         assert_usage_error(capsys, "verify", "--config", p, "--out-dir", tmp_path / "r",
                            out=tmp_path / "r")
 
+    def test_grid_over_the_coordinate_budget_is_usage_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # a 6-D grid at the node budget is refused before its coordinates
+        monkeypatch.setattr(landau.grid, "DEFAULT_MAX_NODES", 4**6)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"grid": {"dim": 6}, "resolutions": [4], "suites": ["sobolev"]}))
+        assert main(["verify", "--config", str(p), "--out-dir", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad verify config: the 4^6 node coordinates take "
+                              "196608 bytes") and err.count("\n") == 1, err
+        assert not (tmp_path / "r").exists()
+
     def test_zero_resolution_override_is_usage_error(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, ["sobolev"])
         assert_usage_error(capsys, "verify", "--config", cfg, "--out-dir", tmp_path / "r",

@@ -25,17 +25,25 @@ S = Sigma - T I, T = tr Sigma / N, then obeys dS/dt = -4 N rho S, so
     Sigma(t) = T I + (Sigma_0 - T I) exp(-4 N rho t),
 
 which a short run of the scheme follows at second order in h.
+
+The first rate also holds for the weak form at any mean.  Against
+phi = v_a v_b the pair integrand of `weak_form_rhs` is a polynomial in
+z = v - w: the a-term gives 2 a_ab(z) and the b-term, b(z) = -(N - 1) z,
+gives -2 (N - 1) z_a z_b.  The pair sums of |z|^2 and z z^T over the
+discrete measure are 2 rho^2 tr Sigma and 2 rho^2 Sigma about its own mean,
+so `weak_form_rhs` equals 4 rho^2 (tr Sigma I - N Sigma)_ab to round-off.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from landau.families import DistributionSpec, generate_distribution
 from landau.grid import DiscreteDistribution, build_grid
 from landau.kernels import PowerLawPsi, collision_coefficients
-from landau.solver import assemble_operator, stability_dt, step
+from landau.solver import TestFunction, assemble_operator, stability_dt, step, weak_form_rhs
 
 SPEC = PowerLawPsi(0.0)
 
@@ -83,6 +91,36 @@ def two_bump_state(grid):
         return np.exp(-0.5 * np.einsum("ki,ij,kj->k", d, precision, d))
 
     return DiscreteDistribution(grid, bump(grid.coords - c) + bump(grid.coords + c))
+
+
+class Product(TestFunction):
+    """phi = v_a v_b: grad phi = v_b e_a + v_a e_b, hess phi = e_a e_b^T + e_b e_a^T."""
+
+    def __init__(self, a, b):
+        self.kind, self.a, self.b = "product", a, b
+
+    def _derivatives(self, coords):
+        n, dim = coords.shape
+        e = np.eye(dim)
+        grad = coords[:, self.b, None] * e[self.a] + coords[:, self.a, None] * e[self.b]
+        hess = np.outer(e[self.a], e[self.b]) + np.outer(e[self.b], e[self.a])
+        return coords[:, self.a] * coords[:, self.b], grad, np.broadcast_to(hess, (n, dim, dim))
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(st.sampled_from([5, 6, 7]), st.integers(0, 2**32 - 1))
+def test_weak_form_meets_the_covariance_rate(n, seed):
+    # both the a-term and the b-term are nonzero here, unlike for the
+    # conserved phi, whose pair terms cancel pair by pair
+    f = shifted_anisotropic_state(build_grid(3, 3.0, n), seed)
+    w = f.grid.cell_volume * f.values
+    rho = float(np.sum(w))
+    c = f.grid.coords - w @ f.grid.coords / rho
+    sigma = (c * w[:, None]).T @ c / rho
+    ref = 4.0 * rho**2 * (np.trace(sigma) * np.eye(3) - 3 * sigma)
+    rate = np.array([[weak_form_rhs(f, SPEC, Product(a, b)) for b in range(3)]
+                     for a in range(3)])
+    assert np.max(np.abs(rate - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def rate_errors(n):

@@ -68,6 +68,22 @@ class TestBuildGrid:
         with pytest.raises(ResourceError):
             build_grid(3, 2.0, 4096)
 
+    def test_coordinates_are_bounded_before_they_are_built(self, monkeypatch, traced_peak):
+        # at a budget of 4^6 nodes, 4^6 nodes in 6-D pass the node count but
+        # their coordinates would take twice those of 16^3; the refusal comes
+        # before the meshgrid, so it allocates less than one coordinate column
+        from landau import grid as grid_module
+        from landau.errors import ResourceError
+
+        monkeypatch.setattr(grid_module, "DEFAULT_MAX_NODES", 4**6)
+
+        def refused():
+            with pytest.raises(ResourceError, match="take 196608 bytes, over the 98304 bytes"):
+                build_grid(6, 1.0, 4)
+
+        assert traced_peak(refused) < 4**6 * 8
+        assert build_grid(3, 1.0, 16).coords.nbytes == 98304
+
 
 class TestDiscreteDistribution:
     def test_rejects_negative_and_nonfinite(self):

@@ -1,13 +1,18 @@
-"""Every name a library module imports is used in that module, every name
-the benchmark traces in `landau` exists, every top-level function and
-class of `landau` is reached by the library, the benchmark, the acceptance
-tests or the test oracles, and every public oracle is named by a test, so
-an oracle no test calls cannot keep a library name alive."""
+"""The package root binds only `__version__`, so importing one module
+loads that module and what it imports, nothing more. Every name a library
+module imports is used in that module, every name the benchmark traces in
+`landau` exists, every top-level function and class of `landau` is
+reached by the library, the benchmark, the acceptance tests or the test
+oracles, and every public oracle is named by a test, so an oracle no test
+calls cannot keep a library name alive."""
 
 import ast
 import importlib
 import importlib.util
 import operator
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,10 +23,26 @@ MODULES = sorted(
     p for p in Path(landau.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
 ROOT = Path(__file__).resolve().parents[1]
-# what may reach a library name; the package's own exports do not count
+# what may reach a library name; the package root names none
 ORACLES = ROOT / "tests" / "oracles.py"
 REACHING = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py", ORACLES]
+
+
+def test_root_is_its_version():
+    # a fresh child: the root's names before any submodule binds its own,
+    # then the library modules that one `import landau.grid` loads
+    code = ("import importlib.util, sys, landau\n"
+            "fresh = vars(importlib.util.module_from_spec(landau.__spec__))\n"
+            "print(sorted(set(vars(landau)) - set(fresh) - {'__builtins__'}))\n"
+            "import landau.grid\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'landau'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "['__version__']", "['landau', 'landau.errors', 'landau.grid']"]
 
 
 def _unused_imports(source):

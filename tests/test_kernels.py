@@ -189,7 +189,8 @@ class TestEngine:
         def inverse(spectrum):
             return K._quadrature(grid, spectrum, lay.shape)
 
-        g_hat = [K._forward(comp, lay.shape) for comp in g]
+        half = lay.shape[:-1] + (lay.shape[-1] // 2 + 1,)
+        g_hat = [K._forward(comp, lay.shape, np.empty(half, dtype=complex)) for comp in g]
         if name == "psi_convolve":
             ref = inverse(full(lay.psi_spectrum()) * g_hat[0])
             assert np.array_equal(psi_convolve(grid, spec, g[0]), ref)
@@ -268,7 +269,8 @@ class TestEngine:
         K = landau.kernels
         grid = build_grid(3, 2.0, 32)
         shape = K._padded_shape(grid)
-        spectrum = K._forward(np.random.default_rng(2).standard_normal(grid.shape), shape)
+        spectrum = K._forward(np.random.default_rng(2).standard_normal(grid.shape), shape,
+                              np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex))
         whole = np.fft.irfftn(spectrum, shape, axes=(0, 1, 2), norm="forward")[:32, :32, :32]
         ref = whole * (1.0 / math.prod(shape)) * grid.cell_volume
         budget = grid.size * 8 + 2 * K._SLAB_BYTES + 8 * 1024

@@ -2,7 +2,7 @@
 truth of a radial state under the 3-D Coulomb kernel (`oracles.radial_coulomb`),
 and the program's D and today's scheme against radial trajectories of the
 equation itself (`oracles.radial_landau`), along which the paper's
-time-integrated bounds are checked.
+time-integrated bounds and the monotone Fisher information are checked.
 
 The snapshot states are table H's shells f = exp(-(r - c)^2 / (2 w^2)), not
 normalized, on [-6, 6]^3: (c, w) = (2, 0.5) and (1.5, 0.6).  The first one's
@@ -283,3 +283,26 @@ def test_time_integrated_bounds_hold(profile):
         edd = EDD_RADIAL_CONSTANT * math.exp(16 * hbar / 3) * (2 * T + 128 / 3 * dissipation)
         assert fisher <= edd
         assert l3w <= SOBOLEV_MASS_CONSTANT * T + SOBOLEV_FISHER_CONSTANT * fisher
+
+
+# ---------------------------------------------------------------------------
+# the Fisher information along exact radial trajectories
+
+FISHER_TIMES = (0.0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("profile", [shell_s1, s2], ids=["S1", "S2"])
+def test_reference_fisher_information_does_not_increase(profile):
+    # Guillen and Silvestre (arXiv 2311.09420): along smooth, positive,
+    # rapidly decaying solutions of the 3-D space-homogeneous Landau
+    # equation, Coulomb included, I(f) = int |grad f|^2 / f does not
+    # increase.  S1 and S2 are smooth, positive and of Gaussian tails; the
+    # 1-D truth is theirs up to its own error, |I_800 - I_1600|, which is
+    # the slack each rise gets at its two ends.  That error must stay at
+    # most 1e-4 of I, so the slack is small: it reads at most 2.3e-5 of I,
+    # while S1 falls from 12.945 to 6.294 and S2 from 5.779 to 4.573
+    coarse, fine = (radial_landau(profile, S2_R, m, FISHER_TIMES)["fisher"]
+                    for m in (800, 1600))
+    error = np.abs(fine - coarse)
+    assert np.all(error <= 1e-4 * fine)
+    assert np.all(np.diff(fine) <= error[:-1] + error[1:])

@@ -258,39 +258,85 @@ def _check_state(case, psi, entries):
     return [_suite_rows(entry, f, psi, fam_spec.kind, grid.n) for entry in entries]
 
 
-_worker_job = None  # (cases, psi, entries) while a verify pool runs
-
-
-def _check_case(index):
-    cases, psi, entries = _worker_job
-    return _check_state(cases[index], psi, entries)
+def _pipe(buffering=-1):
+    """(read end, write end) of a new pipe, as binary files."""
+    read_fd, write_fd = os.pipe()
+    return open(read_fd, "rb", buffering), open(write_fd, "wb", buffering)
 
 
 def _check_states(cases, psi, entries):
     """`_check_state` of every (family spec, grid) case, in the order of
-    `cases`.  With `verify_workers` above 1 the cases run largest n first
-    in a pool of forked workers, which read the job from the memory they
-    inherit, and their results are read in case order, so an error a case
-    raises is raised as in a serial run; else they run here, one after
-    another."""
-    global _worker_job
+    `cases`.  With `verify_workers` above 1 this process forks the
+    workers, which read the cases from the memory they inherit.  Each
+    takes case indices, largest n first, from one queue pipe until the
+    queue ends, and writes one pickle of its (index, rows or exception)
+    items to a pipe of its own.  The results are read in case order, so an
+    error a case raises is raised as in a serial run, and a case that no
+    worker returned raises ResourceError.  Else the cases run here, one
+    after another."""
     workers = verify_workers(len(cases))
     if workers == 1:
         return [_check_state(case, psi, entries) for case in cases]
-    # imported here, so that `import landau.cli` does not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle  # NumPy has loaded it; only a forked run uses it
 
-    # fork, not spawn: a spawned worker would import the package again.
-    # Forking is safe because BLAS runs one thread whenever workers > 1,
-    # and the pool forks every worker before it starts its own threads.
-    _worker_job = (cases, psi, entries)
-    order = sorted(range(len(cases)), key=lambda i: -cases[i][1].n)
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-        futures = {i: pool.submit(_check_case, i) for i in order}
-        results = [futures[i].result() for i in range(len(cases))]
-    _worker_job = None
-    return results
+    # fork, not spawn, so that no worker imports the package again; safe
+    # because BLAS runs one thread whenever workers > 1.  The queue is
+    # unbuffered, so that each index is one 4-byte write or read, which a
+    # pipe keeps whole with several readers.
+    queue, feed = _pipe(buffering=0)
+    ends = [queue, feed]  # every pipe end this process holds
+    outputs = {}  # worker pid: the read end of its result pipe
+    try:
+        for _ in range(workers):
+            output, into = _pipe()
+            ends += [output, into]
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    feed.close()  # the queue ends only when no worker holds this end
+                    items = []
+                    while index := queue.read(4):
+                        i = int.from_bytes(index, "little")
+                        try:
+                            items.append((i, _check_state(cases[i], psi, entries)))
+                        except Exception as exc:
+                            items.append((i, exc))
+                    with into:
+                        pickle.dump(items, into)
+                    code = 0
+                finally:
+                    os._exit(code)  # never return into the caller or flush its stdio
+            into.close()
+            outputs[pid] = output
+        # written once every worker exists, so that a queue longer than the
+        # pipe's buffer waits only for the workers to read it
+        queue.close()
+        with contextlib.suppress(BrokenPipeError):  # every worker has ended
+            for i in sorted(range(len(cases)), key=lambda i: -cases[i][1].n):
+                feed.write(i.to_bytes(4, "little"))
+        feed.close()
+        data = {pid: output.read() for pid, output in outputs.items()}
+    except BaseException:
+        for pid in outputs:
+            os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        for end in ends:
+            end.close()
+        statuses = {pid: os.waitpid(pid, 0)[1] for pid in outputs}
+    results = {}
+    for pid, status in statuses.items():
+        if status == 0:
+            results.update(pickle.loads(data[pid]))
+    for i, (fam_spec, grid) in enumerate(cases):
+        if i not in results:
+            code = next(os.waitstatus_to_exitcode(s) for s in statuses.values() if s)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ResourceError(f"a verify worker {how}; no result for {fam_spec.kind}@{grid.n}")
+        if isinstance(results[i], Exception):
+            raise results[i]
+    return [results[i] for i in range(len(cases))]
 
 
 def cmd_verify(args):

@@ -95,8 +95,8 @@ def check_edd_theorem(f, spec, mode="radial_explicit"):
     """
     if mode not in ("radial_explicit", "ratio"):
         raise ValidationError(f"unknown mode {mode!r}")
-    dissipation = entropy_dissipation(f, spec, form="projected")
     if mode == "ratio":
+        dissipation = entropy_dissipation(f, spec, form="projected")
         g1 = spec.gamma
         lhs = weighted_fisher(f, g1)
         rhs = 1.0 + dissipation
@@ -116,6 +116,8 @@ def check_edd_theorem(f, spec, mode="radial_explicit"):
             f"input is not radially symmetric (deviation {dev:.2e} > 1e-3)"
         )
     ms = check_normalized(f)
+    # D is the costly term: an input the checks above reject never pays for it
+    dissipation = entropy_dissipation(f, spec, form="projected")
     hbar = ms.abs_entropy
     lhs = weighted_fisher(f, -3.0)
     rhs = (

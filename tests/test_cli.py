@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import landau
+from landau import cli
 from landau.cli import build_parser, main, verify_workers
 from landau.families import DistributionSpec, generate_distribution
 from landau.grid import DiscreteDistribution, build_grid
@@ -393,6 +395,60 @@ class TestVerifyWorkers:
             assert not (tmp_path / "r").exists()
             results.append((res.stdout, res.stderr))
         assert results[0] == results[1]
+
+    def write_small_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"dim": 3, "half_width": 6.0}, "resolutions": [8, 10],
+            "suites": ["sobolev"],
+            "families": [{"kind": "maxwellian"}, {"kind": "radial_shell"}],
+        }))
+        return cfg
+
+    def test_dead_worker_is_one_line_and_no_child_is_left(self, tmp_path, monkeypatch, capsys):
+        if CPUS < 2:
+            pytest.skip("one usable CPU: the run would not fork")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        check_state = cli._check_state
+
+        def killed_on_one_case(case, psi, entries):
+            if case[0].kind == "radial_shell" and case[1].n == 8:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return check_state(case, psi, entries)
+
+        monkeypatch.setattr(cli, "_check_state", killed_on_one_case)
+        out = tmp_path / "r"
+        rc = main(["verify", "--config", str(self.write_small_config(tmp_path)),
+                   "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert f"killed by signal {signal.SIGKILL.value}" in err and "Traceback" not in err
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_pooled_run_loads_no_process_pool_and_leaves_no_child(self, tmp_path):
+        if CPUS < 2:
+            pytest.skip("one usable CPU: the run would not fork")
+        code = ("import os, sys\n"
+                "from landau.cli import main, verify_workers\n"
+                "rc = main(sys.argv[1:])\n"
+                "try:\n"
+                "    os.waitpid(-1, os.WNOHANG)\n"
+                "    left = True\n"
+                "except ChildProcessError:\n"
+                "    left = False\n"
+                "print(rc, verify_workers(4), left, [m for m in sys.modules if m.split('.')[0] "
+                "== 'multiprocessing' or m.startswith('concurrent.futures')])\n")
+        env = {k: v for k, v in CHILD_ENV.items() if k not in BLAS_VARS}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        res = subprocess.run(
+            [sys.executable, "-c", code, "verify", "--config",
+             str(self.write_small_config(tmp_path)), "--out-dir", str(tmp_path / "r")],
+            capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == f"0 {min(4, CPUS)} False []"
 
 
 class TestSolve:

@@ -32,6 +32,20 @@ z = v - w: the a-term gives 2 a_ab(z) and the b-term, b(z) = -(N - 1) z,
 gives -2 (N - 1) z_a z_b.  The pair sums of |z|^2 and z z^T over the
 discrete measure are 2 rho^2 tr Sigma and 2 rho^2 Sigma about its own mean,
 so `weak_form_rhs` equals 4 rho^2 (tr Sigma I - N Sigma)_ab to round-off.
+
+So does the fourth central moment.  Against phi = |x|^4, x = v - u with u
+the discrete mean, grad phi = 4 |x|^2 x and hess phi = 4 |x|^2 I + 8 x x^T.
+By the (v, w) symmetry the a-term integrates a(z) : hess phi(x) =
+4 (N + 1) |x|^2 |z|^2 - 8 (z . x)^2 and the b-term -8 (N - 1) |x|^2 (z . x),
+z = x - y.  Over the discrete measure, with K_4 = <|x|^4>, the pair sums of
+|x|^2 |z|^2, (z . x)^2 and |x|^2 (z . x) are rho^2 (K_4 + (tr Sigma)^2),
+rho^2 (K_4 + Sigma : Sigma) and rho^2 K_4, since odd central moments
+against a constant vanish.  So `weak_form_rhs` equals
+
+    4 rho^2 [(N + 1) (tr Sigma)^2 - 2 Sigma : Sigma - (N - 1) K_4],
+
+which at zero mean is the dM_4/dt above, and is 0 for a Maxwellian, whose
+K_4 = (tr Sigma)^2 + 2 Sigma : Sigma with Sigma = T I.
 """
 
 import math
@@ -121,6 +135,34 @@ def test_weak_form_meets_the_covariance_rate(n, seed):
     rate = np.array([[weak_form_rhs(f, SPEC, Product(a, b)) for b in range(3)]
                      for a in range(3)])
     assert np.max(np.abs(rate - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class CentralQuartic(TestFunction):
+    """phi = |v - u|^4 about a fixed point u."""
+
+    def __init__(self, u):
+        self.kind, self.u = "central_quartic", u
+
+    def _derivatives(self, coords):
+        x = coords - self.u
+        sq = np.sum(x * x, axis=1)
+        hess = 4.0 * sq[:, None, None] * np.eye(x.shape[1]) + 8.0 * x[:, :, None] * x[:, None, :]
+        return sq**2, 4.0 * sq[:, None] * x, hess
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(st.sampled_from([5, 6, 7]), st.integers(0, 2**32 - 1))
+def test_weak_form_meets_the_fourth_moment_rate(n, seed):
+    f = shifted_anisotropic_state(build_grid(3, 3.0, n), seed)
+    w = f.grid.cell_volume * f.values
+    rho = float(np.sum(w))
+    u = w @ f.grid.coords / rho
+    c = f.grid.coords - u
+    sigma = (c * w[:, None]).T @ c / rho
+    k4 = float(w @ np.sum(c * c, axis=1) ** 2) / rho
+    ref = 4.0 * rho**2 * (4 * np.trace(sigma) ** 2 - 2 * np.sum(sigma * sigma) - 2 * k4)
+    rate = weak_form_rhs(f, SPEC, CentralQuartic(u))
+    assert abs(rate - ref) <= 1e-12 * abs(ref)
 
 
 def rate_errors(n):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from landau import inequalities
 from landau.errors import ValidationError
 from landau.families import DistributionSpec, generate_distribution
+from landau.functionals import entropy_dissipation
 from landau.grid import DiscreteDistribution, build_grid, normalize
 from landau.inequalities import (
     EDD_RADIAL_CONSTANT,
@@ -51,7 +53,15 @@ class TestEddTheorem:
             assert rep.holds
             assert rep.slack >= 10.0
 
-    def test_non_radial_rejected(self):
+    def test_non_radial_rejected(self, monkeypatch):
+        # rejected before D, the costly term, is taken
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return entropy_dissipation(*args, **kwargs)
+
+        monkeypatch.setattr(inequalities, "entropy_dissipation", counted)
         grid = build_grid(3, 6.0, 12)
         f = generate_distribution(
             DistributionSpec(
@@ -60,8 +70,11 @@ class TestEddTheorem:
             ),
             grid,
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not radially symmetric"):
             check_edd_theorem(f, CoulombPsi(), mode="radial_explicit")
+        assert calls == []
+        check_edd_theorem(f, CoulombPsi(), mode="ratio")
+        assert len(calls) == 1
 
     def test_ratio_mode_finite_and_positive(self):
         grid = build_grid(3, 6.0, 16)

@@ -192,22 +192,11 @@ def _write_suite_reports(rows, out_dir):
     _dump_json(rows, os.path.join(out_dir, "report.json"))
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["suite", "family", "resolution", "name", "lhs", "rhs", "slack", "holds"]
-        )
+        columns = ("suite", "family", "resolution", "name", "lhs", "rhs", "slack", "holds")
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow(
-                [
-                    row["suite"],
-                    row["family"],
-                    row["resolution"],
-                    row["name"],
-                    repr(row["lhs"]),
-                    repr(row["rhs"]),
-                    repr(row["slack"]),
-                    row["holds"],
-                ]
-            )
+            writer.writerow(repr(row[c]) if c in ("lhs", "rhs", "slack") else row[c]
+                            for c in columns)
 
 
 def verify_workers(states):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError, ValidationError, fits
 from .grid import EPS_FLOOR, NORMALIZE_TOL, grad_log, gradient_sqrt, integrate
 from .kernels import a_column_keys, a_columns, a_pair_sum
 
@@ -275,13 +275,6 @@ def check_normalized(f):
     return ms
 
 
-def _gaussian_moments(f, lam):
-    """Zeroth/first/second moments of g(w) = exp(-lam |w|^2) f(w) h^N."""
-    grid = f.grid
-    g = np.exp(-lam * grid.sq_norm) * f.values * grid.cell_volume
-    return float(np.sum(g)), grid.coords.T @ g, (grid.coords.T * g) @ grid.coords
-
-
 def _gamma_matrix(m0, m1, m2, i, j):
     """M[k] = sum_w phi_k(w) (1, w_j, w_i) g(w), phi = (1, w_i, w_j); det M = -Gamma."""
     return np.array(
@@ -293,23 +286,32 @@ def _gamma_matrix(m0, m1, m2, i, j):
     )
 
 
-def _gamma_value(m0, m1, m2, i, j):
-    return -float(np.linalg.det(_gamma_matrix(m0, m1, m2, i, j)))
+def gamma_values(f, lam):
+    """((m0, m1, m2), gammas): the zeroth/first/second moments of
+    g(w) = exp(-lam |w|^2) f(w) h^N, and Gamma_{lam,i,j} = -det M of
+    `_gamma_matrix` keyed (i, j) for every ordered pair of distinct axes."""
+    if not lam > 0:  # NaN fails too
+        raise ValidationError(f"lam must be > 0, got {lam}")
+    grid = f.grid
+    g = np.exp(-lam * grid.sq_norm) * f.values * grid.cell_volume
+    m = float(np.sum(g)), grid.coords.T @ g, (grid.coords.T * g) @ grid.coords
+    axes = range(grid.dim)
+    return m, {(i, j): -float(np.linalg.det(_gamma_matrix(*m, i, j)))
+               for i in axes for j in axes if i != j}
 
 
 def gamma_determinant(f, lam, i, j):
     """Negative determinant of the Gaussian-weighted 3x3 moment matrix.
 
     Quantifies non-concentration of f near the hyperplane structure spanned
-    by axes i, j; requires a normalized input.
+    by axes i, j, two distinct integers in [0, N); requires a normalized
+    input.
     """
-    if lam <= 0:
-        raise ValidationError(f"lam must be > 0, got {lam}")
-    if i == j:
-        raise ValidationError("axis indices must differ")
+    dim = f.grid.dim
+    if not all(fits(k, 0) and 0 <= k < dim for k in (i, j)) or i == j:
+        raise ValidationError(f"axes must be distinct integers in [0, {dim}), got {i!r}, {j!r}")
     check_normalized(f)
-    m0, m1, m2 = _gaussian_moments(f, lam)
-    return GammaDeterminant(lam=lam, i=i, j=j, gamma_value=_gamma_value(m0, m1, m2, i, j))
+    return GammaDeterminant(lam=lam, i=i, j=j, gamma_value=gamma_values(f, lam)[1][i, j])
 
 
 def _pair_factors(v, xi, g, i, j):
@@ -334,20 +336,17 @@ def reconstruct_log_gradient_field(f, lam=None):
     ms = check_normalized(f)
     if lam is None:
         lam = min(lambda0(ms.abs_entropy), 1e-3)
-    if lam <= 0:
-        raise ValidationError(f"lam must be > 0, got {lam}")
+    (m0, m1, m2), gammas = gamma_values(f, lam)
     floor = gamma_floor(ms.abs_entropy)
     xi, mask = grad_log(f)
     g = np.exp(-lam * f.grid.sq_norm[mask]) * f.values[mask] * f.grid.cell_volume
-    m0, m1, m2 = _gaussian_moments(f, lam)
     dim = f.grid.dim
     out = np.zeros((f.grid.size, dim))
     for i in range(dim):
-        gammas = {j: _gamma_value(m0, m1, m2, i, j) for j in range(dim) if j != i}
-        j = max(gammas, key=gammas.get)
-        if gammas[j] < floor:
+        j = max((k for k in range(dim) if k != i), key=lambda k: gammas[i, k])
+        if gammas[i, j] < floor:
             raise DegeneracyError(
-                f"Gamma_(lam,{i},{j}) = {gammas[j]} is below the "
+                f"Gamma_(lam,{i},{j}) = {gammas[i, j]} is below the "
                 f"floor {floor}: near-concentration on a hyperplane"
             )
         c, B = _pair_factors(f.grid.coords[mask], xi[mask], g, i, j)

@@ -204,7 +204,7 @@ def integrate(f, weight=None):
     return f.grid.cell_volume * float(np.sum(np.where(f.values > 0, prod, 0.0)))
 
 
-def _gradient_nd(field, h):
+def gradient(field, h):
     """Second-order gradient (central interior, one-sided boundary).
 
     Returns an array of shape (dim,) + field.shape.
@@ -215,7 +215,7 @@ def _gradient_nd(field, h):
 def gradient_sqrt(f):
     """Gradient of sqrt(f), shape (size, dim); zero where f vanishes."""
     g = np.sqrt(np.where(f.values > EPS_FLOOR, f.values, 0.0)).reshape(f.grid.shape)
-    grads = _gradient_nd(g, f.grid.h)
+    grads = gradient(g, f.grid.h)
     return grads.reshape(f.grid.dim, f.grid.size).T
 
 
@@ -223,10 +223,10 @@ def grad_log(f):
     """Node-wise estimate of grad(log f) and its validity mask.
 
     One rule on every axis of every state, at each node above EPS_FLOOR:
-    the `_gradient_nd` stencil (central inside, second-order one-sided at
+    the `gradient` stencil (central inside, second-order one-sided at
     the box faces) where it touches only nodes above the floor; otherwise a
     two-point difference toward a neighbour above the floor, forward first;
-    otherwise 0.  An all-positive state gets `_gradient_nd(log f)` bit for
+    otherwise 0.  An all-positive state gets `gradient(log f)` bit for
     bit.  Returns (xi, mask) with xi of shape (size, dim), zero off the
     mask, and mask true where f > EPS_FLOOR.
     """
@@ -234,13 +234,13 @@ def grad_log(f):
     vals = f.reshaped()
     mask = vals > EPS_FLOOR
     logf = np.log(np.where(mask, vals, 1.0))
-    xi = _gradient_nd(logf, grid.h)
+    xi = gradient(logf, grid.h)
     for d in range(grid.dim):
         lf, mk, comp = (np.moveaxis(a, d, 0) for a in (logf, mask, xi[d]))
         up_ok = np.roll(mk, -1, axis=0)
         dn_ok = np.roll(mk, 1, axis=0)
         up_ok[-1] = dn_ok[0] = False
-        # the nodes of the `_gradient_nd` stencil: k +- 1 inside, and
+        # the nodes of the `gradient` stencil: k +- 1 inside, and
         # 0, 1, 2 and n-3, n-2, n-1 at the faces
         stencil_ok = up_ok & dn_ok
         stencil_ok[0] = up_ok[0] & mk[2]

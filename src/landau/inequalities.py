@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .functionals import (
-    _gamma_value,
-    _gaussian_moments,
     check_normalized,
     entropy_dissipation,
     fisher_sum,
     gamma_floor,
+    gamma_values,
     lambda0,
     weighted_fisher,
     weighted_lp,
@@ -276,25 +275,13 @@ def check_gamma_lower_bound(f, hbar):
             f"abs-entropy {ms.abs_entropy} exceeds the assumed bound {hbar}"
         )
     lam = lambda0(hbar)
-    if lam <= 0:
-        raise ValidationError(f"lam must be > 0, got {lam}")
     floor = gamma_floor(hbar)
-    # the moments do not depend on the axis pair: one pass serves all six
-    m0, m1, m2 = _gaussian_moments(f, lam)
-    values = {}
-    worst = math.inf
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            g = _gamma_value(m0, m1, m2, i, j)
-            values[f"{i}{j}"] = g
-            worst = min(worst, g)
-    rep = _report(
-        "gamma_lower_bound", floor, worst, floor,
-        {"hbar": hbar, "lambda0": lam, "gamma_values": values},
+    gammas = gamma_values(f, lam)[1]
+    return _report(
+        "gamma_lower_bound", floor, min(gammas.values()), floor,
+        {"hbar": hbar, "lambda0": lam,
+         "gamma_values": {f"{i}{j}": g for (i, j), g in gammas.items()}},
     )
-    return rep
 
 
 def moment_condition(gamma1, gamma2):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError, check_value, fits
 from .functionals import entropy_dissipation, moments, pair_chunks, weighted_fisher, weighted_lp
-from .grid import _gradient_nd
+from .grid import gradient
 from .kernels import a_contract, collision_coefficients
 
 CFL_SAFETY = 0.4
@@ -204,7 +204,7 @@ def _face_fluxes(f, spec, coeffs=None):
         coeffs = collision_coefficients(f, spec)
     dim, h = grid.dim, grid.h
     fg = f.reshaped()
-    gradf = _gradient_nd(fg, h)
+    gradf = gradient(fg, h)
     # Drift B_i = sum_j a_ij*(d_j f), the identity b*f = a*grad f with the
     # discrete gradient: the flux then vanishes when grad f is parallel to
     # v f, which keeps the equilibrium residual at the quadrature level.
@@ -382,8 +382,6 @@ class TimeSeries:
 def _heavy_diagnostics(f, config, rec, fields):
     rec.dissipation = entropy_dissipation(f, config.spec, form="projected",
                                           coeffs=fields.A)
-    ms = moments(f, config.l_list)
-    rec.moments_l = dict(ms.moments)
     g1 = config.resolved_gamma1()
     rec.fisher_w = weighted_fisher(f, g1)
     rec.l3w_norm = weighted_lp(f, 3.0, min(g1, -2.0))
@@ -404,41 +402,30 @@ def run(f0, config):
     serve the step from it, its entropy dissipation and its L^p balance
     for every k.
     """
-    f = f0
-    fields = _face_fluxes(f, config.spec)
-    t = 0.0
+    f, t, clipped = f0, 0.0, 0.0
     cadence = config.resolved_cadence()
-    records = []
-    d_int = 0.0
-    l3_int = 0.0
-    prev_heavy = None  # (t, D, l3w)
-
-    def make_record(istep, clipped):
-        ms = moments(f)
-        return DiagnosticsRecord(
-            step=istep, t=t, mass=ms.mass, momentum=ms.momentum,
-            energy=ms.energy, entropy=ms.entropy, clipped_mass=clipped,
-        )
-
-    rec = make_record(0, 0.0)
-    _heavy_diagnostics(f, config, rec, fields)
-    prev_heavy = (t, rec.dissipation, rec.l3w_norm)
-    records.append(rec)
-    snapshots = [(t, f)] if config.keep_snapshots else []
-
-    for istep in range(1, config.steps + 1):
-        dt = _step_size(config.dt, fields.A, f.grid.h)
-        f, clipped = _advance(f, config.spec, dt, config.scheme, fields)
+    records, snapshots = [], []
+    d_int = l3_int = 0.0
+    prev = None  # the last heavy record
+    for istep in range(config.steps + 1):
+        if istep:
+            dt = _step_size(config.dt, fields.A, f.grid.h)
+            f, clipped = _advance(f, config.spec, dt, config.scheme, fields)
+            t += dt
         fields = None  # the old state's fields go before the new ones are made
         fields = _face_fluxes(f, config.spec)
-        t += dt
-        rec = make_record(istep, clipped)
-        if istep % cadence == 0 or istep == config.steps:
+        heavy = istep % cadence == 0 or istep == config.steps
+        ms = moments(f, config.l_list if heavy else ())
+        rec = DiagnosticsRecord(
+            step=istep, t=t, mass=ms.mass, momentum=ms.momentum, energy=ms.energy,
+            entropy=ms.entropy, clipped_mass=clipped, moments_l=ms.moments,
+        )
+        if heavy:
             _heavy_diagnostics(f, config, rec, fields)
-            t0, d0, l0 = prev_heavy
-            d_int += 0.5 * (d0 + rec.dissipation) * (t - t0)
-            l3_int += 0.5 * (l0 + rec.l3w_norm) * (t - t0)
-            prev_heavy = (t, rec.dissipation, rec.l3w_norm)
+            if prev is not None:
+                d_int += 0.5 * (prev.dissipation + rec.dissipation) * (t - prev.t)
+                l3_int += 0.5 * (prev.l3w_norm + rec.l3w_norm) * (t - prev.t)
+            prev = rec
             if config.keep_snapshots:
                 snapshots.append((t, f))
         records.append(rec)

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from landau.errors import ValidationError
-from landau.grid import _gradient_nd, grad_log, integrate
+from landau.grid import grad_log, gradient, integrate
 from landau.kernels import collision_coefficients, projection
 
 
@@ -87,11 +87,11 @@ def nonparabolic_operator(f, spec):
         raise ValidationError("the non-parabolic form needs the Coulomb kernel")
     grid = f.grid
     dim, h = grid.dim, grid.h
-    gradf = _gradient_nd(f.reshaped(), h)
+    gradf = gradient(f.reshaped(), h)
     Ag = collision_coefficients(f, spec).reshape(grid.shape + (dim, dim))
     out = 8.0 * math.pi * f.values * f.values
     for i in range(dim):
-        second = _gradient_nd(gradf[i], h)
+        second = gradient(gradf[i], h)
         for j in range(dim):
             out = out + (Ag[..., i, j] * second[j]).ravel()
     return out

@@ -15,6 +15,7 @@ from landau.functionals import (
     entropy_dissipation,
     gamma_determinant,
     gamma_floor,
+    gamma_values,
     lambda0,
     moments,
     reconstruct_log_gradient_field,
@@ -218,12 +219,15 @@ class TestGammaDeterminant:
             assert got == pytest.approx(want, rel=2e-3)
 
     def test_axis_validation(self):
-        g = build_grid(3, 6.0, 8)
-        f = maxwellian(g)
-        with pytest.raises(ValidationError):
-            gamma_determinant(f, 0.1, 0, 0)
-        with pytest.raises(ValidationError):
-            gamma_determinant(f, -0.1, 0, 1)
+        # normalized to 5e-12, so each bad call fails on its own check
+        f = maxwellian(build_grid(3, 8.0, 20))
+        for i, j in ((0, 0), (0, -1), (-1, 0), (0, 3), (0, 5), (0, 1.5), (True, 2)):
+            with pytest.raises(ValidationError, match="axes"):
+                gamma_determinant(f, 0.1, i, j)
+        for lam in (-0.1, 0.0, math.nan):
+            with pytest.raises(ValidationError, match="lam"):
+                gamma_determinant(f, lam, 0, 1)
+        assert gamma_determinant(f, 0.1, 2, 0).gamma_value == gamma_values(f, 0.1)[1][2, 0]
 
 
 class TestReconstruction:

@@ -228,7 +228,7 @@ class TestGradLog:
         assert err < 5e-2
 
     def test_floored_corner_changes_only_its_stencils(self):
-        # log f is quadratic, so the `_gradient_nd` stencils are exact on
+        # log f is quadratic, so the `gradient` stencils are exact on
         # it; a floored corner may change only the nodes whose stencil holds
         # it: the corner and its three neighbours
         g = build_grid(3, 4.0, 16)
@@ -251,6 +251,14 @@ class TestNormalize:
         assert tr.dilation == pytest.approx(1.0, abs=5e-3)
         assert np.max(np.abs(tr.shift)) < 5e-3
         assert integrate(out) == pytest.approx(1.0, abs=1e-3)
+
+    def test_exact_state_is_returned_unchanged(self):
+        # at L = 8 the unit Maxwellian's raw moments are exact to 5e-12, so
+        # the first transform is the identity and nothing is resampled
+        f = maxwellian(build_grid(3, 8.0, 20))
+        out, tr = normalize(f)
+        assert tr.is_identity
+        assert np.array_equal(out.values, f.values)
 
     def test_shift_recovered(self):
         g = build_grid(3, 6.0, 24)

@@ -1,6 +1,7 @@
 """The package root binds only `__version__`, so importing one module
 loads that module and what it imports, nothing more. Every name a library
-module imports is used in that module, every name the benchmark traces in
+module imports is used in that module, no library module takes another's
+single-underscore name, every name the benchmark traces in
 `landau` exists, every top-level function and class of `landau` is
 reached by the library, the benchmark, the acceptance tests or the test
 oracles, and every public oracle is named by a test, so an oracle no test
@@ -67,6 +68,48 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_imports(source):
+    """(line, name) of each single-underscore name that `source` takes from
+    a `landau` module: imported by name, or read off an imported module."""
+    tree, found, modules = ast.parse(source), [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name.startswith("landau."))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "landau"):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, alias.name))
+                elif node.module in (None, "landau"):  # `from . import grid`
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):  # after the walk above: a use may precede its import
+        if isinstance(node, ast.Attribute) and _private(node.attr) and (
+                ast.unparse(node.value) in modules):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_finds_a_private_import():
+    source = ("from .grid import _gradient_nd, integrate\n"
+              "from landau.functionals import _gamma_value as gamma\n"
+              "from numpy import _private\n"
+              "from . import __version__, kernels\n"
+              "import landau.solver as s, landau.cli\n"
+              "kernels._forward(kernels.a_convolve, s._advance, landau.cli._dump_json)\n")
+    assert _private_imports(source) == [
+        (1, "_gradient_nd"), (2, "_gamma_value"), (6, "_advance"), (6, "_dump_json"),
+        (6, "_forward")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    assert _private_imports(path.read_text()) == []
 
 
 def test_benchmark_trace_targets_exist():

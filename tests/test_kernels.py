@@ -9,7 +9,7 @@ import landau.kernels
 
 from landau.errors import ValidationError
 from landau.functionals import entropy_dissipation
-from landau.grid import DiscreteDistribution, _gradient_nd, build_grid
+from landau.grid import DiscreteDistribution, build_grid, gradient
 from landau.inequalities import check_young
 from landau.kernels import (
     CoulombPsi,
@@ -292,7 +292,7 @@ class TestCollisionCoefficients:
         scale = np.max(np.abs(cd))
         assert np.max(np.abs(cf - cd)) / scale < 1e-12
         # the solver's drift sum_j a_ij*(d_j f) against the direct sum
-        gradf = _gradient_nd(f.reshaped(), g.h)
+        gradf = gradient(f.reshaped(), g.h)
         a = a_table(g, spec)
         drift = a_contract(g, spec, gradf)
         for i in range(3):

@@ -13,7 +13,7 @@ from scipy.ndimage import map_coordinates
 
 from landau import functionals
 from landau.functionals import _pair_factors, entropy_dissipation
-from landau.grid import DiscreteDistribution, _gradient_nd, _multilinear, build_grid, grad_log
+from landau.grid import DiscreteDistribution, _multilinear, build_grid, grad_log, gradient
 from landau.kernels import (
     CoulombPsi,
     PowerLawPsi,
@@ -161,7 +161,7 @@ def test_dissipation_ignores_an_affine_log_gradient(n, seed, spec, log_c, log_la
 def test_grad_log_of_positive_state_is_plain_gradient(state):
     f = positive_state(*state)
     xi, mask = grad_log(f)
-    ref = _gradient_nd(np.log(f.reshaped()), f.grid.h).reshape(3, f.grid.size).T
+    ref = gradient(np.log(f.reshaped()), f.grid.h).reshape(3, f.grid.size).T
     assert mask.all() and np.array_equal(xi, ref)
 
 

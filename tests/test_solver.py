@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import landau.cli
 import landau.kernels
 import landau.solver
 
@@ -392,6 +393,38 @@ class TestRun:
     def test_dissipation_integral_positive(self, series):
         assert series.dissipation_integral > 0.0
         assert math.isfinite(series.l3w_integral)
+
+    def test_record_contract(self):
+        # heavy samples at every cadence step and the last; light records
+        # carry no heavy value, and the time integrals are trapezoid sums
+        # over the heavy records in step order
+        f0 = random_state(build_grid(3, 3.0, 8), np.random.default_rng(31))
+        cfg = SolverConfig(spec=SPEC, steps=7, cadence=3, l_list=(0.0, 2.0), k_list=(1.0, 2.0))
+        series = run(f0, cfg)
+        assert [r.step for r in series.records] == list(range(8))
+        heavy_steps = (0, 3, 6, 7)
+        heavy = [r for r in series.records if r.step in heavy_steps]
+        for rec in heavy:
+            assert list(rec.moments_l) == list(cfg.l_list)
+            assert list(rec.lp_net) == list(cfg.k_list)
+            values = [rec.dissipation, rec.fisher_w, rec.l3w_norm, *rec.lp_net.values()]
+            assert all(map(math.isfinite, values))
+        header, *rows = landau.cli._diagnostics_rows(series, cfg)
+        heavy_columns = [c for c in header if c in ("D", "fisher_w", "l3w_norm")
+                         or c.startswith(("M_", "lp_net_"))]
+        assert len(heavy_columns) == 7
+        for rec, row in zip(series.records, rows):
+            read = [row[header.index(c)] for c in heavy_columns]
+            if rec.step in heavy_steps:
+                assert all(math.isfinite(float(x)) for x in read)
+            else:
+                assert (rec.moments_l, rec.lp_net) == ({}, {})
+                assert read == ["nan"] * 7
+        d_int = l3_int = 0.0
+        for a, b in zip(heavy, heavy[1:]):
+            d_int += 0.5 * (a.dissipation + b.dissipation) * (b.t - a.t)
+            l3_int += 0.5 * (a.l3w_norm + b.l3w_norm) * (b.t - a.t)
+        assert (series.dissipation_integral, series.l3w_integral) == (d_int, l3_int)
 
 
 class TestStateFields:

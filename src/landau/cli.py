@@ -485,7 +485,7 @@ def cmd_solve(args):
         "config": cfg,
         "resolved": {
             "nodes_per_axis": n,
-            "dt": cfg.get("dt", "auto"),
+            "dt": config.dt,
             "steps": config.steps,
             "scheme": config.scheme,
             "cadence": config.resolved_cadence(),

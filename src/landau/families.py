@@ -44,9 +44,9 @@ class DistributionSpec:
         check_value(self.normalize, False, "normalize")
         self.params = read_config(self.params, PARAMS[self.kind], f"{self.kind} params")
         if self.kind == "mixture":
-            for comp in self.params["components"]:
-                if not isinstance(comp, DistributionSpec):
-                    DistributionSpec.from_json_dict(comp)
+            self.params["components"] = [
+                c if isinstance(c, DistributionSpec) else DistributionSpec.from_json_dict(c)
+                for c in self.params["components"]]
             check_value(self.params["weights"], [0.0], "weights")
 
     @staticmethod
@@ -131,9 +131,7 @@ def _raw_values(spec, grid):
 
 
 def generate_distribution(spec, grid):
-    """Sample a distribution family at the cell centers of `grid`."""
-    if not isinstance(spec, DistributionSpec):
-        spec = DistributionSpec.from_json_dict(spec)
+    """Sample the family of the `DistributionSpec` spec at the cell centers of `grid`."""
     f = DiscreteDistribution(grid, _raw_values(spec, grid))
     if spec.normalize:
         f, _ = normalize(f)

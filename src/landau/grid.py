@@ -9,6 +9,8 @@ extended by zero outside the box.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +77,15 @@ class VelocityGrid:
         self.half_width = float(half_width)
         self.n = nodes_per_axis
         self.h = 2.0 * self.half_width / self.n
+        # every integral is h^N times a node sum, and the largest node |v|^2
+        # is N (L - h/2)^2; a float power raises on overflow
+        try:
+            self.cell_volume, vmax = self.h ** dim, dim * (self.half_width - 0.5 * self.h) ** 2
+        except OverflowError:
+            self.cell_volume = vmax = math.inf
+        if not (sys.float_info.min <= self.cell_volume < math.inf and vmax < math.inf):
+            raise ValidationError(f"half_width = {half_width} makes h^{dim} no normal float > 0 "
+                                  "or the largest node |v|^2 infinite")
         self.axis = -self.half_width + (np.arange(self.n) + 0.5) * self.h
         self.axis.flags.writeable = False
         self.shape = (self.n,) * self.dim
@@ -85,10 +96,6 @@ class VelocityGrid:
         self.coords.flags.writeable = False
         self.sq_norm = np.sum(self.coords**2, axis=1)
         self.sq_norm.flags.writeable = False
-
-    @property
-    def cell_volume(self):
-        return self.h ** self.dim
 
     def same_layout(self, other):
         return (

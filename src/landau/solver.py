@@ -118,14 +118,6 @@ def stability_dt(coeffs, h):
     return CFL_SAFETY * h * h / tr
 
 
-def _face_coord(grid, d):
-    """Axis-d coordinate at the centers of the faces normal to axis d."""
-    vals = grid.axis[:-1] + 0.5 * grid.h
-    shape = [1] * grid.dim
-    shape[d] = grid.n - 1
-    return vals.reshape(shape)
-
-
 def _project_conservative(grid, fluxes, fg):
     """Correct face fluxes so momentum and energy defects vanish exactly.
 
@@ -140,7 +132,9 @@ def _project_conservative(grid, fluxes, fg):
     """
     dim = grid.dim
     weights = [np.minimum(*_sides(fg, d)) for d in range(dim)]
-    vface = [np.broadcast_to(_face_coord(grid, d), weights[d].shape) for d in range(dim)]
+    mid = grid.axis[:-1] + 0.5 * grid.h  # the axis coordinate of each face
+    vface = [np.broadcast_to(mid.reshape((-1,) + (1,) * (dim - 1 - d)), weights[d].shape)
+             for d in range(dim)]
     mat = np.zeros((dim + 1, dim + 1))
     rhs = np.zeros(dim + 1)
     for d in range(dim):
@@ -183,22 +177,32 @@ def _limit_fluxes(grid, fluxes, fg, dt):
 @dataclass
 class _Fields:
     """The coefficient field A = a*f of one state, shape (size, N, N) and
-    component-major (`kernels.a_convolve`), and its unlimited face fluxes,
-    with their diffusive part, in arrays of their own."""
+    component-major (`kernels.a_convolve`), and its unlimited face fluxes."""
 
     A: np.ndarray
     fluxes: list
-    diffusive: list
+
+
+def _diffusive_flux(A, fg, gradf, d, h):
+    """The diffusive flux sum_j A_dj d_j f on the faces normal to axis d:
+    face-mean coefficients times the compact difference of f for j = d and
+    the face mean of the gradient `gradf` otherwise."""
+    diff = np.zeros(_sides(fg, d)[0].shape)
+    term, df_face = np.empty_like(diff), np.empty_like(diff)
+    for j in range(fg.ndim):
+        # A is component-major, so each component is contiguous
+        _face_mean(A[:, d, j].reshape(fg.shape), d, out=term)
+        if j == d:
+            term *= _face_diff(fg, d, h, out=df_face)
+        else:
+            term *= _face_mean(gradf[j], d, out=df_face)
+        diff += term
+    return diff
 
 
 def _face_fluxes(f, spec, coeffs=None):
     """Face fluxes of the flux-form scheme, before the positivity limiter
-    and the conservative projection.
-
-    `diffusive` is the pure sum_j A_dj d_j f part of `fluxes`, kept so
-    energy-balance diagnostics can split the diffusive and drift content of
-    the exact discrete rate.
-    """
+    and the conservative projection."""
     grid = f.grid
     if coeffs is None:
         coeffs = collision_coefficients(f, spec)
@@ -210,27 +214,17 @@ def _face_fluxes(f, spec, coeffs=None):
     # v f, which keeps the equilibrium residual at the quadrature level.
     B = a_contract(grid, spec, gradf)
     fluxes = []
-    diffusive = []
     for d in range(dim):
-        f_face = _face_mean(fg, d)
-        diff = np.zeros(f_face.shape)
-        term, df_face = np.empty_like(diff), np.empty_like(diff)
-        for j in range(dim):
-            # A and B are component-major, so each component is contiguous
-            _face_mean(coeffs[:, d, j].reshape(grid.shape), d, out=term)
-            if j == d:
-                term *= _face_diff(fg, d, h, out=df_face)
-            else:
-                term *= _face_mean(gradf[j], d, out=df_face)
-            diff += term
-        drift = _face_mean(B[:, d].reshape(grid.shape), d, out=term)
-        drift *= f_face
-        diffusive.append(diff)
-        fluxes.append(diff - drift)
+        flux = _diffusive_flux(coeffs, fg, gradf, d, h)
+        # B is component-major too
+        drift = _face_mean(B[:, d].reshape(grid.shape), d)
+        drift *= _face_mean(fg, d)
+        flux -= drift
+        fluxes.append(flux)
         # the temporaries go before the next axis's arrays are made: kept
         # alive, they leave holes in the heap that raise the peak RSS
-        del f_face, term, df_face, drift
-    return _Fields(coeffs, fluxes, diffusive)
+        del drift
+    return _Fields(coeffs, fluxes)
 
 
 def assemble_operator(f, spec, coeffs=None, conservative=True, dt=None, fluxes=None):
@@ -268,16 +262,13 @@ def assemble_operator(f, spec, coeffs=None, conservative=True, dt=None, fluxes=N
 def _advance(f, spec, dt, scheme, fields):
     """One explicit step from f, whose `_face_fluxes` are `fields`; returns
     (new distribution, clipped mass fraction)."""
+    k1 = assemble_operator(f, spec, dt=dt, fluxes=fields.fluxes)
     if scheme == "euler":
-        rhs = assemble_operator(f, spec, dt=dt, fluxes=fields.fluxes)
-        new = f.values + dt * rhs
-    elif scheme == "heun":
-        k1 = assemble_operator(f, spec, dt=dt, fluxes=fields.fluxes)
+        new = f.values + dt * k1
+    else:  # "heun", the only other scheme `SolverConfig` admits
         mid = f.with_values(np.maximum(f.values + dt * k1, 0.0))
         k2 = assemble_operator(mid, spec, dt=dt)
         new = f.values + 0.5 * dt * (k1 + k2)
-    else:
-        raise ValidationError(f"unknown scheme {scheme!r}")
     clipped = float(-np.sum(np.minimum(new, 0.0))) + 0.0  # + 0.0: never -0.0
     total = float(np.sum(f.values))
     frac = clipped / total if total > 0 else 0.0
@@ -300,19 +291,6 @@ def _step_size(dt, A, h):
     return float(dt)
 
 
-def step(f, spec, dt, scheme="euler"):
-    """Advance one explicit step of size dt, validating dt and the stability bound."""
-    _check_dt(dt)
-    fields = _face_fluxes(f, spec)
-    new, _ = _advance(f, spec, _step_size(dt, fields.A, f.grid.h), scheme, fields)
-    return new
-
-
-def _check_dt(dt):
-    if not (dt == "auto" or fits(dt, 0.0) and dt > 0):
-        raise ValidationError(f"dt must be 'auto' or a finite number > 0, got {dt!r}")
-
-
 @dataclass
 class SolverConfig:
     spec: object
@@ -327,7 +305,8 @@ class SolverConfig:
 
     def __post_init__(self):
         # values are read by the config rule, then stored as floats
-        _check_dt(self.dt)
+        if not (self.dt == "auto" or fits(self.dt, 0.0) and self.dt > 0):
+            raise ValidationError(f"dt must be 'auto' or a finite number > 0, got {self.dt!r}")
         for name, default in (("steps", 0), ("cadence", 0), ("l_list", [0.0]),
                               ("k_list", [0.0]), ("gamma1", None)):
             check_value(getattr(self, name), default, name)
@@ -375,7 +354,6 @@ class TimeSeries:
     dissipation_integral: float
     l3w_integral: float
     final_state: object
-    config: SolverConfig
     snapshots: list = field(default_factory=list)  # (t, state) at cadence
 
 
@@ -432,7 +410,7 @@ def run(f0, config):
 
     return TimeSeries(
         records=records, dissipation_integral=d_int, l3w_integral=l3_int,
-        final_state=f, config=config, snapshots=snapshots,
+        final_state=f, snapshots=snapshots,
     )
 
 
@@ -495,14 +473,14 @@ def lp_energy_balance(f, spec, k, fields=None):
         fields = _face_fluxes(f, spec)
     fg = f.reshaped()
     fluxes = _project_conservative(grid, list(fields.fluxes), fg)
-    diffusive = fields.diffusive
+    gradf = gradient(fg, grid.h)
     fk = fg**k
     cv = grid.cell_volume
     diss = 0.0
     net = 0.0
     for d in range(grid.dim):
         dfk = _face_diff(fk, d, grid.h)
-        diss += cv * float(np.sum(dfk * diffusive[d]))
+        diss += cv * float(np.sum(dfk * _diffusive_flux(fields.A, fg, gradf, d, grid.h)))
         net -= cv * float(np.sum(dfk * fluxes[d]))
     return diss, net + diss, net
 

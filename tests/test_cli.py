@@ -101,6 +101,9 @@ class TestFunctional:
         # grid sizes are read strictly, never truncated
         {"dim": 3, "half_width": 5.0, "nodes_per_axis": 4.9, "values": [1.0] * 64},
         {"dim": 3.0, "half_width": 5.0, "nodes_per_axis": 4, "values": [1.0] * 64},
+        # h^N overflows, or underflows to 0
+        {"dim": 3, "half_width": 1e300, "nodes_per_axis": 8, "values": [1.0] * 512},
+        {"dim": 3, "half_width": 1e-300, "nodes_per_axis": 8, "values": [1.0] * 512},
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, state):
         p = tmp_path / "state.json"
@@ -189,6 +192,8 @@ class TestVerify:
         {"suites": [{"name": "sobolev", "q": 2.0}]},
         {"suites": [{"name": "sobolev", "variant": "general", "q": 8.0}]},
         {"suites": [{"name": "sobolev", "variant": "coulomb_explicit", "gamma1": -2.5}]},
+        # h^N overflows, or underflows to 0
+        {"grid": {"half_width": 1e300}}, {"grid": {"half_width": 1e-300}},
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, override):
         cfg = {"grid": {"dim": 3, "half_width": 6.0}, "resolutions": [12], "suites": ["sobolev"]}
@@ -556,6 +561,9 @@ class TestSolve:
         {"initial": {"kind": "mixture", "params": {"components": [{"kind": "maxwellian"}],
                                                    "weights": [0]}}},
         {"initial": {"kind": "maxwellian", "params": {"temperature": 1e300}}},
+        # h^N overflows, or underflows to 0
+        {"grid": {"dim": 3, "half_width": 1e300, "nodes_per_axis": 8}},
+        {"grid": {"dim": 3, "half_width": 1e-300, "nodes_per_axis": 8}},
     ])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, override):
         _, raw = self.write_config(tmp_path, nodes=8)

@@ -57,7 +57,8 @@ from hypothesis import given, settings, strategies as st
 from landau.families import DistributionSpec, generate_distribution
 from landau.grid import DiscreteDistribution, build_grid
 from landau.kernels import PowerLawPsi, collision_coefficients
-from landau.solver import TestFunction, assemble_operator, stability_dt, step, weak_form_rhs
+from landau.solver import (SolverConfig, TestFunction, assemble_operator, run, stability_dt,
+                           weak_form_rhs)
 
 SPEC = PowerLawPsi(0.0)
 
@@ -215,7 +216,7 @@ def covariance_run(n, t_end=0.06):
     t, steps = 0.0, 0
     while t < t_end:
         dt = min(stability_dt(collision_coefficients(f, SPEC), grid.h), t_end - t)
-        f = step(f, SPEC, dt, scheme="heun")
+        f = run(f, SolverConfig(spec=SPEC, dt=dt, steps=1, scheme="heun")).final_state
         t += dt
         steps += 1
     temp = np.trace(sigma0) / 3

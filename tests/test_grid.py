@@ -57,6 +57,16 @@ class TestBuildGrid:
         with pytest.raises(ValidationError):
             build_grid(*args)
 
+    def test_half_width_keeps_integrals_finite(self):
+        # h^N must be a normal float > 0 and the largest node |v|^2 finite:
+        # h^3 overflows, h^3 underflows to 0, and in 2-D |v|^2 overflows
+        # while h^2 does not
+        for args in ((3, 1e300, 8), (3, 1e-300, 8), (2, 1.3e154, 4)):
+            with pytest.raises(ValidationError, match="half_width"):
+                build_grid(*args)
+        g = build_grid(3, 1e-100, 8)
+        assert g.cell_volume == g.h**3 > 0 and np.all(np.isfinite(g.sq_norm))
+
     def test_integer_half_width_is_a_float(self):
         g = build_grid(3, 6, 8)
         assert (g.dim, g.half_width, g.n) == (3, 6.0, 8)

@@ -4,8 +4,10 @@ module imports is used in that module, no library module takes another's
 single-underscore name, every name the benchmark traces in
 `landau` exists, every top-level function and class of `landau` is
 reached by the library, the benchmark, the acceptance tests or the test
-oracles, and every public oracle is named by a test, so an oracle no test
-calls cannot keep a library name alive."""
+oracles, and every public oracle is reached by a test, so an oracle no test
+calls cannot keep a library name alive.  A name is reached when it is
+imported from its own module, read off an imported module, used in its own
+module, or named with its module as a benchmark trace target."""
 
 import ast
 import importlib
@@ -134,44 +136,81 @@ def _defined(source):
     return {node.name for node in ast.parse(source).body if isinstance(node, kinds)}
 
 
-def _appearances(source):
-    """The names `source` mentions: names, attributes, imported names, and
-    the last dotted part of each string, as perfbench names its trace
-    targets."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value.rsplit(".", 1)[-1])
-    return names
+def _references(source, roots, own=None):
+    """The (module, name) pairs that `source` reaches in the modules under
+    the top-level packages or modules `roots`: each name it imports from
+    such a module, each attribute it reads off one it imports, and, when
+    `source` is the module `own`, each name it loads.  A relative import is
+    from `landau`.  A local variable, an attribute of some other object or
+    a string that merely shares a name reaches nothing."""
+    tree, pairs, modules = ast.parse(source), set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names
+                           if a.name.split(".")[0] in roots)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("landau" if node.level else "", node.module)))
+            if module.split(".")[0] in roots:
+                pairs.update((module, a.name) for a in node.names)
+                modules.update((a.asname or a.name, f"{module}.{a.name}") for a in node.names)
+    for node in ast.walk(tree):  # after the walk above: a use may precede its import
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules:
+            pairs.add((modules[ast.unparse(node.value)], node.attr))
+        elif own and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            pairs.add((own, node.id))
+    return pairs
+
+
+def _unreached(modules, users, targets=()):
+    """(module, name) of each top-level function and class of the module
+    sources `modules` ({module: source}) that neither they nor the sources
+    `users` reach (`_references`), and whose (module, attribute) no trace
+    target in `targets` names."""
+    roots = {module.split(".")[0] for module in modules}
+    reached = {(module, attr.split(".")[0]) for module, attr in targets}
+    for module, source in modules.items():
+        reached |= _references(source, roots, own=module)
+    for source in users:
+        reached |= _references(source, roots)
+    return sorted((module, name) for module, source in modules.items()
+                  for name in _defined(source) if (module, name) not in reached)
 
 
 def test_finds_an_unreached_name():
-    source = "".join(f"def {name}():\n    pass\n" for name in
-                     ("by_name", "by_attr", "by_import", "by_string", "alone"))
-    source += "class Kept:\n    pass\n"
-    user = ("by_name()\nmod.by_attr\nfrom pkg.mod import by_import\nimport pkg.Kept\n"
-            "TARGET = 'pkg.mod.by_string'\n")
-    assert _defined(source) - _appearances(user) == {"alone"}
+    names = ("by_import", "by_alias", "by_module", "by_path", "by_use", "by_target",
+             "alone", "local", "field", "label")
+    source = "".join(f"def {name}():\n    pass\n" for name in names)
+    source += "class Kept:\n    pass\nKept.run = by_use\n"
+    user = ("from pkg.mod import by_import\nimport pkg.mod as m, pkg.mod\nfrom pkg import mod\n"
+            "m.by_alias, mod.by_module, pkg.mod.by_path, m.Kept\n"
+            # a local variable, a record attribute and a span label that
+            # share a name reach nothing
+            "def work(rec):\n    local = rec.field\n    return local, 'pkg.mod.label'\n")
+    targets = [("pkg.mod", "by_target"), ("pkg.other", "label")]
+    assert _unreached({"pkg.mod": source}, [user], targets) == [
+        ("pkg.mod", "alone"), ("pkg.mod", "field"), ("pkg.mod", "label"), ("pkg.mod", "local")]
+
+
+def _layer_targets():
+    """The (module, attribute) of each trace target of perfbench/child.py."""
+    path = ROOT / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return [(module, attr) for module, attr, _ in child.LAYER_TARGETS]
 
 
 def test_every_top_level_name_is_reached():
-    reached = set().union(*(_appearances(p.read_text()) for p in REACHING))
-    unreached = [f"{p.stem}.{name}" for p in MODULES for name in sorted(_defined(p.read_text()))
-                 if name not in reached]
-    assert unreached == []
+    modules = {f"landau.{p.stem}": p.read_text() for p in MODULES}
+    users = [p.read_text() for p in REACHING if p not in MODULES]
+    assert _unreached(modules, users, _layer_targets()) == []
 
 
 def _unnamed_oracles(oracles, tests):
-    """The public top-level names of the source `oracles` that none of the
-    sources `tests` mentions."""
-    named = set().union(*map(_appearances, tests))
-    return {name for name in _defined(oracles) if not name.startswith("_")} - named
+    """The public top-level names of the source `oracles`, the module
+    `oracles`, that neither it nor any of the sources `tests` reaches."""
+    return {name for _, name in _unreached({"oracles": oracles}, tests)
+            if not name.startswith("_")}
 
 
 def test_finds_an_unnamed_oracle():

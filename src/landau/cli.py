@@ -32,7 +32,8 @@ from .errors import (
     read_tagged,
 )
 from .families import DistributionSpec, generate_distribution
-from .functionals import entropy_dissipation, moments, weighted_fisher, weighted_lp
+from .functionals import (entropy_dissipation, moments, polynomial_weight, weighted_fisher,
+                          weighted_lp)
 from .grid import DiscreteDistribution, build_grid
 from .inequalities import (
     InequalityReport,
@@ -386,7 +387,23 @@ def cmd_functional(args):
         f = DiscreteDistribution.load(args.input)
     psi = _parse_psi(args.psi)
     gamma1 = psi.gamma
-    summary = moments(f, l_list=(1.0, 2.0))
+    # a non-finite value is refused below, which an overflow warning would only foretell
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = moments(f, l_list=(1.0, 2.0))
+        values = {
+            "mass": summary.mass,
+            "momentum": list(summary.momentum),
+            "energy": summary.energy,
+            "entropy": summary.entropy,
+            "moments": {repr(l): val for l, val in sorted(summary.moments.items())},
+            "dissipation": entropy_dissipation(f, psi, form="projected"),
+            "weighted_fisher": weighted_fisher(f, gamma1),
+            "l3_weighted_norm": weighted_lp(f, 3.0, min(gamma1, -2.0)),
+        }
+    bad = [key for key, val in values.items()
+           if not np.all(np.isfinite(list(val.values()) if isinstance(val, dict) else val))]
+    if bad:
+        raise NumericError(f"non-finite {', '.join(bad)}; no report written")
     report = {
         "input": args.input,
         "psi": psi.to_json_dict(),
@@ -395,14 +412,7 @@ def cmd_functional(args):
             "half_width": f.grid.half_width,
             "nodes_per_axis": f.grid.n,
         },
-        "mass": summary.mass,
-        "momentum": list(summary.momentum),
-        "energy": summary.energy,
-        "entropy": summary.entropy,
-        "moments": {repr(l): val for l, val in sorted(summary.moments.items())},
-        "dissipation": entropy_dissipation(f, psi, form="projected"),
-        "weighted_fisher": weighted_fisher(f, gamma1),
-        "l3_weighted_norm": weighted_lp(f, 3.0, min(gamma1, -2.0)),
+        **values,
         "version": __version__,
     }
     _dump_json(report, args.out)
@@ -458,6 +468,8 @@ def cmd_solve(args):
         f0 = generate_distribution(DistributionSpec.from_json_dict(cfg.get("initial")), grid)
         if not f0.values.any():
             raise ValidationError("initial state has zero mass")
+        for l in config.l_list:  # the run may carry f to any node
+            polynomial_weight(grid, l, True)
 
     try:
         series = run(f0, config)
@@ -488,7 +500,7 @@ def cmd_solve(args):
             "dt": config.dt,
             "steps": config.steps,
             "scheme": config.scheme,
-            "cadence": config.resolved_cadence(),
+            "cadence": config.cadence,
         },
         "invariants": {
             "mass_drift": mass_drift,

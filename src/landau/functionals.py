@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import DegeneracyError, ValidationError, fits
+from .errors import DegeneracyError, NumericError, ValidationError, fits
 from .grid import EPS_FLOOR, NORMALIZE_TOL, grad_log, gradient_sqrt, integrate
-from .kernels import a_column_keys, a_columns, a_pair_sum
+from .kernels import a_columns, a_pair_sum
 
 # Fixed chunk row-count: reductions are per-chunk np.sum in a fixed order,
 # so repeated runs are bit-identical.
@@ -92,32 +93,42 @@ def moments(f, l_list=()):
     logs = np.where(vals > EPS_FLOOR, np.log(np.where(vals > EPS_FLOOR, vals, 1.0)), 0.0)
     entropy = grid.cell_volume * float(np.sum(vals * logs))
     abs_entropy = grid.cell_volume * float(np.sum(vals * np.abs(logs)))
-    mom = {}
-    for l in l_list:
-        mom[l] = integrate(f, (1.0 + grid.sq_norm) ** l)
+    mom = {l: integrate(f, polynomial_weight(grid, l, vals > 0)) for l in l_list}
     return MomentSummary(mass, momentum, energy, entropy, abs_entropy, mom)
 
 
-def weighted_lp(f, p, l):
-    """Weighted Lebesgue norm ( int ((1+|v|^2)^{l/2} f)^p dv )^{1/p}.
+def polynomial_weight(grid, s, support):
+    """(1+|v|^2)^s at the nodes of the mask `support` (True: every node) and
+    0 off it, with no overflow warning; NumericError where it is not finite
+    on the support."""
+    with np.errstate(over="ignore"):
+        w = np.where(support, (1.0 + grid.sq_norm) ** s, 0.0)
+    if not np.all(np.isfinite(w)):
+        raise NumericError(f"the weight (1+|v|^2)^{s:g} is not finite on the nodes it weighs")
+    return w
 
-    p = inf returns the weighted sup over nodes.
+
+def weighted_lp(f, p, l):
+    """Weighted Lebesgue norm ( int ((1+|v|^2)^{l/2} f)^p dv )^{1/p}, taken as
+    s (int (g/s)^p dv)^{1/p} with g = (1+|v|^2)^{l/2} f and s its sup over
+    the nodes, so no power under- or overflows; p = inf gives s.
     """
     if not p >= 1:  # NaN fails too
         raise ValidationError(f"p must be >= 1 or inf, got {p}")
     if not math.isfinite(l):
         raise ValidationError(f"l must be finite, got {l}")
-    w = (1.0 + f.grid.sq_norm) ** (l / 2.0)
-    g = w * f.values
-    if math.isinf(p):
-        return float(np.max(g))
-    return float(f.grid.cell_volume * np.sum(g**p)) ** (1.0 / p)
+    g = polynomial_weight(f.grid, l / 2.0, f.values > 0) * f.values
+    s = float(np.max(g))
+    if s == 0:
+        return 0.0
+    return s * float(f.grid.cell_volume * np.sum((g / s) ** p)) ** (1.0 / p)
 
 
 def fisher_sum(f, m):
     """int |grad sqrt(f)|^2 (1+|v|^2)^m dv."""
-    w = (1.0 + f.grid.sq_norm) ** m
-    return float(f.grid.cell_volume * np.sum(np.sum(gradient_sqrt(f) ** 2, axis=1) * w))
+    grad2 = np.sum(gradient_sqrt(f) ** 2, axis=1)
+    w = polynomial_weight(f.grid, m, grad2 > 0)
+    return float(f.grid.cell_volume * np.sum(grad2 * w))
 
 
 def weighted_fisher(f, gamma1):
@@ -181,13 +192,14 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
     H_ij = G_i xi_j and the i != j terms counted twice, so no (size, N, N)
     array is made.  When the mask covers every node, F is f bit for bit, so
     the coefficient field A = a*f of f, when given as `coeffs`, holds the
-    same components, and they are summed in the same order.
+    same components.
     """
     grid = f.grid
     xi, mask = _shifted_log_gradient(f)
     G = np.where(mask, f.values * xi.T, 0.0)  # (N, size)
     if coeffs is not None and mask.all():
-        columns = ((i, j, coeffs[:, i, j]) for i, j in a_column_keys(grid.dim))
+        pairs = combinations_with_replacement(range(grid.dim), 2)
+        columns = ((i, j, coeffs[:, i, j]) for i, j in pairs)
     else:
         columns = a_columns(grid, spec, np.where(mask, f.values, 0.0).reshape(grid.shape))
     diffusion = 0.0

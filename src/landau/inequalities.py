@@ -57,7 +57,13 @@ class InequalityReport:
 
 
 def _report(name, lhs, rhs, constant, inputs):
-    holds = lhs <= rhs * (1.0 + HOLDS_TOL)
+    """The report of lhs <= rhs; a "ratio-only" row asserts no bound, records
+    the ratio lhs/rhs in its inputs and holds when the ratio is finite."""
+    if constant == "ratio-only":
+        inputs["ratio"] = lhs / rhs if rhs else math.inf
+        holds = math.isfinite(inputs["ratio"])
+    else:
+        holds = lhs <= rhs * (1.0 + HOLDS_TOL)
     slack = rhs / lhs if lhs > 0 else math.inf
     return InequalityReport(
         name=name, lhs=lhs, rhs=rhs, constant_used=constant,
@@ -99,12 +105,8 @@ def check_edd_theorem(f, spec, mode="radial_explicit"):
         g1 = spec.gamma
         lhs = weighted_fisher(f, g1)
         rhs = 1.0 + dissipation
-        rep = _report(
-            "edd_ratio", lhs, rhs, "ratio-only",
-            {"dissipation": dissipation, "ratio": lhs / rhs, "gamma1": g1},
-        )
-        rep.holds = bool(math.isfinite(lhs / rhs))
-        return rep
+        return _report("edd_ratio", lhs, rhs, "ratio-only",
+                       {"dissipation": dissipation, "gamma1": g1})
     if f.grid.dim != 3 or not spec.is_coulomb:
         raise ValidationError(
             "the explicit bound requires dimension 3 and the Coulomb kernel"
@@ -182,12 +184,8 @@ def check_sobolev(f, gamma1, variant="general", q=None):
         p = dim / (dim - 2.0)
     lhs = weighted_lp(f, p, 2.0 * m)
     bracket = integrate(f, 1.0 + f.grid.sq_norm) + weighted_fisher(f, gamma1)
-    rep = _report(
-        "sobolev_general", lhs, bracket, "ratio-only",
-        {"gamma1": gamma1, "exponent": p, "ratio": lhs / bracket if bracket else math.inf},
-    )
-    rep.holds = bool(math.isfinite(rep.inputs["ratio"]))
-    return rep
+    return _report("sobolev_general", lhs, bracket, "ratio-only",
+                   {"gamma1": gamma1, "exponent": p})
 
 
 def _unit_ball_power_norm(p, r, dim):

@@ -99,6 +99,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -199,13 +200,12 @@ def _a_table_items(z, rsq, psi):
     full-size pass."""
     q = -psi / rsq
     del rsq  # q takes its place
-    for i in range(len(z)):
-        for j in range(i, len(z)):
-            tab = q * (z[i] * z[j])
-            if i == j:
-                tab += psi
-            tab.flat[0] = 0.0
-            yield (i, j), tab
+    for i, j in combinations_with_replacement(range(len(z)), 2):
+        tab = q * (z[i] * z[j])
+        if i == j:
+            tab += psi
+        tab.flat[0] = 0.0
+        yield (i, j), tab
 
 
 def _fast_len(m):
@@ -290,11 +290,6 @@ def _along(x, ax, mat):
         front = x.reshape(rows, shape[ax], -1).transpose(1, 0, 2).reshape(shape[ax], -1)
         y = (mat @ front).reshape(len(mat), rows, -1).transpose(1, 0, 2)
     return y.reshape(shape[:ax] + (len(mat),) + shape[ax + 1:])
-
-
-def _odd_on_axis0(i, j):
-    """Whether a_ij is odd along axis 0: i != j and one of them is 0."""
-    return (i == 0) != (j == 0)
 
 
 def _row_parts(P, start, stop):
@@ -384,20 +379,11 @@ def _layout(grid, spec):
     return hit
 
 
-def a_column_keys(dim):
-    """The (i, j), i <= j, of the components of a*g in the order
-    `a_columns` yields them: the tables even along axis 0 first, then the
-    a_0j, j != 0, which are odd along it.  The dissipation sums its
-    diffusion columns in this order, so its bytes depend on it."""
-    keys = [(i, j) for i in range(dim) for j in range(i, dim)]
-    return sorted(keys, key=lambda ij: _odd_on_axis0(*ij))
-
-
 def a_columns(grid, spec, g, out=None):
-    """(i, j, component a_ij*g, flattened) for i <= j, in the order of
-    `a_column_keys`, for a scalar field g of shape grid.shape: each
-    component a fresh array, or the contiguous row out[i, j] of a
-    component-major (N, N, size) `out`.
+    """(i, j, component a_ij*g, flattened) for i <= j, in
+    `itertools.combinations_with_replacement` order, for a scalar field g
+    of shape grid.shape: each component a fresh array, or the contiguous
+    row out[i, j] of a component-major (N, N, size) `out`.
 
     One forward transform of g, into the first work buffer, and per
     component one product (`_add_row`) and one inverse, in place in the
@@ -408,7 +394,7 @@ def a_columns(grid, spec, g, out=None):
     (g_hat,) = lay.spectra_of([g])
     work = lay.field_hat[1]
     whole = _row_parts(lay.shape[0], 0, lay.shape[0])
-    for i, j in a_column_keys(grid.dim):
+    for i, j in combinations_with_replacement(range(grid.dim), 2):
         _add_row(work, None, spectra, i, [(j, g_hat)], whole)
         row = None if out is None else out[i, j]
         yield i, j, _quadrature(grid, work, lay.shape, out=row)
@@ -456,7 +442,7 @@ def _add_row(acc, term, spectra, i, g_items, parts):
     first = True
     for j, g_j in g_items:
         for part, src, mirrored in parts:
-            negated = mirrored and _odd_on_axis0(i, j)
+            negated = mirrored and (i == 0) != (j == 0)  # a_0j, j != 0, is odd along axis 0
             t = np.multiply(spectra[(i, j)][src], g_j[part], out=(acc if first else term)[part])
             if first:
                 if negated:

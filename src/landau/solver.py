@@ -70,15 +70,6 @@ class TestFunction:
             raise ValidationError(f"test-function axis {self.index} on a {dim}-D grid")
         return coords[:, self.index].copy(), np.eye(dim)[np.full(n, self.index)], hess
 
-    def value(self, coords):
-        return self._derivatives(coords)[0]
-
-    def grad(self, coords):
-        return self._derivatives(coords)[1]
-
-    def hess(self, coords):
-        return self._derivatives(coords)[2]
-
 
 # ---------------------------------------------------------------------------
 # operator assembly and stepping
@@ -299,8 +290,8 @@ class SolverConfig:
     scheme: str = "euler"  # "euler" or "heun"
     l_list: tuple = (1.0, 2.0)
     k_list: tuple = (1.0,)
-    cadence: int = 0  # 0 -> steps // 20
-    gamma1: float = None  # defaults to the kernel exponent
+    cadence: int = 0  # 0 -> steps // 20, at least 1
+    gamma1: float = None  # None -> the kernel exponent
     keep_snapshots: bool = False  # retain (t, state) at the cadence steps
 
     def __post_init__(self):
@@ -320,16 +311,8 @@ class SolverConfig:
             raise ValidationError(f"k_list entries must be > 0, got {self.k_list}")
         self.l_list = tuple(map(float, self.l_list))
         self.k_list = tuple(map(float, self.k_list))
-        if self.gamma1 is not None:
-            self.gamma1 = float(self.gamma1)
-
-    def resolved_cadence(self):
-        return self.cadence if self.cadence > 0 else max(1, self.steps // 20)
-
-    def resolved_gamma1(self):
-        if self.gamma1 is not None:
-            return self.gamma1
-        return self.spec.gamma
+        self.cadence = self.cadence or max(1, self.steps // 20)
+        self.gamma1 = float(self.spec.gamma if self.gamma1 is None else self.gamma1)
 
 
 @dataclass
@@ -360,9 +343,8 @@ class TimeSeries:
 def _heavy_diagnostics(f, config, rec, fields):
     rec.dissipation = entropy_dissipation(f, config.spec, form="projected",
                                           coeffs=fields.A)
-    g1 = config.resolved_gamma1()
-    rec.fisher_w = weighted_fisher(f, g1)
-    rec.l3w_norm = weighted_lp(f, 3.0, min(g1, -2.0))
+    rec.fisher_w = weighted_fisher(f, config.gamma1)
+    rec.l3w_norm = weighted_lp(f, 3.0, min(config.gamma1, -2.0))
     for k in config.k_list:
         diss, drift, net = lp_energy_balance(f, config.spec, k, fields)
         rec.lp_net[k] = net
@@ -381,7 +363,6 @@ def run(f0, config):
     for every k.
     """
     f, t, clipped = f0, 0.0, 0.0
-    cadence = config.resolved_cadence()
     records, snapshots = [], []
     d_int = l3_int = 0.0
     prev = None  # the last heavy record
@@ -392,7 +373,7 @@ def run(f0, config):
             t += dt
         fields = None  # the old state's fields go before the new ones are made
         fields = _face_fluxes(f, config.spec)
-        heavy = istep % cadence == 0 or istep == config.steps
+        heavy = istep % config.cadence == 0 or istep == config.steps
         ms = moments(f, config.l_list if heavy else ())
         rec = DiagnosticsRecord(
             step=istep, t=t, mass=ms.mass, momentum=ms.momentum, energy=ms.energy,
@@ -436,7 +417,7 @@ def weak_form_rhs(f, spec, phi, with_scale=False):
         return (val, abs(val)) if with_scale else val
     live = f.values > 0
     coords = f.grid.coords[live]
-    gphi, hphi = phi.grad(coords), phi.hess(coords)
+    _, gphi, hphi = phi._derivatives(coords)
     total = gross = 0.0
     for rows, cols, z, rsq, ff, psi in pair_chunks(f, spec, live):
         # a_ij = psi (delta_ij - z_i z_j / r^2);  b_i = -(N-1) psi z_i / r^2

@@ -112,6 +112,19 @@ class TestFunctional:
                            "--out", tmp_path / "o.json", out=tmp_path / "o.json")
 
 
+    def test_non_finite_value_is_refused(self, tmp_path, capsys):
+        # D of a state this large overflows: exit 1, one line, no report
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"dim": 3, "half_width": 3.0, "nodes_per_axis": 8,
+                                 "values": [1e300] * 8**3}))
+        out = tmp_path / "o.json"
+        assert main(["functional", "--input", str(p), "--psi", "coulomb", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "dissipation" in err and "Warning" not in err
+        assert not out.exists()
+
+
 class TestVerify:
     def write_config(self, tmp_path, suites, resolutions=(12,)):
         cfg = {
@@ -216,6 +229,21 @@ class TestVerify:
             capsys.readouterr().err
         rows = json.loads((out / "report.json").read_text())
         assert [(r["name"], r["inputs"]["exponent"]) for r in rows] == [("sobolev_general", 8.0)]
+
+    def test_overflowing_weight_gives_an_error_row(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "grid": {"dim": 3, "half_width": 3.0}, "resolutions": [8],
+            "families": [{"kind": "maxwellian", "normalize": True}],
+            "suites": [{"name": "interpolation", "l1": 1e308}],
+        }))
+        out = tmp_path / "r"
+        assert main(["verify", "--config", str(p), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FAIL interpolation[") and err.count("\n") == 1, err
+        assert "Warning" not in err
+        (row,) = json.loads((out / "report.json").read_text())
+        assert "not finite" in row["error"] and row["holds"] is False
 
     def test_non_object_config_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -619,6 +647,18 @@ class TestSolve:
         p = self.custom_initial(tmp_path, state)
         assert_usage_error(capsys, "solve", "--config", p, "--out-dir", tmp_path / "r",
                            out=tmp_path / "r")
+
+    def test_overflowing_moment_weight_is_usage_error(self, tmp_path):
+        # M_l with (1+|v|^2)^l infinite at some node is refused before the
+        # run, in one line and with no overflow warning
+        p = tmp_path / "solve.json"
+        p.write_text(json.dumps({"grid": {"half_width": 3.0, "nodes_per_axis": 8},
+                                 "initial": {"kind": "maxwellian"}, "l_list": [1e6]}))
+        res = run_cli("solve", "--config", str(p), "--out-dir", str(tmp_path / "r"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error: ") and res.stderr.count("\n") == 1
+        assert "Warning" not in res.stderr and "1e+06" in res.stderr
+        assert not (tmp_path / "r").exists()
 
     def test_custom_initial_normalized(self, tmp_path, capsys):
         # a stored state of mass 2 starts the run at mass 1, as in verify

@@ -84,6 +84,14 @@ class TestWeightedNorms:
         w = (1.0 + g.sq_norm) ** -1.0
         assert weighted_lp(f, math.inf, -2.0) == pytest.approx(np.max(w * vals))
 
+    def test_weighted_lp_tends_to_the_sup(self):
+        # no power underflows: at p = 300 the norm once read 0 here
+        f = maxwellian(build_grid(3, 6.0, 16))
+        sup = weighted_lp(f, math.inf, -1.0)
+        norms = [weighted_lp(f, p, -1.0) for p in (10.0, 100.0, 300.0, 1e4, 1e308)]
+        assert all(a > b >= sup for a, b in zip(norms, norms[1:]))
+        assert norms[-1] == pytest.approx(sup, rel=1e-12)
+
     @pytest.mark.parametrize("p", [0.5, 0.0, -math.inf, math.nan])
     def test_weighted_lp_exponent_validation(self, p):
         g = build_grid(2, 2.0, 6)

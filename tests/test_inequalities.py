@@ -89,6 +89,7 @@ class TestEddTheorem:
         assert rep.constant_used == "ratio-only"
         ratio = rep.lhs / rep.rhs
         assert math.isfinite(ratio) and ratio > 0.0
+        assert rep.holds and rep.inputs["ratio"] == ratio
 
 
 class TestSobolev:
@@ -114,6 +115,7 @@ class TestSobolev:
         rep = check_sobolev(radial_family(grid), -2.5, variant="general")
         assert rep.constant_used == "ratio-only"
         assert math.isfinite(rep.lhs)
+        assert rep.holds and rep.inputs["ratio"] == rep.lhs / rep.rhs
 
 
 def young_direct(f, spec, R):
@@ -200,6 +202,12 @@ class TestInterpolation:
         f = DiscreteDistribution(grid, rng.random(grid.size))
         rep = check_interpolation(f, 2.0, 1.0, 3.0, 0.0, 1.0)
         assert rep.lhs == pytest.approx(rep.rhs, rel=1e-14)
+
+    def test_large_exponent_holds(self):
+        # ||f||_400 once underflowed to 0 here, and the row failed
+        f = radial_family(build_grid(3, 6.0, 16))
+        rep = check_interpolation(f, q1=400, l1=0, q2=1, l2=0, beta=0.5)
+        assert rep.holds and rep.rhs > 0
 
 
 class TestMomentCondition:

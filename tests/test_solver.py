@@ -238,18 +238,18 @@ class TestWeakForm:
 
     @pytest.mark.parametrize("kind", ["one", "energy"])
     def test_derivatives_match_finite_differences(self, kind):
-        phi = TestFunction(kind)
+        derivatives = TestFunction(kind)._derivatives
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(12, 3))
-        g = phi.grad(pts)
-        hess = phi.hess(pts)
+        _, g, hess = derivatives(pts)
         eps = 1e-6
         for d in range(3):
             e = np.zeros(3)
             e[d] = eps
-            fd_g = (phi.value(pts + e) - phi.value(pts - e)) / (2 * eps)
+            (v_hi, g_hi, _), (v_lo, g_lo, _) = derivatives(pts + e), derivatives(pts - e)
+            fd_g = (v_hi - v_lo) / (2 * eps)
             assert np.max(np.abs(fd_g - g[:, d])) < 1e-6
-            fd_h = (phi.grad(pts + e) - phi.grad(pts - e)) / (2 * eps)
+            fd_h = (g_hi - g_lo) / (2 * eps)
             assert np.max(np.abs(fd_h - hess[:, :, d])) < 1e-5
 
     @pytest.mark.parametrize("kind", [
@@ -264,12 +264,10 @@ class TestWeakForm:
             TestFunction(("v", axis))
 
     def test_v_axis_beyond_the_grid_raises(self):
-        phi = TestFunction(("v", 5))
         coords = np.zeros((2, 3))
-        for call in (phi.value, phi.grad, phi.hess):
-            with pytest.raises(ValidationError):
-                call(coords)
-        assert np.array_equal(TestFunction(("v", 2)).grad(coords), [[0, 0, 1]] * 2)
+        with pytest.raises(ValidationError):
+            TestFunction(("v", 5))._derivatives(coords)
+        assert np.array_equal(TestFunction(("v", 2))._derivatives(coords)[1], [[0, 0, 1]] * 2)
 
 
 class TestLpBalance:
@@ -343,7 +341,12 @@ class TestConfig:
         cfg = SolverConfig(spec=SPEC, l_list=[1, 2.5], k_list=(2,), gamma1=-3)
         assert cfg.l_list == (1.0, 2.5) and cfg.k_list == (2.0,)
         assert all(type(x) is float for x in cfg.l_list + cfg.k_list)
-        assert type(cfg.gamma1) is float and cfg.resolved_gamma1() == -3.0
+        assert type(cfg.gamma1) is float and cfg.gamma1 == -3.0
+
+    def test_defaults_resolved_in_place(self):
+        cfg = SolverConfig(spec=PowerLawPsi(-2.0), steps=100)
+        assert cfg.cadence == 5 and cfg.gamma1 == -2.0
+        assert SolverConfig(spec=SPEC, steps=7).cadence == 1
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, "abc", True])
     def test_step_rejects_bad_dt(self, dt):

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from .errors import (
     read_tagged,
 )
 from .families import DistributionSpec, generate_distribution
-from .functionals import (entropy_dissipation, moments, polynomial_weight, weighted_fisher,
-                          weighted_lp)
+from .functionals import (entropy_dissipation, moments, polynomial_weight, weight_exponent,
+                          weighted_fisher, weighted_lp)
 from .grid import DiscreteDistribution, build_grid
 from .inequalities import (
     InequalityReport,
@@ -125,19 +126,13 @@ def _sobolev_variant(opts, dim, psi):
     general in 2-D, and gamma1 by every variant but coulomb_explicit."""
     variant = opts["variant"]
     if variant == "auto":
-        variant = "coulomb_explicit" if dim == 3 and psi.is_coulomb else "general"
+        variant = "coulomb_explicit" if dim == 3 and isinstance(psi, CoulombPsi) else "general"
     if opts["q"] is not None and (variant, dim) != ("general", 2):
         raise ValidationError(f"sobolev 'q' is read only by the general variant in 2-D, "
                               f"not by {variant!r} in {dim}-D")
     if opts["gamma1"] is not None and variant == "coulomb_explicit":
         raise ValidationError("sobolev 'gamma1' is not read by the coulomb_explicit variant")
     return variant
-
-
-def _sobolev(f, psi, opts):
-    gamma1 = psi.gamma if opts["gamma1"] is None else opts["gamma1"]
-    variant = _sobolev_variant(opts, f.grid.dim, psi)
-    return [check_sobolev(f, gamma1, variant=variant, q=opts["q"])]
 
 
 def _moment_condition(f, psi, opts):
@@ -163,7 +158,10 @@ SUITES = {
         {"mode": "radial_explicit"},
         lambda f, psi, o: [check_edd_theorem(f, psi, mode=o["mode"])],
     ),
-    "sobolev": ({"gamma1": None, "variant": "auto", "q": None}, _sobolev),
+    "sobolev": (
+        {"gamma1": None, "variant": "auto", "q": None},
+        lambda f, psi, o: [check_sobolev(f, o["gamma1"], variant=o["variant"], q=o["q"])],
+    ),
     "young": (
         {"R": 2.0, "r": 1.2},
         lambda f, psi, o: [check_young(f, psi, R=o["R"], r=o["r"])],
@@ -229,7 +227,7 @@ def _suite_rows(entry, f, psi, family, resolution):
     if not isinstance(f, Exception):
         try:
             reports = SUITES[entry["name"]][1](f, psi, entry)
-            return [{**rep.to_json_dict(), **labels} for rep in reports]
+            return [{**asdict(rep), **labels} for rep in reports]
         except (ValidationError, DegeneracyError, NumericError) as exc:
             f = exc
     return [{**labels, "name": entry["name"], "lhs": math.nan, "rhs": math.nan,
@@ -348,7 +346,8 @@ def cmd_verify(args):
                                "name", options, "suite") for item in cfg["suites"]]
         for entry in entries:
             if entry["name"] == "sobolev":
-                _sobolev_variant(entry, grid_cfg["dim"], psi)
+                entry["variant"] = _sobolev_variant(entry, grid_cfg["dim"], psi)
+                entry["gamma1"] = psi.gamma if entry["gamma1"] is None else entry["gamma1"]
         if not cfg["families"]:
             raise ValidationError("'families' must be a nonempty list")
         fam_specs = [DistributionSpec.from_json_dict(item) for item in cfg["families"]]
@@ -386,7 +385,6 @@ def cmd_functional(args):
     with _reading(args.input):
         f = DiscreteDistribution.load(args.input)
     psi = _parse_psi(args.psi)
-    gamma1 = psi.gamma
     # a non-finite value is refused below, which an overflow warning would only foretell
     with np.errstate(over="ignore", invalid="ignore"):
         summary = moments(f, l_list=(1.0, 2.0))
@@ -397,8 +395,8 @@ def cmd_functional(args):
             "entropy": summary.entropy,
             "moments": {repr(l): val for l, val in sorted(summary.moments.items())},
             "dissipation": entropy_dissipation(f, psi, form="projected"),
-            "weighted_fisher": weighted_fisher(f, gamma1),
-            "l3_weighted_norm": weighted_lp(f, 3.0, min(gamma1, -2.0)),
+            "weighted_fisher": weighted_fisher(f, psi.gamma),
+            "l3_weighted_norm": weighted_lp(f, 3.0, 2.0 * weight_exponent(psi.gamma)),
         }
     bad = [key for key, val in values.items()
            if not np.all(np.isfinite(list(val.values()) if isinstance(val, dict) else val))]

@@ -131,11 +131,17 @@ def fisher_sum(f, m):
     return float(f.grid.cell_volume * np.sum(grad2 * w))
 
 
+def weight_exponent(gamma1):
+    """m = min(gamma1/2, -1): the weight (1+|v|^2)^m of the weighted Fisher
+    information and of the L^3 norm (`weighted_lp`'s l = 2m)."""
+    return min(gamma1 / 2.0, -1.0)
+
+
 def weighted_fisher(f, gamma1):
-    """int |grad sqrt(f)|^2 (1+|v|^2)^{min(gamma1/2, -1)} dv."""
+    """int |grad sqrt(f)|^2 (1+|v|^2)^{weight_exponent(gamma1)} dv."""
     if not math.isfinite(gamma1):
         raise ValidationError(f"gamma1 must be finite, got {gamma1}")
-    return fisher_sum(f, min(gamma1 / 2.0, -1.0))
+    return fisher_sum(f, weight_exponent(gamma1))
 
 
 def _shifted_log_gradient(f):

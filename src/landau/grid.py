@@ -201,14 +201,17 @@ class NormalizationTransform:
 
 
 def integrate(f, weight=None):
-    """Midpoint quadrature h^N * sum_k w_k f_k, with `weight` None (w = 1)
-    or an array of per-node values."""
+    """Midpoint quadrature h^N * sum_k w_k f_k over the support of f, w = 1 or
+    the per-node `weight`; NumericError, and no warning, if it is not finite."""
     w = 1.0 if weight is None else np.asarray(weight, dtype=float)
-    prod = f.values * w
-    if not np.all(np.isfinite(prod[f.values > 0])):
-        raise NumericError("non-finite weight value on the support of f")
+    terms = np.zeros(f.grid.size)
     # np.sum uses fixed-order pairwise summation: bit-reproducible.
-    return f.grid.cell_volume * float(np.sum(np.where(f.values > 0, prod, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(f.values, w, out=terms, where=f.values > 0)
+        total = f.grid.cell_volume * float(np.sum(terms))
+    if not math.isfinite(total):
+        raise NumericError("the weighted sum over the support of f is not finite")
+    return total
 
 
 def gradient(field, h):

@@ -13,7 +13,7 @@ constant_used = "ratio-only" instead of asserting a bound.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,11 +25,12 @@ from .functionals import (
     gamma_floor,
     gamma_values,
     lambda0,
+    weight_exponent,
     weighted_fisher,
     weighted_lp,
 )
 from .grid import integrate
-from .kernels import psi_convolve
+from .kernels import CoulombPsi, psi_convolve
 
 HOLDS_TOL = 1e-9
 
@@ -51,9 +52,6 @@ class InequalityReport:
     holds: bool
     slack: float
     inputs: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return asdict(self)
 
 
 def _report(name, lhs, rhs, constant, inputs):
@@ -107,7 +105,7 @@ def check_edd_theorem(f, spec, mode="radial_explicit"):
         rhs = 1.0 + dissipation
         return _report("edd_ratio", lhs, rhs, "ratio-only",
                        {"dissipation": dissipation, "gamma1": g1})
-    if f.grid.dim != 3 or not spec.is_coulomb:
+    if f.grid.dim != 3 or not isinstance(spec, CoulombPsi):
         raise ValidationError(
             "the explicit bound requires dimension 3 and the Coulomb kernel"
         )
@@ -140,7 +138,7 @@ def check_sobolev(f, gamma1, variant="general", q=None):
 
         ( int f^(N/(N-2)) (1+|v|^2)^((N/(N-2)) m) )^((N-2)/N)
             <= C [ int f (1+|v|^2) + int |grad sqrt f|^2 (1+|v|^2)^m ],
-        m = min(gamma1/2, -1).
+        m = weight_exponent(gamma1).
 
     coulomb_explicit (N = 3, gamma1 = -3):
 
@@ -151,7 +149,6 @@ def check_sobolev(f, gamma1, variant="general", q=None):
     form; the variant with w = (1+|v|^2)^(+3/2) is reported alongside.
     """
     dim = f.grid.dim
-    m = min(gamma1 / 2.0, -1.0)
     if variant == "coulomb_explicit":
         if dim != 3:
             raise ValidationError("the explicit constants require dimension 3")
@@ -182,7 +179,7 @@ def check_sobolev(f, gamma1, variant="general", q=None):
         p = float(q)
     else:
         p = dim / (dim - 2.0)
-    lhs = weighted_lp(f, p, 2.0 * m)
+    lhs = weighted_lp(f, p, 2.0 * weight_exponent(gamma1))
     bracket = integrate(f, 1.0 + f.grid.sq_norm) + weighted_fisher(f, gamma1)
     return _report("sobolev_general", lhs, bracket, "ratio-only",
                    {"gamma1": gamma1, "exponent": p})
@@ -284,8 +281,8 @@ def check_gamma_lower_bound(f, hbar):
 
 def moment_condition(gamma1, gamma2):
     """Admissibility of the kernel exponent pair for moment propagation:
-    (gamma2 + 2) (1 - min(gamma1/2, -1)) > -4.
+    (gamma2 + 2) (1 - weight_exponent(gamma1)) > -4.
 
     Strict inequality: pairs landing on the boundary (up to roundoff) fail.
     """
-    return (gamma2 + 2.0) * (1.0 - min(gamma1 / 2.0, -1.0)) > -4.0 + 1e-12
+    return (gamma2 + 2.0) * (1.0 - weight_exponent(gamma1)) > -4.0 + 1e-12

@@ -125,10 +125,6 @@ class PowerLawPsi:
         if not -3.0 <= self.gamma <= 1.0:
             raise ValidationError(f"power-law gamma must lie in [-3, 1], got {self.gamma}")
 
-    @property
-    def is_coulomb(self):
-        return False
-
     def psi(self, r):
         # psi(0) is the IEEE power 0^p = inf, 1 or 0 for p <, = or > 0; a
         # radius that is not > 0 (-0.0, say) counts as +0.0
@@ -147,10 +143,6 @@ class CoulombPsi(PowerLawPsi):
     not a parameter."""
 
     gamma: float = field(default=-3.0, init=False)
-
-    @property
-    def is_coulomb(self):
-        return True
 
     def to_json_dict(self):
         return {"kind": "coulomb"}

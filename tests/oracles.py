@@ -11,7 +11,8 @@ of Q.  Beside them sit the per-corner multilinear interpolation and the
 moments as `integrate` sums over full-length weights, which the separable
 forms in `landau.grid` replace, and the continuum truth of A, D and the
 weighted Fisher information for radial states under the 3-D Coulomb
-kernel, by 1-D integrals, and the radial trajectories of that equation.
+kernel, by 1-D integrals, and the radial trajectories of that equation;
+of A also under the power laws psi = r^(gamma+2).
 Last, D summed exactly by `math.fsum` from a log-gradient without its
 affine part, the reference near equilibrium.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from landau.errors import ValidationError
 from landau.grid import grad_log, gradient, integrate
-from landau.kernels import collision_coefficients, projection
+from landau.kernels import CoulombPsi, collision_coefficients, projection
 
 
 @functools.lru_cache(maxsize=16)
@@ -83,7 +84,7 @@ def nonparabolic_operator(f, spec):
     """The Coulomb non-conservative form Q(f) = sum_ij A_ij d2_ij f + 8 pi f^2,
     with the engine's A and central differences; c*f = -8 pi f pointwise
     holds for the Coulomb kernel only."""
-    if not spec.is_coulomb:
+    if not isinstance(spec, CoulombPsi):
         raise ValidationError("the non-parabolic form needs the Coulomb kernel")
     grid = f.grid
     dim, h = grid.dim, grid.h
@@ -183,6 +184,51 @@ def radial_coulomb(f, df, radii, R=12.0, points=200_001):
         "fisher_w": math.pi * float(_cumulative(s**2 * score * (1 + s**2) ** -1.5, s)[-1]),
         "hbar": 4 * math.pi * float(_cumulative(s**2 * fs * abs_log, s)[-1]),
     }
+
+
+def _power_integral(k, lo, hi):
+    """P_k = int_lo^hi rho^k d rho in closed form, the log at k = -1."""
+    if k == -1:
+        return np.log(hi / lo)
+    return (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+
+
+def radial_power(f, gamma, radii, R=12.0, points=200):
+    """The 3-D truth of A = a*f under psi = r^(gamma+2) for a radial density
+    f(r), vectorized, taken as 0 beyond R: (A_rr, A_tt), the eigenvalues of
+    A along v and across it, at `radii` in (0, R).
+
+    On the sphere |w| = s the angular integral of a(v - w) is one over
+    rho = |v - w| in [|r - s|, r + s].  With c = r^2 + s^2 and the closed
+    forms P_k = int_{|r-s|}^{r+s} rho^k d rho (a log at k = -1),
+
+        core = (4 r^2 s^2 - c^2) P_{gamma+1} + 2 c P_{gamma+3} - P_{gamma+5}
+        A_rr = 2 pi int s f(s) core / (4 r^3) ds
+        A_tt = 2 pi int s f(s) [P_{gamma+3} / r - core / (8 r^3)] ds
+
+    A_rr is the v-hat v-hat component, 2 pi int s^2 f int (rho^(gamma+2) -
+    rho^gamma (v-hat . z)^2) rho / (r s) d rho ds with v-hat . z =
+    (r^2 - s^2 + rho^2) / (2r), and A_tt = (tr A - A_rr) / 2 with
+    tr A = 2 int f psi.  The integrands have a |r - s|^(gamma+4) kink at
+    s = r, so each s integral is split there and taken by Gauss-Legendre
+    with `points` nodes on [0, r] and on [r, R].
+    """
+    x, wx = np.polynomial.legendre.leggauss(points)
+    x, wx = 0.5 * (x + 1), 0.5 * wx  # on [0, 1]
+    uniq, inverse = np.unique(np.asarray(radii, dtype=float), return_inverse=True)
+    rr, tt = np.empty(uniq.size), np.empty(uniq.size)
+    for start in range(0, uniq.size, 256):
+        part = slice(start, start + 256)
+        r = uniq[part, None]
+        s = np.concatenate([r * x, r + (R - r) * x], axis=1)
+        w = np.concatenate([r * wx, (R - r) * wx], axis=1)
+        lo, hi, c = np.abs(r - s), r + s, r * r + s * s
+        p1, p3, p5 = (_power_integral(gamma + k, lo, hi) for k in (1, 3, 5))
+        core = (4 * r * r * s * s - c * c) * p1 + 2 * c * p3 - p5
+        sf = 2 * math.pi * w * s * f(s)
+        rr[part] = np.sum(sf * core, axis=1) / (4 * r[:, 0] ** 3)
+        tt[part] = np.sum(sf * (p3 / r - core / (8 * r**3)), axis=1)
+    return rr[inverse], tt[inverse]
 
 
 def _shifted_log_gradient(f):

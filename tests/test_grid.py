@@ -2,11 +2,13 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from landau.errors import DegeneracyError, NumericError, ValidationError
+from landau.functionals import moments
 from landau.grid import (
     DiscreteDistribution,
     NormalizationTransform,
@@ -177,6 +179,15 @@ class TestIntegrate:
         w[0] = math.inf
         with pytest.raises(NumericError):
             integrate(f, weight=w)
+
+    def test_overflowing_sum_raises_without_a_warning(self):
+        # every product f w of M_4 is finite on this state; their sum is not
+        g = build_grid(3, 6.0, 8)
+        f = DiscreteDistribution(g, np.full(g.size, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                moments(f, (4.0,))
 
 
 class TestGradientSqrt:

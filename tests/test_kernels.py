@@ -68,7 +68,7 @@ class TestPsiLaws:
 
     def test_json_round_trip(self):
         psi = psi_spec_from_json({"kind": "coulomb"})
-        assert psi.is_coulomb
+        assert isinstance(psi, CoulombPsi)
         psi = psi_spec_from_json({"kind": "power_law", "gamma": -2.2})
         assert psi.gamma == -2.2
         with pytest.raises(ValidationError):

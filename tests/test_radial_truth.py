@@ -1,6 +1,6 @@
 """The program's A, D and weighted Fisher information against the continuum
 truth of a radial state under the 3-D Coulomb kernel (`oracles.radial_coulomb`),
-and the program's D and today's scheme against radial trajectories of the
+its A under the soft power laws (`oracles.radial_power`), and the program's D and today's scheme against radial trajectories of the
 equation itself (`oracles.radial_landau`), along which the paper's
 time-integrated bounds and the monotone Fisher information are checked.
 
@@ -22,9 +22,9 @@ from landau.inequalities import (
     SOBOLEV_FISHER_CONSTANT,
     SOBOLEV_MASS_CONSTANT,
 )
-from landau.kernels import CoulombPsi, collision_coefficients
+from landau.kernels import CoulombPsi, PowerLawPsi, collision_coefficients
 from landau.solver import SolverConfig, run, stability_dt
-from oracles import radial_coulomb, radial_landau
+from oracles import radial_coulomb, radial_landau, radial_power
 
 RESOLUTIONS = (16, 24, 32)
 SHELLS = ((2.0, 0.5), (1.5, 0.6))  # table H's (centre, width)
@@ -52,6 +52,18 @@ def errors():
     return {pair: shell_errors(*gaussian_shell(*pair)) for pair in SHELLS}
 
 
+def radial_tensor(grid, along, across):
+    """The (size, 3, 3) field along v-hat v-hat^T + across (I - v-hat v-hat^T)."""
+    u = grid.coords / np.sqrt(grid.sq_norm)[:, None]
+    uu = u[:, :, None] * u[:, None, :]
+    return along[:, None, None] * uu + across[:, None, None] * (np.eye(3) - uu)
+
+
+def relative_max(A, exact, inner):
+    """max|A - exact| / max|exact| over the nodes of the mask `inner`."""
+    return np.max(np.abs(A - exact)[inner]) / np.max(np.abs(exact[inner]))
+
+
 def shell_errors(profile, derivative):
     out = {"A": [], "D": [], "fisher_w": []}
     spec = CoulombPsi()
@@ -59,14 +71,11 @@ def shell_errors(profile, derivative):
         grid = build_grid(3, 6.0, n)
         r = np.sqrt(grid.sq_norm)
         truth = radial_coulomb(profile, derivative, r)
-        along, across = truth["A"]
-        u = grid.coords / r[:, None]
-        uu = u[:, :, None] * u[:, None, :]
-        exact = along[:, None, None] * uu + across[:, None, None] * (np.eye(3) - uu)
+        exact = radial_tensor(grid, *truth["A"])
         f = DiscreteDistribution(grid, profile(r))
         inner = r < 4.5
         A = collision_coefficients(f, spec)
-        out["A"].append(np.max(np.abs(A - exact)[inner]) / np.max(np.abs(exact[inner])))
+        out["A"].append(relative_max(A, exact, inner))
         out["D"].append(entropy_dissipation(f, spec) / truth["D"] - 1)
         out["fisher_w"].append(weighted_fisher(f, -3.0) / truth["fisher_w"] - 1)
     return out
@@ -138,6 +147,68 @@ def test_maxwellian_dissipation_vanishes():
     truth = radial_coulomb(lambda r: np.exp(-r * r / 2), lambda r: -r * np.exp(-r * r / 2),
                            np.zeros(1))
     assert abs(truth["D"]) <= 1e-8 * truth["D_first"]
+
+
+# ---------------------------------------------------------------------------
+# soft potentials: A under psi = r^(gamma+2) against `oracles.radial_power`
+
+TEST_RADII = np.linspace(0.1, 5.0, 50)
+
+
+def test_radial_power_is_radial_coulomb_at_gamma_minus_3():
+    # the Coulomb truth's own trapezoid error is 3.5e-10 here
+    along, across = radial_coulomb(shell, shell_derivative, TEST_RADII)["A"]
+    for got, want in zip(radial_power(shell, -3.0, TEST_RADII), (along, across)):
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_radial_power_is_the_closed_form_at_gamma_0():
+    # psi = r^2: A = M (|v|^2 I - v v^T) + 2 M T I for a centred isotropic f
+    # of mass M and per-axis temperature T
+    mass = 4 * math.pi * _half_line_moment(2, *SHELLS[0])
+    mass_t = 4 * math.pi / 3 * _half_line_moment(4, *SHELLS[0])
+    want = (2 * mass_t + 0 * TEST_RADII, mass * TEST_RADII**2 + 2 * mass_t)
+    for got, exact in zip(radial_power(shell, 0.0, TEST_RADII), want):
+        assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(exact)
+
+
+def test_radial_power_is_continuous_across_the_log():
+    # at gamma = -2, P_(gamma+1) is the log; the powers on either side
+    # approach it linearly in the distance, so the log is their limit
+    at = radial_power(shell, -2.0, TEST_RADII)
+    scale = max(np.max(np.abs(a)) for a in at)
+    for sign in (1, -1):
+        gaps = [max(np.max(np.abs(a - b)) for a, b in
+                    zip(radial_power(shell, -2.0 + sign * d, TEST_RADII), at)) / scale
+                for d in (1e-4, 1e-6)]
+        assert gaps[0] <= 1e-3 and 50 <= gaps[0] / gaps[1] <= 200, (sign, gaps)
+
+
+# observed order of A between successive RESOLUTIONS, margins fixed before
+# the run: table O read 2.58, 2.53 at gamma = -2.5 and 4.35, 4.16 at -1
+POWER_ORDERS = {-2.5: 2.0, -1.0: 3.5}
+
+
+@pytest.mark.parametrize("gamma", sorted(POWER_ORDERS))
+def test_program_coefficients_converge_to_the_power_truth(gamma):
+    spec, errors = PowerLawPsi(gamma), []
+    for n in RESOLUTIONS:
+        grid = build_grid(3, 6.0, n)
+        r = np.sqrt(grid.sq_norm)
+        inner = r < 4.5
+        f = DiscreteDistribution(grid, shell(r))
+        along, across = np.zeros((2, grid.size))
+        along[inner], across[inner] = radial_power(shell, gamma, r[inner])
+        exact = radial_tensor(grid, along, across)
+        errors.append(relative_max(collision_coefficients(f, spec), exact, inner))
+    orders = [math.log(e0 / e1) / math.log(n1 / n0) for (n0, e0), (n1, e1)
+              in zip(zip(RESOLUTIONS, errors), zip(RESOLUTIONS[1:], errors[1:]))]
+    assert min(orders) >= POWER_ORDERS[gamma], (errors, orders)
+    # the oracle's own error, by its quadrature at twice the nodes, is far
+    # below the program's at the finest grid
+    finer = np.zeros((2, grid.size))
+    finer[0][inner], finer[1][inner] = radial_power(shell, gamma, r[inner], points=400)
+    assert relative_max(exact, radial_tensor(grid, *finer), inner) <= 0.1 * errors[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -364,9 +364,8 @@ def cmd_verify(args):
             rows += _suite_rows(entry, None, psi, "-", "-")
     failures = [
         f"{row['suite']}[{row['family']}@{row['resolution']}]: "
-        + (row["error"] if "error" in row else f"lhs={row['lhs']} > rhs={row['rhs']}")
-        for row in rows
-        if "error" in row or (row["constant_used"] != "ratio-only" and not row["holds"])
+        + row.get("error", f"lhs={row['lhs']}, rhs={row['rhs']} does not hold")
+        for row in rows if not row["holds"]
     ]
     _write_suite_reports(rows, args.out_dir)
     for line in failures:
@@ -426,16 +425,18 @@ SOLVE_KEYS = ("psi", "grid", "initial")
 SOLVER_CONFIG_KEYS = ("dt", "steps", "scheme", "l_list", "k_list", "cadence", "gamma1")
 
 
+def _list_columns(config):
+    """The column labels of `config`'s l_list and k_list: M_<l> and lp_net_<k>."""
+    return [f"M_{l:g}" for l in config.l_list], [f"lp_net_{k:g}" for k in config.k_list]
+
+
 def _diagnostics_rows(series, config):
-    l_list = list(config.l_list)
-    k_list = list(config.k_list)
+    moment_columns, lp_columns = _list_columns(config)
     # px, py, pz (pz = 0 in 2-D), then p3, p4, ... for each further axis
     axes = max(3, len(series.records[0].momentum))
     header = ["step", "t", "mass", "px", "py", "pz"] + [f"p{d}" for d in range(3, axes)]
-    header += ["energy", "H", "D"]
-    header += [f"M_{l:g}" for l in l_list]
-    header += ["fisher_w", "l3w_norm", "clipped_mass"]
-    header += [f"lp_net_{k:g}" for k in k_list]
+    header += ["energy", "H", "D", *moment_columns, "fisher_w", "l3w_norm", "clipped_mass"]
+    header += lp_columns
     rows = [header]
     for rec in series.records:
         mom = [float(x) for x in np.asarray(rec.momentum, dtype=float)]
@@ -443,9 +444,9 @@ def _diagnostics_rows(series, config):
         row = [rec.step, repr(rec.t), repr(rec.mass)]
         row += [repr(m) for m in mom]
         row += [repr(rec.energy), repr(rec.entropy), repr(rec.dissipation)]
-        row += [repr(rec.moments_l.get(l, math.nan)) for l in l_list]
+        row += [repr(rec.moments_l.get(l, math.nan)) for l in config.l_list]
         row += [repr(rec.fisher_w), repr(rec.l3w_norm), repr(rec.clipped_mass)]
-        row += [repr(rec.lp_net.get(k, math.nan)) for k in k_list]
+        row += [repr(rec.lp_net.get(k, math.nan)) for k in config.k_list]
         rows.append(row)
     return rows
 
@@ -463,9 +464,11 @@ def cmd_solve(args):
         grid_cfg = read_config(cfg.get("grid"), {**GRID_KEYS, "nodes_per_axis": 16}, "grid")
         n = grid_cfg["nodes_per_axis"] if args.resolution is None else args.resolution
         grid = build_grid(grid_cfg["dim"], grid_cfg["half_width"], n)
+        labels = [label for columns in _list_columns(config) for label in columns]
+        clash = sorted({label for label in labels if labels.count(label) > 1})
+        if clash:
+            raise ValidationError(f"l_list and k_list give duplicate columns {clash}")
         f0 = generate_distribution(DistributionSpec.from_json_dict(cfg.get("initial")), grid)
-        if not f0.values.any():
-            raise ValidationError("initial state has zero mass")
         for l in config.l_list:  # the run may carry f to any node
             polynomial_weight(grid, l, True)
 

@@ -117,7 +117,7 @@ def _raw_values(spec, grid):
             raise ValidationError("mixture weights must be nonnegative, one per component")
         out = np.zeros(grid.size)
         for w, comp in zip(weights, comps):
-            cf = generate_distribution(comp, grid)
+            cf = _sample(comp, grid)  # an empty component adds nothing
             out += w * cf.values / max(np.sum(cf.values), 1e-300)
         return out
     path = p["path"]  # custom_file
@@ -130,9 +130,18 @@ def _raw_values(spec, grid):
     return loaded.values
 
 
-def generate_distribution(spec, grid):
-    """Sample the family of the `DistributionSpec` spec at the cell centers of `grid`."""
+def _sample(spec, grid):
+    """The family of `spec` sampled on `grid`, of any mass."""
     f = DiscreteDistribution(grid, _raw_values(spec, grid))
     if spec.normalize:
         f, _ = normalize(f)
+    return f
+
+
+def generate_distribution(spec, grid):
+    """Sample the family of the `DistributionSpec` spec at the cell centers
+    of `grid`; a state of zero mass there raises ValidationError."""
+    f = _sample(spec, grid)
+    if not f.values.any():
+        raise ValidationError(f"{spec.kind} state has zero mass on this grid")
     return f

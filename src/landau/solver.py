@@ -174,23 +174,6 @@ class _Fields:
     fluxes: list
 
 
-def _diffusive_flux(A, fg, gradf, d, h):
-    """The diffusive flux sum_j A_dj d_j f on the faces normal to axis d:
-    face-mean coefficients times the compact difference of f for j = d and
-    the face mean of the gradient `gradf` otherwise."""
-    diff = np.zeros(_sides(fg, d)[0].shape)
-    term, df_face = np.empty_like(diff), np.empty_like(diff)
-    for j in range(fg.ndim):
-        # A is component-major, so each component is contiguous
-        _face_mean(A[:, d, j].reshape(fg.shape), d, out=term)
-        if j == d:
-            term *= _face_diff(fg, d, h, out=df_face)
-        else:
-            term *= _face_mean(gradf[j], d, out=df_face)
-        diff += term
-    return diff
-
-
 def _face_fluxes(f, spec, coeffs=None):
     """Face fluxes of the flux-form scheme, before the positivity limiter
     and the conservative projection."""
@@ -206,15 +189,26 @@ def _face_fluxes(f, spec, coeffs=None):
     B = a_contract(grid, spec, gradf)
     fluxes = []
     for d in range(dim):
-        flux = _diffusive_flux(coeffs, fg, gradf, d, h)
-        # B is component-major too
-        drift = _face_mean(B[:, d].reshape(grid.shape), d)
-        drift *= _face_mean(fg, d)
-        flux -= drift
+        # the diffusive flux sum_j A_dj d_j f: face-mean coefficients times the
+        # compact difference of f for j = d and the face mean of grad f otherwise
+        flux = np.zeros(_sides(fg, d)[0].shape)
+        term, df_face = np.empty_like(flux), np.empty_like(flux)
+        for j in range(dim):
+            # A and B are component-major, so each component is contiguous
+            _face_mean(coeffs[:, d, j].reshape(grid.shape), d, out=term)
+            if j == d:
+                term *= _face_diff(fg, d, h, out=df_face)
+            else:
+                term *= _face_mean(gradf[j], d, out=df_face)
+            flux += term
+        # minus the drift: face-mean B_d times the face mean of f
+        _face_mean(B[:, d].reshape(grid.shape), d, out=term)
+        term *= _face_mean(fg, d, out=df_face)
+        flux -= term
         fluxes.append(flux)
         # the temporaries go before the next axis's arrays are made: kept
         # alive, they leave holes in the heap that raise the peak RSS
-        del drift
+        del term, df_face
     return _Fields(coeffs, fluxes)
 
 
@@ -346,7 +340,7 @@ def _heavy_diagnostics(f, config, rec, fields):
     rec.fisher_w = weighted_fisher(f, config.gamma1)
     rec.l3w_norm = weighted_lp(f, 3.0, 2.0 * weight_exponent(config.gamma1))
     for k in config.k_list:
-        rec.lp_net[k] = lp_energy_balance(f, config.spec, k, fields)[2]
+        rec.lp_net[k] = lp_energy_balance(f, config.spec, k, fields)
 
 
 def run(f0, config):
@@ -433,34 +427,15 @@ def weak_form_rhs(f, spec, phi, with_scale=False):
 
 
 def lp_energy_balance(f, spec, k, fields=None):
-    """Terms of the L^(k+1) energy identity.
-
-    dissipation = k int f^(k-1) sum_ij (a_ij*f) d_i f d_j f
-    drift       = k int sum_i (b_i*f) d_i f f^k
-    net = drift - dissipation, the exact rate of d/dt int f^(k+1)/(k+1).
-
-    `net` is h^N <f^k, Q_h f>, Q_h the conservative scheme of
-    `assemble_operator`: the rate the discrete dynamics impose on
-    int f^(k+1)/(k+1).  The dissipation pairs the compact difference of f^k
-    with the scheme's diffusive face flux, and drift = net + dissipation
-    holds the conservative projection.  `fields` are the `_face_fluxes` of
-    f when they are already made.
-    """
+    """The rate of int f^(k+1)/(k+1) under the scheme: h^N <f^k, Q_h f>, Q_h
+    the conservative scheme of `assemble_operator`.  `fields` are the
+    `_face_fluxes` of f when they are already made."""
     if not (k > 0 and math.isfinite(k)):  # NaN fails too
         raise ValidationError(f"k must be finite and > 0, got {k}")
-    grid = f.grid
     if fields is None:
         fields = _face_fluxes(f, spec)
-    fg = f.reshaped()
-    fk = fg**k
-    cv = grid.cell_volume
-    net = cv * float(np.sum(fk.ravel() * assemble_operator(f, spec, fluxes=fields.fluxes)))
-    gradf = gradient(fg, grid.h)
-    diss = 0.0
-    for d in range(grid.dim):
-        dfk = _face_diff(fk, d, grid.h)
-        diss += cv * float(np.sum(dfk * _diffusive_flux(fields.A, fg, gradf, d, grid.h)))
-    return diss, net + diss, net
+    rate = assemble_operator(f, spec, fluxes=fields.fluxes)
+    return f.grid.cell_volume * float(np.sum(f.values**k * rate))
 
 
 def moment_tracking(series, l):

@@ -12,7 +12,8 @@ moments as `integrate` sums over full-length weights, which the separable
 forms in `landau.grid` replace, and the continuum truth of A, D and the
 weighted Fisher information for radial states under the 3-D Coulomb
 kernel, by 1-D integrals, and the radial trajectories of that equation;
-of A also under the power laws psi = r^(gamma+2).
+of A, D and the weighted Fisher information also under the power laws
+psi = r^(gamma+2).
 Last, D summed exactly by `math.fsum` from a log-gradient without its
 affine part, the reference near equilibrium.
 """
@@ -193,10 +194,17 @@ def _power_integral(k, lo, hi):
     return (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
 
 
+def _unit_legendre(points):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, wx = np.polynomial.legendre.leggauss(points)
+    return 0.5 * (x + 1), 0.5 * wx
+
+
 def radial_power(f, gamma, radii, R=12.0, points=200):
-    """The 3-D truth of A = a*f under psi = r^(gamma+2) for a radial density
-    f(r), vectorized, taken as 0 beyond R: (A_rr, A_tt), the eigenvalues of
-    A along v and across it, at `radii` in (0, R).
+    """The 3-D truth of A = a*f and of the drift b*f under psi = r^(gamma+2)
+    for a radial density f(r), vectorized, taken as 0 beyond R: (A_rr, A_tt,
+    B_r), the eigenvalues of A along v and across it and the radial
+    component of b*f, at `radii` in (0, R).
 
     On the sphere |w| = s the angular integral of a(v - w) is one over
     rho = |v - w| in [|r - s|, r + s].  With c = r^2 + s^2 and the closed
@@ -205,18 +213,20 @@ def radial_power(f, gamma, radii, R=12.0, points=200):
         core = (4 r^2 s^2 - c^2) P_{gamma+1} + 2 c P_{gamma+3} - P_{gamma+5}
         A_rr = 2 pi int s f(s) core / (4 r^3) ds
         A_tt = 2 pi int s f(s) [P_{gamma+3} / r - core / (8 r^3)] ds
+        B_r  = -(2 pi / r^2) int s f(s) [(r^2 - s^2) P_{gamma+1} + P_{gamma+3}] ds
 
     A_rr is the v-hat v-hat component, 2 pi int s^2 f int (rho^(gamma+2) -
     rho^gamma (v-hat . z)^2) rho / (r s) d rho ds with v-hat . z =
     (r^2 - s^2 + rho^2) / (2r), and A_tt = (tr A - A_rr) / 2 with
-    tr A = 2 int f psi.  The integrands have a |r - s|^(gamma+4) kink at
-    s = r, so each s integral is split there and taken by Gauss-Legendre
-    with `points` nodes on [0, r] and on [r, R].
+    tr A = 2 int f psi.  B_r is 2 pi int s^2 f int v-hat . b(z) rho / (r s)
+    d rho ds with b_i = sum_j d_j a_ij, b(z) = -2 |z|^gamma z.  The
+    integrands have a |r - s|^(gamma+4) kink at s = r, so each s integral
+    is split there and taken by Gauss-Legendre with `points` nodes on
+    [0, r] and on [r, R].
     """
-    x, wx = np.polynomial.legendre.leggauss(points)
-    x, wx = 0.5 * (x + 1), 0.5 * wx  # on [0, 1]
+    x, wx = _unit_legendre(points)
     uniq, inverse = np.unique(np.asarray(radii, dtype=float), return_inverse=True)
-    rr, tt = np.empty(uniq.size), np.empty(uniq.size)
+    rr, tt, br = np.empty((3, uniq.size))
     for start in range(0, uniq.size, 256):
         part = slice(start, start + 256)
         r = uniq[part, None]
@@ -228,7 +238,35 @@ def radial_power(f, gamma, radii, R=12.0, points=200):
         sf = 2 * math.pi * w * s * f(s)
         rr[part] = np.sum(sf * core, axis=1) / (4 * r[:, 0] ** 3)
         tt[part] = np.sum(sf * (p3 / r - core / (8 * r**3)), axis=1)
-    return rr[inverse], tt[inverse]
+        br[part] = -np.sum(sf * ((r * r - s * s) * p1 + p3), axis=1) / r[:, 0] ** 2
+    return rr[inverse], tt[inverse], br[inverse]
+
+
+def radial_power_dissipation(f, df, gamma, R=12.0, points=200):
+    """The 3-D truth of D and Fisher_w under psi = r^(gamma+2) for a radial
+    density f(r) > 0 with derivative df(r), both vectorized, taken as 0
+    beyond R.
+
+    D is the projected form int f xi^T A xi - int (f xi) . (a*(f xi)) with
+    f xi = grad f = f' v-hat, and a*grad f = b*f (summation by parts), so
+
+        D        = 4 pi int (f'^2 A_rr / f - f' B_r) r^2 dr
+        Fisher_w = pi int (f'^2 / f) (1 + r^2)^m r^2 dr,  m = min(gamma/2, -1)
+
+    with (A_rr, B_r) of `radial_power` at `points` Gauss-Legendre nodes in
+    r on [0, R], each taken with `points` nodes on either side of s = r.
+    Returns {"D", "fisher_w"}.
+    """
+    x, wx = _unit_legendre(points)
+    r, w = R * x, R * wx
+    fr, dfr = f(r), df(r)
+    along, _, drift = radial_power(f, gamma, r, R=R, points=points)
+    score = dfr**2 / fr
+    return {
+        "D": 4 * math.pi * float(np.sum(w * r * r * (score * along - dfr * drift))),
+        "fisher_w": math.pi * float(np.sum(w * r * r * score
+                                           * (1 + r * r) ** min(gamma / 2, -1.0))),
+    }
 
 
 def _shifted_log_gradient(f):

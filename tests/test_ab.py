@@ -1,6 +1,7 @@
 """`tools/ab.py`, the parent-against-change benchmark runner: its reading of
 `perfbench/run.py` output, its statistics and its output schema, on canned
-result lines; no benchmark runs here."""
+result lines, the digest that names the change side, and the peak phase of
+`tools/rss_phase.py` on a canned trace; no benchmark runs here."""
 
 import importlib.util
 import json
@@ -13,14 +14,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
 
 
-ab = _tool()
+ab, rss_phase = _tool("ab"), _tool("rss_phase")
 
 
 def run_output(wall, rss, failed=0):
@@ -108,3 +109,23 @@ def test_merge_keeps_the_other_workloads():
     doc = ab.merge(json.loads(json.dumps(doc)), "verify", {"pairs": [2]})
     assert doc == {"workloads": {"relax": {"pairs": [1]}, "verify": {"pairs": [2]}}}
     assert ab.merge(doc, "relax", {"pairs": [3]})["workloads"]["relax"] == {"pairs": [3]}
+
+
+def test_copied_tree_is_named_by_its_digest(tmp_path):
+    digest = ab._copy_working_tree(tmp_path)
+    names = [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file()]
+    assert "tools/ab.py" in names and digest == ab.tree_digest(tmp_path, names)
+    assert digest == ab.tree_digest(ROOT, names)
+    # the same bytes under another name, or a changed byte, change the digest
+    path, moved = tmp_path / "tools" / "ab.py", tmp_path / "tools" / "ab2.py"
+    path.rename(moved)
+    renamed = [n.replace("tools/ab.py", "tools/ab2.py") for n in names]
+    assert ab.tree_digest(tmp_path, renamed) != digest
+    moved.rename(path)
+    path.write_bytes(path.read_bytes() + b"#")
+    assert ab.tree_digest(tmp_path, names) != digest
+
+def test_peak_phase_is_the_first_phase_at_the_peak():
+    trace = [("import", 30.0), ("step", 40.0), ("heavy sample at step 20", 41.5),
+             ("final_state.save", 41.5), ("exit", 41.5)]
+    assert rss_phase.peak_phase(trace) == (41.5, "heavy sample at step 20")

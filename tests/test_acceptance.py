@@ -254,7 +254,7 @@ def test_criterion_10_lp_energy_identity(reference_run):
     )
     fd = (e2[2:] - e2[:-2]) / (times[2:] - times[:-2])
     nets = np.array(
-        [lp_energy_balance(s, SPEC, 1.0)[2] for _, s in snaps[1:-1]]
+        [lp_energy_balance(s, SPEC, 1.0) for _, s in snaps[1:-1]]
     )
     active = np.abs(fd) >= 0.2 * np.max(np.abs(fd))
     rel = np.abs(nets[active] - fd[active]) / np.abs(fd[active])

@@ -22,6 +22,7 @@ from landau import cli
 from landau.cli import build_parser, main, verify_workers
 from landau.families import DistributionSpec, generate_distribution
 from landau.grid import DiscreteDistribution, build_grid
+from landau.inequalities import _report
 from landau.kernels import PowerLawPsi
 from landau.solver import SolverConfig, run
 
@@ -317,6 +318,35 @@ class TestVerify:
         assert all("temperature" in r["error"] for r in errors)
         assert len(rows) == 4
 
+    def test_ratio_only_row_that_does_not_hold_fails(self, tmp_path, capsys, monkeypatch):
+        # a "ratio-only" row holds when its ratio is finite; lhs = rhs = 0
+        # gives an infinite ratio, and such a row is a failure like any other
+        monkeypatch.setattr(cli, "check_sobolev", lambda f, *args, **kwargs: _report(
+            "sobolev_general", 0.0, 0.0, "ratio-only", {}))
+        cfg = self.write_config(tmp_path, ["sobolev"], resolutions=(8,))
+        out = tmp_path / "r"
+        assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.count("FAIL sobolev[") == 3
+        rows = json.loads((out / "report.json").read_text())
+        assert [r["holds"] for r in rows] == [False] * 3
+
+    def test_state_with_no_mass_gives_error_rows(self, tmp_path):
+        # a Maxwellian of temperature 1e-5 underflows to 0 at every node of
+        # this grid; no suite checks anything on it
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "psi": {"kind": "power_law", "gamma": -2.5},
+            "grid": {"dim": 3, "half_width": 6.0}, "resolutions": [8],
+            "suites": ["young", "interpolation", {"name": "edd_radial", "mode": "ratio"},
+                       "sobolev"],
+            "families": [{"kind": "maxwellian", "params": {"temperature": 1e-5}}],
+        }))
+        out = tmp_path / "r"
+        assert main(["verify", "--config", str(p), "--out-dir", str(out)]) == 1
+        rows = json.loads((out / "report.json").read_text())
+        assert [r["suite"] for r in rows] == ["young", "interpolation", "edd_radial", "sobolev"]
+        assert all("zero mass" in r["error"] and r["holds"] is False for r in rows)
+
     def test_custom_file_family_is_read_strictly(self, stored_maxwellian, tmp_path):
         # a stored 12^3 state claiming 12.9 nodes is not truncated to 12:
         # the family fails to build and gives an error row, not a report
@@ -600,6 +630,20 @@ class TestSolve:
         p.write_text(json.dumps(raw))
         assert_usage_error(capsys, "solve", "--config", p, "--out-dir", tmp_path / "r",
                            out=tmp_path / "r")
+
+    def test_duplicate_columns_are_usage_error(self, tmp_path, capsys):
+        # M_<l> and lp_net_<k> print l and k with %g, so these lists would
+        # give four M_1 columns and two lp_net_1 columns
+        _, raw = self.write_config(tmp_path, nodes=8)
+        raw.update(l_list=[1, 1, 1.0000001, 1.00000011], k_list=[1, 1])
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps(raw))
+        out = tmp_path / "r"
+        assert main(["solve", "--config", str(p), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "['M_1', 'lp_net_1']" in err
+        assert not out.exists()
 
     def test_diagnostics_keep_every_momentum_component(self, tmp_path, capsys):
         # a 4-D run has a p3 column after pz; a coarse 4-D Maxwellian exits 1

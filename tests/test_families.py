@@ -51,6 +51,18 @@ class TestGenerators:
             assert np.all(f.values >= 0.0)
             assert integrate(f) > 0.0
 
+    def test_state_with_no_mass_raises(self):
+        # a Maxwellian of temperature 1e-5 underflows to 0 at every node
+        cold, warm = {"kind": "maxwellian", "params": {"temperature": 1e-5}}, {"kind": "maxwellian"}
+        for spec in (DistributionSpec.from_json_dict(cold),
+                     DistributionSpec("mixture", {"components": [cold]})):
+            with pytest.raises(ValidationError, match="zero mass"):
+                generate_distribution(spec, GRID)
+        # a mixture whose total has mass builds, though a component is empty
+        f = generate_distribution(DistributionSpec("mixture", {"components": [cold, warm]}), GRID)
+        half = DistributionSpec("mixture", {"components": [warm], "weights": [0.5]})
+        assert np.array_equal(f.values, generate_distribution(half, GRID).values)
+
     def test_radial_kinds_rotation_invariant(self):
         for spec in (
             DistributionSpec("maxwellian", {"temperature": 1.0}),

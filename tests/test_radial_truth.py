@@ -1,6 +1,8 @@
 """The program's A, D and weighted Fisher information against the continuum
-truth of a radial state under the 3-D Coulomb kernel (`oracles.radial_coulomb`),
-its A under the soft power laws (`oracles.radial_power`), and the program's D and today's scheme against radial trajectories of the
+truth of a radial state under the 3-D Coulomb kernel (`oracles.radial_coulomb`)
+and under the soft power laws (`oracles.radial_power`,
+`oracles.radial_power_dissipation`), and the program's D and today's scheme
+against radial trajectories of the
 equation itself (`oracles.radial_landau`), along which the paper's
 time-integrated bounds and the monotone Fisher information are checked.
 
@@ -24,7 +26,7 @@ from landau.inequalities import (
 )
 from landau.kernels import CoulombPsi, PowerLawPsi, collision_coefficients
 from landau.solver import SolverConfig, run, stability_dt
-from oracles import radial_coulomb, radial_landau, radial_power
+from oracles import radial_coulomb, radial_landau, radial_power, radial_power_dissipation
 
 RESOLUTIONS = (16, 24, 32)
 SHELLS = ((2.0, 0.5), (1.5, 0.6))  # table H's (centre, width)
@@ -198,7 +200,7 @@ def test_program_coefficients_converge_to_the_power_truth(gamma):
         inner = r < 4.5
         f = DiscreteDistribution(grid, shell(r))
         along, across = np.zeros((2, grid.size))
-        along[inner], across[inner] = radial_power(shell, gamma, r[inner])
+        along[inner], across[inner], _ = radial_power(shell, gamma, r[inner])
         exact = radial_tensor(grid, along, across)
         errors.append(relative_max(collision_coefficients(f, spec), exact, inner))
     orders = [math.log(e0 / e1) / math.log(n1 / n0) for (n0, e0), (n1, e1)
@@ -207,8 +209,40 @@ def test_program_coefficients_converge_to_the_power_truth(gamma):
     # the oracle's own error, by its quadrature at twice the nodes, is far
     # below the program's at the finest grid
     finer = np.zeros((2, grid.size))
-    finer[0][inner], finer[1][inner] = radial_power(shell, gamma, r[inner], points=400)
+    finer[0][inner], finer[1][inner], _ = radial_power(shell, gamma, r[inner], points=400)
     assert relative_max(exact, radial_tensor(grid, *finer), inner) <= 0.1 * errors[-1]
+
+
+def test_radial_power_dissipation_is_radial_coulomb_at_gamma_minus_3():
+    # D meets the Coulomb truth to 3.2e-10 and 6.4e-10 on the two shells,
+    # that truth's own trapezoid error, and Fisher_w to 1e-13
+    for pair in SHELLS:
+        f, df = gaussian_shell(*pair)
+        want = radial_coulomb(f, df, np.zeros(1))
+        got = radial_power_dissipation(f, df, -3.0)
+        for key in ("D", "fisher_w"):
+            assert abs(got[key] / want[key] - 1) <= 1e-8, (pair, key)
+
+
+@pytest.mark.parametrize("gamma", [-2.5, -1.0])
+def test_program_dissipation_converges_to_the_power_truth(gamma):
+    # observed order of D and Fisher_w between successive RESOLUTIONS, with
+    # the margin 1.5 fixed before the run: D reads 1.86, 1.92 at
+    # gamma = -2.5 and 1.86, 1.92 at -1; Fisher_w 1.66, 1.82 and 1.65, 1.82
+    truth = radial_power_dissipation(shell, shell_derivative, gamma)
+    spec, errors = PowerLawPsi(gamma), {"D": [], "fisher_w": []}
+    for n in RESOLUTIONS:
+        grid = build_grid(3, 6.0, n)
+        f = DiscreteDistribution(grid, shell(np.sqrt(grid.sq_norm)))
+        errors["D"].append(abs(entropy_dissipation(f, spec) / truth["D"] - 1))
+        errors["fisher_w"].append(abs(weighted_fisher(f, gamma) / truth["fisher_w"] - 1))
+    # the oracle's own error, by its quadrature at twice the nodes
+    finer = radial_power_dissipation(shell, shell_derivative, gamma, points=400)
+    for key, e in errors.items():
+        orders = [math.log(e0 / e1) / math.log(n1 / n0) for n0, n1, e0, e1
+                  in zip(RESOLUTIONS, RESOLUTIONS[1:], e, e[1:])]
+        assert min(orders) >= 1.5, (key, e, orders)
+        assert abs(finer[key] / truth[key] - 1) <= 0.1 * e[-1], key
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ unchanged `perfbench/run.py` (the command in BENCHMARK.json) runs with
 seed k for pair k on both sides, the parent first in even pairs and the
 change first in odd ones, and the JSON line it prints is read.  With
 `--aa` both trees are the parent, and the two directories swap names after
-half of the pairs, so what the pairs show is the noise floor.
+half of the pairs, so what the pairs show is the noise floor.  The change
+side is recorded as HEAD and a sha256 over the copied files (`tree_digest`),
+so the output names the code it measured.  On the relax workload each run
+is followed by `tools/rss_phase.py` in the same tree and with the same
+seed, and its peak and the phase that sets it are kept with the run.
 
 Per end-to-end metric the output holds each side's median and quartiles
 over the pairs where both sides read a finite value, the change's wins
@@ -28,8 +32,10 @@ stdout.
 """
 
 import argparse
+import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -112,13 +118,27 @@ def _unpack(rev, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def tree_digest(root, names):
+    """sha256 over the files `names` (paths relative to `root`) in sorted
+    order: of each, its name, a NUL, its size, a NUL and its bytes."""
+    digest = hashlib.sha256()
+    for name in sorted(names):
+        data = (root / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def _copy_working_tree(dest):
+    """Copy the working tree's files to `dest`; returns their `tree_digest`."""
     names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0")
-    for name in filter(None, names):
-        src = ROOT / name.decode()
-        if src.is_file():  # a tracked file deleted in the tree is left out
-            (dest / name.decode()).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(src, dest / name.decode())
+    copied = []
+    for name in filter(None, (n.decode() for n in names)):
+        if (ROOT / name).is_file():  # a tracked file deleted in the tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+            copied.append(name)
+    return tree_digest(dest, copied)
 
 
 def _run(tree, command, workload, seed, seconds):
@@ -127,6 +147,16 @@ def _run(tree, command, workload, seed, seconds):
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}: "
                            f"{done.stderr.strip()[-400:]}")
+    return parse_result(done.stdout)
+
+
+def _peak_phase(tree, seed):
+    """`tools/rss_phase.py`'s reading of the relax solve in `tree`, with the
+    benchmark children's BLAS threads and hash seed."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "rss_phase.py"), str(seed)],
+                          cwd=tree, env=env, capture_output=True, text=True, check=True)
     return parse_result(done.stdout)
 
 
@@ -150,8 +180,10 @@ def main(argv=None):
         _unpack(rev, trees["parent"])
         if args.aa:
             _unpack(rev, trees["change"])
+            change = "parent"
         else:
-            _copy_working_tree(trees["change"])
+            change = {"head": _git("rev-parse", "HEAD").decode().strip(),
+                      "sha256": _copy_working_tree(trees["change"])}
         for k in range(args.pairs):
             if args.aa and k == args.pairs // 2 and k:
                 swap = WORK / "swap"
@@ -164,13 +196,15 @@ def main(argv=None):
             for side in order:
                 pair[side] = _run(trees[side], spec["command"], args.workload, k, args.seconds)
                 pair[side]["tree"] = trees[side].name
+                if args.workload == "relax":
+                    pair[side]["peak_phase"] = _peak_phase(trees[side], k)
             pairs.append(pair)
             print(f"pair {k}: " + ", ".join(
                 f"{s} wall_s={pair[s]['metrics'].get('wall_s', {}).get('value')}" for s in SIDES),
                 file=sys.stderr)
     finally:
         shutil.rmtree(WORK, ignore_errors=True)
-    entry = {"parent": rev, "change": "parent" if args.aa else "working tree", "aa": args.aa,
+    entry = {"parent": rev, "change": change, "aa": args.aa,
              "seconds": args.seconds, "pairs": pairs, **summarize(pairs, spec)}
     for name, m in entry["metrics"].items():
         print(f"{name:18s} {m['verdict']:13s} worse_by={m.get('worse_by', math.nan):+.4f} "

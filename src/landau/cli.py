@@ -56,15 +56,17 @@ class ConfigError(Exception):
     """Malformed configuration or invocation (exit code 2)."""
 
 
-# what a bad input file or value raises while it is read; a grid or state
-# too large for the machine raises MemoryError
-_INPUT_ERRORS = (ValueError, ArithmeticError, ResourceError, OSError, MemoryError)
+# what a bad input file or value raises while it is read, or an output path
+# that cannot be written; a grid or state too large for the machine raises
+# MemoryError, and an initial state that cannot be normalized DegeneracyError
+_INPUT_ERRORS = (ValueError, ArithmeticError, ResourceError, DegeneracyError, OSError,
+                 MemoryError)
 
 
 @contextlib.contextmanager
 def _reading(what):
-    """Turn a failure while reading `what` from input files into a usage
-    error (exit 2)."""
+    """Turn a failure while reading `what` from input files, or writing it,
+    into a usage error (exit 2)."""
     try:
         yield
     except _INPUT_ERRORS as exc:
@@ -367,7 +369,8 @@ def cmd_verify(args):
         + row.get("error", f"lhs={row['lhs']}, rhs={row['rhs']} does not hold")
         for row in rows if not row["holds"]
     ]
-    _write_suite_reports(rows, args.out_dir)
+    with _reading("--out-dir"):
+        _write_suite_reports(rows, args.out_dir)
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)
     print(
@@ -412,7 +415,8 @@ def cmd_functional(args):
         **values,
         "version": __version__,
     }
-    _dump_json(report, args.out)
+    with _reading("--out"):
+        _dump_json(report, args.out)
     print(f"functional: report -> {args.out}")
     return 0
 
@@ -423,6 +427,7 @@ def cmd_functional(args):
 
 SOLVE_KEYS = ("psi", "grid", "initial")
 SOLVER_CONFIG_KEYS = ("dt", "steps", "scheme", "l_list", "k_list", "cadence", "gamma1")
+SOLVE_GRID_KEYS = {**GRID_KEYS, "nodes_per_axis": 16}
 
 
 def _list_columns(config):
@@ -461,7 +466,7 @@ def cmd_solve(args):
             raise ValidationError(f"unknown solve config keys {unknown}")
         psi = psi_spec_from_json(cfg.get("psi", {"kind": "coulomb"}))
         config = SolverConfig(spec=psi, **{k: cfg[k] for k in SOLVER_CONFIG_KEYS if k in cfg})
-        grid_cfg = read_config(cfg.get("grid"), {**GRID_KEYS, "nodes_per_axis": 16}, "grid")
+        grid_cfg = read_config(cfg.get("grid"), SOLVE_GRID_KEYS, "grid")
         n = grid_cfg["nodes_per_axis"] if args.resolution is None else args.resolution
         grid = build_grid(grid_cfg["dim"], grid_cfg["half_width"], n)
         labels = [label for columns in _list_columns(config) for label in columns]
@@ -471,17 +476,14 @@ def cmd_solve(args):
         f0 = generate_distribution(DistributionSpec.from_json_dict(cfg.get("initial")), grid)
         for l in config.l_list:  # the run may carry f to any node
             polynomial_weight(grid, l, True)
+    with _reading("--out-dir"):  # before the first step, so a bad path costs no run
+        os.makedirs(args.out_dir, exist_ok=True)
 
     try:
         series = run(f0, config)
     except ValidationError as exc:
         print(f"stability error: {exc}", file=sys.stderr)
         return CHECK_ERROR
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "diagnostics.csv"), "w", newline="") as fh:
-        csv.writer(fh).writerows(_diagnostics_rows(series, config))
-    series.final_state.save(os.path.join(args.out_dir, "final_state.json"))
 
     records = series.records
     h_steps = [records[i + 1].entropy - records[i].entropy for i in range(len(records) - 1)]
@@ -520,7 +522,11 @@ def cmd_solve(args):
             "python": sys.version.split()[0],
         },
     }
-    _dump_json(manifest, os.path.join(args.out_dir, "manifest.json"))
+    with _reading("--out-dir"):
+        with open(os.path.join(args.out_dir, "diagnostics.csv"), "w", newline="") as fh:
+            csv.writer(fh).writerows(_diagnostics_rows(series, config))
+        series.final_state.save(os.path.join(args.out_dir, "final_state.json"))
+        _dump_json(manifest, os.path.join(args.out_dir, "manifest.json"))
     status = "ok" if invariants_ok else "INVARIANT VIOLATION"
     print(
         f"solve: {config.steps} steps, H {records[0].entropy:.6f} -> "

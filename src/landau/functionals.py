@@ -43,7 +43,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import DegeneracyError, NumericError, ValidationError, fits
+from .errors import DegeneracyError, NumericError, ValidationError
 from .grid import EPS_FLOOR, NORMALIZE_TOL, grad_log, gradient_sqrt, integrate
 from .kernels import a_columns, a_pair_sum
 
@@ -267,14 +267,6 @@ def entropy_dissipation(f, spec, form="projected", coeffs=None):
     return total
 
 
-@dataclass
-class GammaDeterminant:
-    lam: float
-    i: int
-    j: int
-    gamma_value: float
-
-
 def check_normalized(f):
     """Validate mass 1, zero momentum, energy-moment N within
     `NORMALIZE_TOL`."""
@@ -316,20 +308,6 @@ def gamma_values(f, lam):
     axes = range(grid.dim)
     return m, {(i, j): -float(np.linalg.det(_gamma_matrix(*m, i, j)))
                for i in axes for j in axes if i != j}
-
-
-def gamma_determinant(f, lam, i, j):
-    """Negative determinant of the Gaussian-weighted 3x3 moment matrix.
-
-    Quantifies non-concentration of f near the hyperplane structure spanned
-    by axes i, j, two distinct integers in [0, N); requires a normalized
-    input.
-    """
-    dim = f.grid.dim
-    if not all(fits(k, 0) and 0 <= k < dim for k in (i, j)) or i == j:
-        raise ValidationError(f"axes must be distinct integers in [0, {dim}), got {i!r}, {j!r}")
-    check_normalized(f)
-    return GammaDeterminant(lam=lam, i=i, j=j, gamma_value=gamma_values(f, lam)[1][i, j])
 
 
 def _pair_factors(v, xi, g, i, j):

@@ -213,7 +213,7 @@ def check_young(f, spec, R, r):
     rmax = dim / (-gamma2 - 2.0)
     if not (1.0 <= r < rmax):
         raise ValidationError(f"r must lie in [1, {rmax}), got {r}")
-    if R <= 0:
+    if not R > 0:  # NaN fails too
         raise ValidationError(f"R must be > 0, got {R}")
     rprime = math.inf if r == 1.0 else r / (r - 1.0)
 

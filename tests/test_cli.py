@@ -125,6 +125,11 @@ class TestFunctional:
         assert "dissipation" in err and "Warning" not in err
         assert not out.exists()
 
+    def test_unwritable_out_is_usage_error(self, stored_maxwellian, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "r.json"
+        assert_usage_error(capsys, "functional", "--input", stored_maxwellian,
+                           "--psi", "coulomb", "--out", out, out=out)
+
 
 class TestVerify:
     def write_config(self, tmp_path, suites, resolutions=(12,)):
@@ -245,6 +250,13 @@ class TestVerify:
         assert "Warning" not in err
         (row,) = json.loads((out / "report.json").read_text())
         assert "not finite" in row["error"] and row["holds"] is False
+
+    def test_unwritable_out_dir_is_usage_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, ["moment_condition"])
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        assert_usage_error(capsys, "verify", "--config", cfg, "--out-dir", blocker / "sub",
+                           out=blocker / "sub")
 
     def test_non_object_config_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -622,6 +634,9 @@ class TestSolve:
         # h^N overflows, or underflows to 0
         {"grid": {"dim": 3, "half_width": 1e300, "nodes_per_axis": 8}},
         {"grid": {"dim": 3, "half_width": 1e-300, "nodes_per_axis": 8}},
+        # all the mass on one node: normalizing divides by a zero temperature
+        {"initial": {"kind": "maxwellian", "normalize": True,
+                     "params": {"temperature": 1e-3, "mean": [0.75]}}},
     ])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, override):
         _, raw = self.write_config(tmp_path, nodes=8)
@@ -630,6 +645,15 @@ class TestSolve:
         p.write_text(json.dumps(raw))
         assert_usage_error(capsys, "solve", "--config", p, "--out-dir", tmp_path / "r",
                            out=tmp_path / "r")
+
+    def test_unwritable_out_dir_is_usage_error_before_the_run(self, tmp_path, capsys,
+                                                                monkeypatch):
+        cfg, _ = self.write_config(tmp_path, nodes=8)
+        monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("the run started"))
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        assert_usage_error(capsys, "solve", "--config", cfg, "--out-dir", blocker / "sub",
+                           out=blocker / "sub")
 
     def test_duplicate_columns_are_usage_error(self, tmp_path, capsys):
         # M_<l> and lp_net_<k> print l and k with %g, so these lists would

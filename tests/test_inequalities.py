@@ -170,6 +170,13 @@ class TestYoung:
         with pytest.raises(ValidationError):
             check_young(f, PowerLawPsi(-1.0), R=2.0, r=1.2)
 
+    def test_radius_guard(self):
+        # a NaN radius empties the ball, so lhs would be 0 and the row would hold
+        f = radial_family(build_grid(3, 5.0, 8))
+        for R in (0.0, -1.0, math.nan):
+            with pytest.raises(ValidationError, match="R must be > 0"):
+                check_young(f, PowerLawPsi(-2.7), R=R, r=1.2)
+
 
 class TestGammaFloor:
     def test_normalized_families_above_floor(self):

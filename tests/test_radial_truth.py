@@ -224,20 +224,24 @@ def test_radial_power_dissipation_is_radial_coulomb_at_gamma_minus_3():
             assert abs(got[key] / want[key] - 1) <= 1e-8, (pair, key)
 
 
+@pytest.mark.parametrize("pair", SHELLS, ids=["shell1", "shell2"])
 @pytest.mark.parametrize("gamma", [-2.5, -1.0])
-def test_program_dissipation_converges_to_the_power_truth(gamma):
+def test_program_dissipation_converges_to_the_power_truth(gamma, pair):
     # observed order of D and Fisher_w between successive RESOLUTIONS, with
-    # the margin 1.5 fixed before the run: D reads 1.86, 1.92 at
-    # gamma = -2.5 and 1.86, 1.92 at -1; Fisher_w 1.66, 1.82 and 1.65, 1.82
-    truth = radial_power_dissipation(shell, shell_derivative, gamma)
+    # the margin 1.5 fixed before the run. First shell: D reads 1.86, 1.92 at
+    # gamma = -2.5 and 1.86, 1.92 at -1; Fisher_w 1.66, 1.82 and 1.65, 1.82.
+    # Second shell: D 1.75, 1.84 and 1.77, 1.86; Fisher_w 1.54, 1.77 and
+    # 1.58, 1.78
+    profile, derivative = gaussian_shell(*pair)
+    truth = radial_power_dissipation(profile, derivative, gamma)
     spec, errors = PowerLawPsi(gamma), {"D": [], "fisher_w": []}
     for n in RESOLUTIONS:
         grid = build_grid(3, 6.0, n)
-        f = DiscreteDistribution(grid, shell(np.sqrt(grid.sq_norm)))
+        f = DiscreteDistribution(grid, profile(np.sqrt(grid.sq_norm)))
         errors["D"].append(abs(entropy_dissipation(f, spec) / truth["D"] - 1))
         errors["fisher_w"].append(abs(weighted_fisher(f, gamma) / truth["fisher_w"] - 1))
     # the oracle's own error, by its quadrature at twice the nodes
-    finer = radial_power_dissipation(shell, shell_derivative, gamma, points=400)
+    finer = radial_power_dissipation(profile, derivative, gamma, points=400)
     for key, e in errors.items():
         orders = [math.log(e0 / e1) / math.log(n1 / n0) for n0, n1, e0, e1
                   in zip(RESOLUTIONS, RESOLUTIONS[1:], e, e[1:])]

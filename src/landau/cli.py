@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import math
 import os
@@ -188,6 +189,19 @@ SUITES = {
 _FAMILY_FREE_SUITES = {"moment_condition"}
 
 
+def _check_out_dir(path):
+    """Raise OSError unless the directory `path` could be made and written
+    into: its nearest existing ancestor, itself included, must be a
+    directory this process may write into.  Nothing is made."""
+    here = os.path.abspath(path)
+    while not os.path.exists(here):
+        here = os.path.dirname(here)
+    if not os.path.isdir(here):
+        raise NotADirectoryError(errno.ENOTDIR, "not a directory", here)
+    if not os.access(here, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, "not a writable directory", here)
+
+
 def _write_suite_reports(rows, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     _dump_json(rows, os.path.join(out_dir, "report.json"))
@@ -332,7 +346,11 @@ def _check_states(cases, psi, entries):
 def cmd_verify(args):
     # every grid is built, and every (family, n) state is built and checked
     # by all per-state suites (`_check_states`), before any report is
-    # written, so bad values exit 2 and each state is shared by all suites
+    # written, so bad values exit 2 and each state is shared by all suites;
+    # the out-dir is made only then, so that a dead worker leaves none, but
+    # one that cannot be made is refused before any state is built
+    with _reading("--out-dir"):
+        _check_out_dir(args.out_dir)
     with _reading("verify config"):
         cfg = read_config(_load_config(args.config), VERIFY_KEYS, "verify config")
         psi = psi_spec_from_json(cfg["psi"])

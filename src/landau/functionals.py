@@ -101,8 +101,10 @@ def polynomial_weight(grid, s, support):
     """(1+|v|^2)^s at the nodes of the mask `support` (True: every node) and
     0 off it, with no overflow warning; NumericError where it is not finite
     on the support."""
+    w = 1.0 + grid.sq_norm
     with np.errstate(over="ignore"):
-        w = np.where(support, (1.0 + grid.sq_norm) ** s, 0.0)
+        w **= s
+    np.copyto(w, 0.0, where=np.logical_not(support))
     if not np.all(np.isfinite(w)):
         raise NumericError(f"the weight (1+|v|^2)^{s:g} is not finite on the nodes it weighs")
     return w
@@ -117,18 +119,24 @@ def weighted_lp(f, p, l):
         raise ValidationError(f"p must be >= 1 or inf, got {p}")
     if not math.isfinite(l):
         raise ValidationError(f"l must be finite, got {l}")
-    g = polynomial_weight(f.grid, l / 2.0, f.values > 0) * f.values
+    g = polynomial_weight(f.grid, l / 2.0, f.values > 0)
+    g *= f.values
     s = float(np.max(g))
     if s == 0:
         return 0.0
-    return s * float(f.grid.cell_volume * np.sum((g / s) ** p)) ** (1.0 / p)
+    g /= s
+    g **= p
+    return s * float(f.grid.cell_volume * np.sum(g)) ** (1.0 / p)
 
 
 def fisher_sum(f, m):
     """int |grad sqrt(f)|^2 (1+|v|^2)^m dv."""
-    grad2 = np.sum(gradient_sqrt(f) ** 2, axis=1)
-    w = polynomial_weight(f.grid, m, grad2 > 0)
-    return float(f.grid.cell_volume * np.sum(grad2 * w))
+    grads = gradient_sqrt(f)
+    grads **= 2
+    grad2 = np.sum(grads, axis=1)
+    del grads
+    grad2 *= polynomial_weight(f.grid, m, grad2 > 0)
+    return float(f.grid.cell_volume * np.sum(grad2))
 
 
 def weight_exponent(gamma1):
@@ -195,26 +203,32 @@ def _dissipation_projected_conv(f, spec, coeffs=None):
     matching the direct pair sum to roundoff.  The second sum is a Parseval
     sum over the spectra of G (`a_pair_sum`).  The first is taken one
     component a_ij*F, i <= j, at a time, in the order of `a_columns`, with
-    H_ij = G_i xi_j and the i != j terms counted twice, so no (size, N, N)
-    array is made.  When the mask covers every node, F is f bit for bit, so
-    the coefficient field A = a*f of f, when given as `coeffs`, holds the
-    same components.
+    H_ij = (f xi_i) xi_j formed in one product buffer and the i != j terms
+    counted twice, so no (size, N, N) array is made; xi, which is 0 off the
+    mask, is then scaled into G = f xi in place.  When the mask covers every
+    node, F is f itself, so the coefficient field A = a*f of f, when given
+    as `coeffs`, holds the same components.
     """
     grid = f.grid
     xi, mask = _shifted_log_gradient(f)
-    G = np.where(mask, f.values * xi.T, 0.0)  # (N, size)
-    if coeffs is not None and mask.all():
+    full = mask.all()
+    if coeffs is not None and full:
         pairs = combinations_with_replacement(range(grid.dim), 2)
         columns = ((i, j, coeffs[:, i, j]) for i, j in pairs)
     else:
-        columns = a_columns(grid, spec, np.where(mask, f.values, 0.0).reshape(grid.shape))
+        F = f.values if full else np.where(mask, f.values, 0.0)
+        columns = a_columns(grid, spec, F.reshape(grid.shape))
     diffusion = 0.0
     H_ij = np.empty(grid.size)
     for i, j, column in columns:
-        np.multiply(G[i], xi[:, j], out=H_ij)
+        np.multiply(f.values, xi[:, i], out=H_ij)
+        H_ij *= xi[:, j]
         H_ij *= column
         diffusion += (1.0 if i == j else 2.0) * float(np.sum(H_ij))
+        del column  # before the next component is made
     del H_ij
+    G = xi.T  # (N, size), contiguous: each row xi_i becomes f xi_i
+    G *= f.values
     drift = a_pair_sum(grid, spec, G.reshape((grid.dim,) + grid.shape))
     return grid.cell_volume * (diffusion - drift)
 

@@ -8,6 +8,7 @@ extended by zero outside the box.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -90,12 +91,25 @@ class VelocityGrid:
         self.axis.flags.writeable = False
         self.shape = (self.n,) * self.dim
         self.size = self.n ** self.dim
-        # (size, dim) node coordinates, first axis slowest (C order).
-        mesh = np.meshgrid(*([self.axis] * self.dim), indexing="ij")
-        self.coords = np.stack([m.ravel() for m in mesh], axis=-1)
-        self.coords.flags.writeable = False
-        self.sq_norm = np.sum(self.coords**2, axis=1)
-        self.sq_norm.flags.writeable = False
+
+    @functools.cached_property
+    def coords(self):
+        """(size, dim) node coordinates, first axis slowest (C order),
+        read-only; made on first read, so a grid that is only built holds
+        none."""
+        coords = np.empty(self.shape + (self.dim,))
+        for d in range(self.dim):
+            coords[..., d] = self.axis.reshape((-1,) + (1,) * (self.dim - 1 - d))
+        coords = coords.reshape(self.size, self.dim)
+        coords.flags.writeable = False
+        return coords
+
+    @functools.cached_property
+    def sq_norm(self):
+        """|v|^2 at each node, read-only; made on first read."""
+        sq_norm = np.sum(self.coords**2, axis=1)
+        sq_norm.flags.writeable = False
+        return sq_norm
 
     def same_layout(self, other):
         return (
@@ -215,16 +229,24 @@ def integrate(f, weight=None):
 
 
 def gradient(field, h):
-    """Second-order gradient (central interior, one-sided boundary).
-
-    Returns an array of shape (dim,) + field.shape.
+    """Second-order gradient (central interior, one-sided boundary): the
+    stencils and operation order of `np.gradient(field, h, edge_order=2)`,
+    written axis by axis into one array of shape (dim,) + field.shape.
     """
-    return np.stack(np.gradient(field, h, edge_order=2), axis=0)
+    out = np.empty((field.ndim,) + field.shape)
+    for d in range(field.ndim):
+        f, g = np.moveaxis(field, d, 0), np.moveaxis(out[d], d, 0)
+        np.subtract(f[2:], f[:-2], out=g[1:-1])
+        g[1:-1] /= 2.0 * h
+        g[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+        g[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+    return out
 
 
 def gradient_sqrt(f):
     """Gradient of sqrt(f), shape (size, dim); zero where f vanishes."""
-    g = np.sqrt(np.where(f.values > EPS_FLOOR, f.values, 0.0)).reshape(f.grid.shape)
+    g = np.where(f.values > EPS_FLOOR, f.values, 0.0).reshape(f.grid.shape)
+    np.sqrt(g, out=g)
     grads = gradient(g, f.grid.h)
     return grads.reshape(f.grid.dim, f.grid.size).T
 
@@ -243,8 +265,10 @@ def grad_log(f):
     grid = f.grid
     vals = f.reshaped()
     mask = vals > EPS_FLOOR
-    logf = np.log(np.where(mask, vals, 1.0))
+    logf = np.where(mask, vals, 1.0)
+    np.log(logf, out=logf)
     xi = gradient(logf, grid.h)
+    diff = None  # (log f(k) - log f(k-1)) / h at k = 1..n-1 along the axis at hand
     for d in range(grid.dim):
         lf, mk, comp = (np.moveaxis(a, d, 0) for a in (logf, mask, xi[d]))
         up_ok = np.roll(mk, -1, axis=0)
@@ -255,11 +279,20 @@ def grad_log(f):
         stencil_ok = up_ok & dn_ok
         stencil_ok[0] = up_ok[0] & mk[2]
         stencil_ok[-1] = dn_ok[-1] & mk[-3]
-        fwd = (np.roll(lf, -1, axis=0) - lf) / grid.h
-        comp[...] = np.select(
-            [stencil_ok, up_ok, dn_ok], [comp, fwd, np.roll(fwd, 1, axis=0)], default=0.0
-        )
-        comp[~mk] = 0.0
+        fallback = mk & ~stencil_ok
+        if not fallback.any():
+            continue
+        if diff is None:
+            diff = np.empty((grid.n + 1,) + lf.shape[1:])
+        np.subtract(lf[1:], lf[:-1], out=diff[1:-1])
+        diff[1:-1] /= grid.h
+        # the backward difference of node k is diff[k], the forward one
+        # diff[k + 1]; diff[0] and diff[n], which hold no difference, are
+        # never copied, as node 0 has no lower and node n-1 no upper neighbour
+        np.copyto(comp, 0.0, where=fallback)
+        np.copyto(comp, diff[:-1], where=fallback & dn_ok)
+        np.copyto(comp, diff[1:], where=fallback & up_ok)
+    xi[:, ~mask] = 0.0
     return xi.reshape(grid.dim, grid.size).T, mask.ravel()
 
 

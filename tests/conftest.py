@@ -42,3 +42,23 @@ def _engine_bytes(grid, tables=0, buffers=0):
 @pytest.fixture
 def engine_bytes():
     return _engine_bytes
+
+
+def _ufunc_buffers(count, operands=3):
+    """Bytes NumPy may buffer for one elementwise operation on strided
+    views of `count` elements: up to `np.getbufsize()` elements of 8 bytes
+    per operand, whatever the array size."""
+    return operands * min(count, np.getbufsize()) * 8
+
+
+@pytest.fixture
+def ufunc_buffers():
+    """`_ufunc_buffers`, with NumPy's buffer size held to 1024 elements
+    while the test runs: at its default of 8192, the buffers of one strided
+    operation on a 16^3 grid take two to three fields of size * 8 bytes,
+    as much as the fields a test counts."""
+    old = np.setbufsize(1024)
+    try:
+        yield _ufunc_buffers
+    finally:
+        np.setbufsize(old)

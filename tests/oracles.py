@@ -15,7 +15,9 @@ kernel, by 1-D integrals, and the radial trajectories of that equation;
 of A, D and the weighted Fisher information also under the power laws
 psi = r^(gamma+2).
 Last, D summed exactly by `math.fsum` from a log-gradient without its
-affine part, the reference near equilibrium.
+affine part, the reference near equilibrium, and the log-gradient rule as
+whole-array selections over `np.gradient`, which `landau.grid.grad_log`
+evaluates in place.
 """
 
 import functools
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from landau.errors import ValidationError
-from landau.grid import grad_log, gradient, integrate
+from landau.grid import EPS_FLOOR, grad_log, gradient, integrate
 from landau.kernels import CoulombPsi, collision_coefficients, projection
 
 
@@ -393,3 +395,29 @@ def radial_landau(profile, R, m, times, points=20_001):
             vals.append(float(np.sum(cell * (1 + centres**2) ** l)))
         out["f"].append(density)
     return {key: val if key in ("f", "moments") else np.array(val) for key, val in out.items()}
+
+
+def grad_log_select(f):
+    """`grad_log` by whole-array selections: log f, `np.gradient` of it, and
+    per axis np.select of the `gradient` stencil where it touches only nodes
+    above the floor, else the forward, else the backward two-point
+    difference, else 0; 0 below the floor.  Returns xi of shape (size, dim)."""
+    grid = f.grid
+    vals = f.reshaped()
+    mask = vals > EPS_FLOOR
+    logf = np.log(np.where(mask, vals, 1.0))
+    xi = np.stack(np.gradient(logf, grid.h, edge_order=2), axis=0)
+    for d in range(grid.dim):
+        lf, mk, comp = (np.moveaxis(a, d, 0) for a in (logf, mask, xi[d]))
+        up_ok = np.roll(mk, -1, axis=0)
+        dn_ok = np.roll(mk, 1, axis=0)
+        up_ok[-1] = dn_ok[0] = False
+        stencil_ok = up_ok & dn_ok
+        stencil_ok[0] = up_ok[0] & mk[2]
+        stencil_ok[-1] = dn_ok[-1] & mk[-3]
+        fwd = (np.roll(lf, -1, axis=0) - lf) / grid.h
+        comp[...] = np.select(
+            [stencil_ok, up_ok, dn_ok], [comp, fwd, np.roll(fwd, 1, axis=0)], default=0.0
+        )
+        comp[~mk] = 0.0
+    return xi.reshape(grid.dim, grid.size).T

@@ -258,6 +258,25 @@ class TestVerify:
         assert_usage_error(capsys, "verify", "--config", cfg, "--out-dir", blocker / "sub",
                            out=blocker / "sub")
 
+    @pytest.mark.parametrize("under", [(), ("a", "b")], ids=["file", "below-file"])
+    def test_out_dir_under_a_file_is_refused_before_any_state(self, tmp_path, capsys,
+                                                              monkeypatch, under):
+        # the nearest existing ancestor of the out-dir is a regular file, so
+        # no state is built and no directory is made
+        cfg = self.write_config(tmp_path, ["sobolev"])
+        monkeypatch.setattr(cli, "_check_states", lambda *args: pytest.fail("a state was built"))
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        out = blocker.joinpath("sub", *under)
+        assert_usage_error(capsys, "verify", "--config", cfg, "--out-dir", out, out=out)
+        assert blocker.is_file()
+
+    def test_existing_out_dir_is_written(self, tmp_path):
+        cfg = self.write_config(tmp_path, ["moment_condition"])
+        (tmp_path / "r").mkdir()
+        assert main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "r" / "report.json").is_file()
+
     def test_non_object_config_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("[]")

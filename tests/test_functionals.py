@@ -21,7 +21,7 @@ from landau.functionals import (
     weighted_fisher,
     weighted_lp,
 )
-from landau.grid import DiscreteDistribution, build_grid
+from landau.grid import EPS_FLOOR, DiscreteDistribution, build_grid
 from landau.kernels import CoulombPsi, PowerLawPsi, collision_coefficients
 from oracles import dissipation_fsum
 
@@ -134,6 +134,41 @@ class TestWeightedNorms:
         assert weighted_fisher(f, -3.0) == pytest.approx(oracle, rel=6e-2)
 
 
+def floored_shell(grid):
+    """Table H's shell exp(-(r - 2)^2 / 0.5), which falls below the floor
+    EPS_FLOOR at the box corners; its |v|^2 is read before any test traces."""
+    return DiscreteDistribution(grid, np.exp(-((np.sqrt(grid.sq_norm) - 2.0) ** 2) / 0.5))
+
+
+class TestFieldMemory:
+    # traced peaks on a 16^3 shell with nodes below the floor, in fields of
+    # size * 8 bytes; each budget is what the function's own arrays need,
+    # with NumPy's buffers of a strided operation (`ufunc_buffers`) and
+    # 16 KiB for bool masks of size bytes and per-face arrays
+
+    def test_shell_has_nodes_below_the_floor(self):
+        f = floored_shell(build_grid(3, 6.0, 16))
+        assert np.any(f.values <= EPS_FLOOR) and np.any(f.values > 0.1)
+
+    def test_weighted_fisher_peak(self, traced_peak, ufunc_buffers):
+        # sqrt f (1) and its gradient (N) at once, then the squares' sum
+        # (1) beside the squares; a gradient stacked from a list of its
+        # components takes 2N
+        g = build_grid(3, 6.0, 16)
+        f = floored_shell(g)
+        budget = 4 * g.size * 8 + ufunc_buffers(g.size) + 16 * 1024
+        assert traced_peak(lambda: weighted_fisher(f, -3.0)) < budget
+
+    def test_weighted_lp_peak(self, traced_peak, ufunc_buffers):
+        # the weight, scaled by f, divided by its sup and raised to p in
+        # place: one field and its masks
+        g = build_grid(3, 6.0, 16)
+        f = floored_shell(g)
+        budget = g.size * 8 + ufunc_buffers(g.size) + 16 * 1024
+        for p in (1.5, 3.0):
+            assert traced_peak(lambda: weighted_lp(f, p, -3.0)) < budget
+
+
 class TestEntropyDissipation:
     def test_forms_agree_randomly(self):
         rng = np.random.default_rng(21)
@@ -186,13 +221,17 @@ class TestEntropyDissipation:
 
     def test_peak_memory(self, monkeypatch, traced_peak, engine_bytes):
         # from a cold engine: the a_ij half spectra, the two work buffers,
-        # the two slab temporaries of the drift term, and six (size, N) arrays
-        # for xi, G, one component of a*F, one product, F and the transform
-        # temporaries; the (size, N, N) array a*F, or a third work buffer,
-        # does not fit
+        # two slab temporaries (the drift term's, or an inverse transform's),
+        # NumPy's 128 KiB cast buffer of a real-complex product, and five
+        # fields of size * 8 bytes: xi, which becomes G in place (N), the
+        # product buffer of H_ij and one component of a*F, with 16 KiB for
+        # the mask and the face arrays of the gradient; F is f itself here,
+        # every node being above the floor.  A copy of G beside xi, or a
+        # third work buffer, does not fit
         monkeypatch.setattr(landau.kernels, "_LAYOUT", {})
         g = build_grid(3, 6.0, 16)
-        budget = engine_bytes(g, 6, 2) + 2 * landau.kernels._SLAB_BYTES + 6 * g.size * 3 * 8
+        budget = (engine_bytes(g, 6, 2) + 2 * landau.kernels._SLAB_BYTES + 128 * 1024
+                  + 5 * g.size * 8 + 16 * 1024)
         f = maxwellian(g)
         assert traced_peak(lambda: entropy_dissipation(f, CoulombPsi())) < budget
 

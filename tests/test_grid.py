@@ -10,17 +10,19 @@ import pytest
 from landau.errors import DegeneracyError, NumericError, ValidationError
 from landau.functionals import moments
 from landau.grid import (
+    EPS_FLOOR,
     DiscreteDistribution,
     NormalizationTransform,
     VelocityGrid,
     build_grid,
+    gradient,
     gradient_sqrt,
     grad_log,
     integrate,
     normalize,
     raw_moments,
 )
-from oracles import moments_by_integrate, multilinear_corners
+from oracles import grad_log_select, moments_by_integrate, multilinear_corners
 
 
 def maxwellian(grid, temperature=1.0, mean=None):
@@ -95,6 +97,21 @@ class TestBuildGrid:
 
         assert traced_peak(refused) < 4**6 * 8
         assert build_grid(3, 1.0, 16).coords.nbytes == 98304
+
+    def test_coordinates_are_made_on_first_read(self, traced_peak):
+        # a built 32^3 grid holds its axis, not its 786 KiB of coordinates;
+        # the first read gives the meshgrid stack, read-only, and every later
+        # read the same array
+        assert traced_peak(lambda: build_grid(3, 6.0, 32)) < 64 * 1024
+        g = build_grid(3, 6.0, 32)
+        mesh = np.meshgrid(*([g.axis] * 3), indexing="ij")
+        eager = np.stack([m.ravel() for m in mesh], axis=-1)
+        assert np.array_equal(g.coords, eager) and g.coords is g.coords
+        assert np.array_equal(g.sq_norm, np.sum(eager**2, axis=1))
+        for arr in (g.coords, g.sq_norm):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestDiscreteDistribution:
@@ -239,7 +256,31 @@ class TestGradientSqrt:
         assert errs[0] / errs[1] > 3.5
 
 
+class TestGradient:
+    @pytest.mark.parametrize("shape", [(5, 7), (4, 6, 5), (4, 4, 4, 5)])
+    def test_numpy_gradient_bit_for_bit(self, shape):
+        x = np.random.default_rng(len(shape)).standard_normal(shape)
+        want = np.stack(np.gradient(x, 0.37, edge_order=2), axis=0)
+        assert np.array_equal(gradient(x, 0.37), want)
+
+
 class TestGradLog:
+    @pytest.mark.parametrize("dim, n", [(2, 9), (3, 8), (3, 12)])
+    def test_the_select_rule_bit_for_bit(self, dim, n):
+        # random states with a third of the nodes at 0 or just below the
+        # floor, so every fallback case occurs, and an all-positive one
+        g = build_grid(dim, 3.0, n)
+        rng = np.random.default_rng(n)
+        vals = rng.random(g.size) * np.exp(-0.5 * g.sq_norm)
+        for floored in (0.0, 0.5 * EPS_FLOOR):
+            cut = vals.copy()
+            cut[rng.random(g.size) < 1 / 3] = floored
+            for state in (vals, cut):
+                f = DiscreteDistribution(g, state)
+                xi, mask = grad_log(f)
+                assert np.array_equal(xi, grad_log_select(f))
+                assert np.array_equal(mask, f.values > EPS_FLOOR)
+
     def test_gaussian_log_gradient(self):
         g = build_grid(3, 5.0, 20)
         f = maxwellian(g)
@@ -260,6 +301,20 @@ class TestGradLog:
         assert np.count_nonzero(mask & ~far) == 3
         assert np.max(np.abs(xi[far] + g.coords[far])) <= 1e-12
         assert not np.any(xi[~mask])
+
+
+    def test_peak_memory(self, traced_peak, ufunc_buffers):
+        # on a 16^3 shell with nodes below the floor, so the fallback runs:
+        # xi (N fields of size * 8 bytes), log f (one), the differences of
+        # one axis ((n + 1) / n of one), up to eight bool masks of size
+        # bytes and NumPy's buffers of a strided operation, with 8 KiB for
+        # the per-face arrays
+        g = build_grid(3, 6.0, 16)
+        f = DiscreteDistribution(g, np.exp(-((np.sqrt(g.sq_norm) - 2.0) ** 2) / 0.5))
+        assert not f.values.min() > EPS_FLOOR
+        budget = (4 * g.size * 8 + (g.n + 1) * g.n**2 * 8 + 8 * g.size + ufunc_buffers(g.size)
+                  + 8 * 1024)
+        assert traced_peak(lambda: grad_log(f)) < budget
 
 
 class TestNormalize:

@@ -271,10 +271,10 @@ def s2_state(n):
 
 @pytest.fixture(scope="module")
 def s2_runs():
-    """Today's scheme from S2 at n = 12 and 16, Euler at the "auto" step,
-    for the whole number of steps that comes nearest t = 0.25."""
+    """Today's scheme from S2 at n = 12, 16 and 24, Euler at the "auto"
+    step, for the whole number of steps that comes nearest t = 0.25."""
     spec, out = CoulombPsi(), {}
-    for n in (12, 16):
+    for n in (12, 16, 24):
         f0 = s2_state(n)
         steps = round(0.25 / stability_dt(collision_coefficients(f0, spec), f0.grid.h))
         series = run(f0, SolverConfig(spec, steps=steps, cadence=steps))
@@ -361,18 +361,22 @@ def test_scheme_moment_change_against_the_trajectory(s2_runs, s2_truth):
     # against the truth's on the same nodes; margins fixed before the first
     # run: the error falls from n = 12 to 16 and is at most half of the
     # truth's change at n = 16 (it reads -40.2% and -32.5%; l = 3 and 4 are
-    # not asserted: they read -52.2%, -43.1% and -66.8%, -56.9%)
+    # not asserted: they read -52.2%, -43.1% and -66.8%, -56.9%), and it
+    # falls from n = 16 to 24 at an observed order >= 0.5 (it reads -17.5%,
+    # order 1.52; l = 3 and 4 read -23.6% and -31.8%, orders 1.49 and 1.44)
     def m2(f):
         return moments(f, (2.0,)).moments[2.0]
 
     truth = s2_truth[800]["f"]
     errors = []
-    for k, n in enumerate((12, 16)):
+    for k, n in enumerate((12, 16, 24)):
         _, f, _ = s2_runs[n]
         exact = [DiscreteDistribution(f.grid, truth[i](np.sqrt(f.grid.sq_norm)))
                  for i in (TIMES.index(0.0), len(TIMES) + k)]
         errors.append(abs((m2(f) - m2(s2_state(n))) / (m2(exact[1]) - m2(exact[0])) - 1))
     assert errors[1] < errors[0] and errors[1] <= 0.5
+    assert errors[2] < errors[1]
+    assert math.log(errors[1] / errors[2]) / math.log(24 / 16) >= 0.5
 
 
 # ---------------------------------------------------------------------------

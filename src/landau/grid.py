@@ -286,9 +286,8 @@ def grad_log(f):
             diff = np.empty((grid.n + 1,) + lf.shape[1:])
         np.subtract(lf[1:], lf[:-1], out=diff[1:-1])
         diff[1:-1] /= grid.h
-        # the backward difference of node k is diff[k], the forward one
-        # diff[k + 1]; diff[0] and diff[n], which hold no difference, are
-        # never copied, as node 0 has no lower and node n-1 no upper neighbour
+        # node k's backward difference is diff[k], its forward one diff[k + 1];
+        # diff[0] and diff[n] hold none and are never copied
         np.copyto(comp, 0.0, where=fallback)
         np.copyto(comp, diff[:-1], where=fallback & dn_ok)
         np.copyto(comp, diff[1:], where=fallback & up_ok)

@@ -137,7 +137,9 @@ class TestWeightedNorms:
 def floored_shell(grid):
     """Table H's shell exp(-(r - 2)^2 / 0.5), which falls below the floor
     EPS_FLOOR at the box corners; its |v|^2 is read before any test traces."""
-    return DiscreteDistribution(grid, np.exp(-((np.sqrt(grid.sq_norm) - 2.0) ** 2) / 0.5))
+    f = DiscreteDistribution(grid, np.exp(-((np.sqrt(grid.sq_norm) - 2.0) ** 2) / 0.5))
+    assert np.any(f.values <= EPS_FLOOR)
+    return f
 
 
 class TestFieldMemory:
@@ -145,10 +147,6 @@ class TestFieldMemory:
     # size * 8 bytes; each budget is what the function's own arrays need,
     # with NumPy's buffers of a strided operation (`ufunc_buffers`) and
     # 16 KiB for bool masks of size bytes and per-face arrays
-
-    def test_shell_has_nodes_below_the_floor(self):
-        f = floored_shell(build_grid(3, 6.0, 16))
-        assert np.any(f.values <= EPS_FLOOR) and np.any(f.values > 0.1)
 
     def test_weighted_fisher_peak(self, traced_peak, ufunc_buffers):
         # sqrt f (1) and its gradient (N) at once, then the squares' sum

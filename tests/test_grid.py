@@ -99,7 +99,7 @@ class TestBuildGrid:
         assert build_grid(3, 1.0, 16).coords.nbytes == 98304
 
     def test_coordinates_are_made_on_first_read(self, traced_peak):
-        # a built 32^3 grid holds its axis, not its 786 KiB of coordinates;
+        # a built 32^3 grid holds its axis, not its 768 KiB of coordinates;
         # the first read gives the meshgrid stack, read-only, and every later
         # read the same array
         assert traced_peak(lambda: build_grid(3, 6.0, 32)) < 64 * 1024
@@ -301,7 +301,6 @@ class TestGradLog:
         assert np.count_nonzero(mask & ~far) == 3
         assert np.max(np.abs(xi[far] + g.coords[far])) <= 1e-12
         assert not np.any(xi[~mask])
-
 
     def test_peak_memory(self, traced_peak, ufunc_buffers):
         # on a 16^3 shell with nodes below the floor, so the fallback runs:
